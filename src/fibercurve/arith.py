@@ -29,7 +29,10 @@ def parse_rational(text: str) -> Fraction:
         s = s[1:].strip()
     if "/" in s:
         num_s, den_s = s.split("/", 1)
-        value = Fraction(int(num_s), int(den_s))
+        den = int(den_s)
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        value = Fraction(int(num_s), den)
     else:
         value = Fraction(int(s))
     return -value if negative else value

@@ -51,11 +51,12 @@ class CurveWithPoints:
             self.curve.r, self.curve.s, [p.x for p in self.points]
         )
 
-    def verify(self) -> None:
+    def verify(self) -> Config:
+        """Check every point is on the curve; return the validated Config."""
         for idx, p in enumerate(self.points):
             if not contains(self.curve, p):
                 raise ValueError(f"point {idx} is not on the curve")
-        self.config()
+        return self.config()
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,9 @@ def consistency(r: int, s: int, points: list[AffinePoint]) -> ConsistencyReport:
 
 def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
     """[y_0 : ... : y_n] in canonical normalization; always on the fiber."""
-    cwp.verify()
+    config = cwp.verify()
     point = ProjPoint([p.y for p in cwp.points])
-    system = build_fiber(cwp.config())
+    system = build_fiber(config)
     if not on_fiber(system, point):
         raise AssertionError("curve points did not land on the fiber")
     return point

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 
 
 class InvalidConfigError(ValueError):
@@ -31,6 +33,15 @@ class Config:
     def n(self) -> int:
         return len(self.alphas) - 1
 
+    @cached_property
+    def powers(self) -> tuple[Fraction, ...]:
+        """alpha_i^r for each alpha_i, computed once per configuration.
+
+        Every consumer of the specialized forms (fiber coefficients, search
+        candidates) reads these instead of raising alpha_i to the r again.
+        """
+        return tuple(a**self.r for a in self.alphas)
+
 
 def violations(r: int, s: int, alphas) -> list[str]:
     """Every admissibility violation, each naming the offending index/pair."""
@@ -46,14 +57,19 @@ def violations(r: int, s: int, alphas) -> list[str]:
         if a == 0:
             problems.append(f"alpha[{i}] is zero")
     if r >= 1:
-        for i in range(len(values)):
-            for j in range(i + 1, len(values)):
-                if values[i] == values[j]:
-                    problems.append(f"alpha[{i}] == alpha[{j}]")
-                elif values[i] ** r == values[j] ** r:
-                    problems.append(
-                        f"alpha[{i}]^{r} == alpha[{j}]^{r} with distinct bases"
-                    )
+        # equal bases have equal r-th powers, so every colliding pair
+        # shares one group; sorting restores the pairwise (i, j) order
+        groups: dict[Fraction, list[int]] = {}
+        for j, a in enumerate(values):
+            groups.setdefault(a**r, []).append(j)
+        pairs = sorted(p for g in groups.values() for p in combinations(g, 2))
+        for i, j in pairs:
+            if values[i] == values[j]:
+                problems.append(f"alpha[{i}] == alpha[{j}]")
+            else:
+                problems.append(
+                    f"alpha[{i}]^{r} == alpha[{j}]^{r} with distinct bases"
+                )
     return problems
 
 

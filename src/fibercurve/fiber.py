@@ -30,34 +30,29 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .arith import CyclotomicElement
 from .config import Config
-from .linalg import clear_denominators, matrix_rank
+from .linalg import matrix_rank, primitive_vector
 
 
 class ProjPoint:
     """Point of P^n stored in canonical form.
 
-    Canonical means: coordinates cleared to a primitive integer vector
-    whose first nonzero entry is positive.  Equality and hashing are exact.
+    Canonical means: the primitive integer vector proportional to the
+    coordinates whose first nonzero entry is positive
+    (``linalg.primitive_vector``).  Equality and hashing are exact.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords) -> None:
         values = [Fraction(c) for c in coords]
-        if not values or all(v == 0 for v in values):
+        lead = next((k for k, v in enumerate(values) if v != 0), None)
+        if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        ints = clear_denominators(values)
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
+        ints = primitive_vector(values, positive=lead)
         object.__setattr__(self, "coords", tuple(Fraction(v) for v in ints))
 
     def __setattr__(self, name, value):
@@ -89,8 +84,9 @@ class ProjPoint:
 class FiberEquation:
     """Normalized equation A Y_0^s + B Y_1^s + C Y_i^s = 0.
 
-    Coefficients are integer-cleared, gcd-reduced, with C > 0.  ``scale``
-    restores the raw cofactor triple: raw = scale * (A, B, C).
+    (A, B, C) is the primitive integer vector of the raw cofactor triple
+    with C > 0, normalized as ProjPoint is but on C.  ``scale`` restores
+    the raw triple: raw = scale * (A, B, C).
     """
 
     i: int
@@ -128,35 +124,20 @@ def raw_coefficients(
     """Unnormalized cofactor triple (A_i, B_i, C_i) for equation i."""
     if not 2 <= i <= config.n:
         raise ValueError(f"equation index must be in 2..{config.n}, got {i}")
-    r = config.r
     a0, a1, ai = config.alphas[0], config.alphas[1], config.alphas[i]
-    A = a1 * ai * (ai**r - a1**r)
-    B = a0 * ai * (a0**r - ai**r)
-    C = a0 * a1 * (a1**r - a0**r)
+    p0, p1, pi = config.powers[0], config.powers[1], config.powers[i]
+    A = a1 * ai * (pi - p1)
+    B = a0 * ai * (p0 - pi)
+    C = a0 * a1 * (p1 - p0)
     return A, B, C
-
-
-def _normalize_triple(
-    triple: tuple[Fraction, Fraction, Fraction]
-) -> tuple[tuple[Fraction, Fraction, Fraction], Fraction]:
-    ints = clear_denominators(triple)
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    if ints[2] < 0:
-        ints = [-v for v in ints]
-    normalized = tuple(Fraction(v) for v in ints)
-    scale = triple[2] / normalized[2]
-    return normalized, scale
 
 
 def build_fiber(config: Config) -> FiberSystem:
     """The n-1 specialized diagonal equations of X_{a_n}.
 
     Config admissibility guarantees every coefficient is nonzero.  Each
-    triple is integer-cleared, reduced by its gcd, and sign-normalized so
-    that C > 0; the normalization scalar is retained.
+    raw triple is stored as its primitive integer vector with C > 0
+    (``linalg.primitive_vector``), and scale = raw C / normalized C.
     """
     if config.n < 2:
         raise ValueError("fiber systems need n >= 2")
@@ -167,8 +148,8 @@ def build_fiber(config: Config) -> FiberSystem:
             raise AssertionError(
                 f"degenerate coefficient in equation {i}; config not admissible"
             )
-        (A, B, C), scale = _normalize_triple(raw)
-        equations.append(FiberEquation(i=i, A=A, B=B, C=C, scale=scale))
+        A, B, C = (Fraction(v) for v in primitive_vector(raw, positive=2))
+        equations.append(FiberEquation(i=i, A=A, B=B, C=C, scale=raw[2] / C))
     return FiberSystem(config=config, equations=tuple(equations))
 
 

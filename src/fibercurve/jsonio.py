@@ -17,7 +17,7 @@ from .fiber import (
     ProjPoint,
     TrivialPointCertificate,
 )
-from .search import EVIDENCE_NOTE, ClassCountTable, SearchReport
+from .search import EVIDENCE_NOTE, SearchReport
 
 
 def curve_to_obj(curve: FamilyCurve) -> dict:
@@ -139,15 +139,6 @@ def search_report_from_obj(obj: dict) -> SearchReport:
         workers=int(obj["workers"]),
         note=obj.get("note", EVIDENCE_NOTE),
     )
-
-
-def class_counts_to_obj(table: ClassCountTable) -> dict:
-    return {
-        "config": config_to_obj(table.config),
-        "height_bound": table.height_bound,
-        "per_index": list(table.per_index),
-        "search_space_size": table.search_space_size,
-    }
 
 
 def certificate_to_obj(

@@ -1,4 +1,5 @@
-"""Exact rank computation over the rationals.
+"""Exact rank computation and primitive-vector normalization over the
+rationals.
 
 Fraction-free (Bareiss) elimination on the integer-cleared matrix: every
 intermediate entry is a minor of the original integer matrix, so the
@@ -8,13 +9,23 @@ divisions are exact and entries stay integral.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 
 def clear_denominators(row: Sequence[Fraction]) -> list[int]:
     scale = lcm(*(Fraction(x).denominator for x in row)) if row else 1
     return [int(Fraction(x) * scale) for x in row]
+
+
+def primitive_vector(row: Sequence[Fraction], positive: int) -> list[int]:
+    """The integer vector proportional to row with content 1 whose entry
+    at index ``positive`` is > 0; row[positive] must be nonzero."""
+    ints = clear_denominators(row)
+    g = gcd(*ints)
+    if ints[positive] < 0:
+        g = -g
+    return [v // g for v in ints]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -52,20 +52,26 @@ class ClassCountTable:
     search_space_size: int
 
 
-def _candidate_range(height: int):
-    for u in range(-height, height + 1):
+def _candidates(height: int, u_lo: int, u_hi: int):
+    """The box's (a, b) = (u/w, v/w) with u in [u_lo, u_hi), in scan order."""
+    for u in range(u_lo, u_hi):
         if u == 0:
             continue
-        yield u
+        for v in range(-height, height + 1):
+            if v == 0:
+                continue
+            g_uv = gcd(u, v)
+            for w in range(1, height + 1):
+                if gcd(g_uv, w) == 1:
+                    yield Fraction(u, w), Fraction(v, w)
 
 
 def _test_candidate(
     config: Config, a: Fraction, b: Fraction
 ) -> tuple[AffinePoint, ...] | None:
     ys = []
-    for alpha in config.alphas:
-        value = alpha * (a * alpha**config.r + b)
-        y = is_sth_power(value, config.s)
+    for alpha, power in zip(config.alphas, config.powers):
+        y = is_sth_power(alpha * (a * power + b), config.s)
         if y is None:
             return None  # early exit on the first failing condition
         ys.append(y)
@@ -78,22 +84,11 @@ def _search_block(args) -> tuple[list, int]:
     config, height, u_lo, u_hi = args
     hits = []
     count = 0
-    for u in range(u_lo, u_hi):
-        if u == 0:
-            continue
-        for v in range(-height, height + 1):
-            if v == 0:
-                continue
-            g_uv = gcd(abs(u), abs(v))
-            for w in range(1, height + 1):
-                if gcd(g_uv, w) != 1:
-                    continue
-                count += 1
-                a = Fraction(u, w)
-                b = Fraction(v, w)
-                points = _test_candidate(config, a, b)
-                if points is not None:
-                    hits.append((a, b, points))
+    for a, b in _candidates(height, u_lo, u_hi):
+        count += 1
+        points = _test_candidate(config, a, b)
+        if points is not None:
+            hits.append((a, b, points))
     return hits, count
 
 
@@ -164,19 +159,12 @@ def count_square_classes(config: Config, height: int) -> ClassCountTable:
         raise ValueError("height must be >= 1")
     counts = [0] * (config.n + 1)
     space = 0
-    for u in _candidate_range(height):
-        for v in _candidate_range(height):
-            g_uv = gcd(abs(u), abs(v))
-            for w in range(1, height + 1):
-                if gcd(g_uv, w) != 1:
-                    continue
-                space += 1
-                a = Fraction(u, w)
-                b = Fraction(v, w)
-                for idx, alpha in enumerate(config.alphas):
-                    value = alpha * (a * alpha**config.r + b)
-                    if is_sth_power(value, config.s) is not None:
-                        counts[idx] += 1
+    for a, b in _candidates(height, -height, height + 1):
+        space += 1
+        for idx, power in enumerate(config.powers):
+            value = config.alphas[idx] * (a * power + b)
+            if is_sth_power(value, config.s) is not None:
+                counts[idx] += 1
     return ClassCountTable(
         config=config,
         height_bound=height,

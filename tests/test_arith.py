@@ -88,6 +88,10 @@ class TestRationalCodec:
         assert parse_rational("-5") == F(-5)
         assert parse_rational("−8/3") == F(-8, 3)  # unicode minus
 
+    def test_zero_denominator_names_the_input(self):
+        with pytest.raises(ValueError, match="'1/0'"):
+            parse_rational("1/0")
+
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(200):

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction as F
 
-from fibercurve import jsonio
+import pytest
+
+from fibercurve import config, jsonio
 from fibercurve.birat import CurveWithPoints
 from fibercurve.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from fibercurve.config import validate
@@ -17,6 +19,16 @@ def run(capsys, *argv):
 
 
 CFG123 = '{"r":2,"s":2,"alphas":["1","2","3"]}'
+
+# y^2 = x(x^2 + 3) through x = 1, 3, 12
+CWP13 = CurveWithPoints(
+    curve=FamilyCurve(2, 2, F(1), F(3)),
+    points=(
+        AffinePoint(F(1), F(2)),
+        AffinePoint(F(3), F(6)),
+        AffinePoint(F(12), F(42)),
+    ),
+)
 
 
 class TestScalarVerbs:
@@ -61,6 +73,16 @@ class TestValidateVerb:
     def test_unreadable_path(self, capsys):
         code, _, err = run(capsys, "validate", "--config", "/nonexistent.json")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("verb", ["validate", "fiber-build"])
+    def test_zero_denominator_is_usage_error(self, capsys, verb):
+        cfg = '{"r":2,"s":2,"alphas":["1/0","2","3"]}'
+        code, out, err = run(capsys, verb, "--config", cfg)
+        assert code == EXIT_USAGE
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert "'1/0'" in payload["message"]
 
 
 class TestFiberVerbs:
@@ -128,16 +150,8 @@ class TestCorrespondenceVerbs:
         assert code == EXIT_MATH
 
     def test_push_lift_round_trip(self, capsys):
-        cwp = CurveWithPoints(
-            curve=FamilyCurve(2, 2, F(1), F(3)),
-            points=(
-                AffinePoint(F(1), F(2)),
-                AffinePoint(F(3), F(6)),
-                AffinePoint(F(12), F(42)),
-            ),
-        )
         code, out, _ = run(
-            capsys, "push", "--input", json.dumps(jsonio.cwp_to_obj(cwp))
+            capsys, "push", "--input", json.dumps(jsonio.cwp_to_obj(CWP13))
         )
         assert code == EXIT_OK
         point_obj = json.loads(out)
@@ -153,6 +167,21 @@ class TestCorrespondenceVerbs:
         assert code == EXIT_OK
         lifted = jsonio.cwp_from_obj(json.loads(out))
         assert (lifted.curve.a, lifted.curve.b) == (F(1), F(3))
+
+    def test_push_validates_once(self, capsys, monkeypatch):
+        calls = []
+        real_validate = config.validate
+
+        def counting_validate(*args, **kwargs):
+            calls.append(args)
+            return real_validate(*args, **kwargs)
+
+        monkeypatch.setattr(config, "validate", counting_validate)
+        code, _, _ = run(
+            capsys, "push", "--input", json.dumps(jsonio.cwp_to_obj(CWP13))
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_lift_obstruction(self, capsys):
         cfg = '{"r":2,"s":2,"alphas":["1","4","9"]}'

@@ -15,6 +15,31 @@ from fibercurve.config import (
 from fibercurve.fiber import fiber_genus
 
 
+def pairwise_violations(r, s, alphas):
+    """Reference: the all-pairs scan, raising every alpha to the r per pair."""
+    problems = []
+    if r < 1:
+        problems.append(f"r must be >= 1, got {r}")
+    if s < 2:
+        problems.append(f"s must be >= 2, got {s}")
+    values = [F(a) for a in alphas]
+    if len(values) < 2:
+        problems.append("need at least two x-coordinates")
+    for i, a in enumerate(values):
+        if a == 0:
+            problems.append(f"alpha[{i}] is zero")
+    if r >= 1:
+        for i in range(len(values)):
+            for j in range(i + 1, len(values)):
+                if values[i] == values[j]:
+                    problems.append(f"alpha[{i}] == alpha[{j}]")
+                elif values[i] ** r == values[j] ** r:
+                    problems.append(
+                        f"alpha[{i}]^{r} == alpha[{j}]^{r} with distinct bases"
+                    )
+    return problems
+
+
 class TestValidate:
     def test_simple_valid(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
@@ -47,6 +72,16 @@ class TestValidate:
         assert verdicts == {True}
         for perm in itertools.permutations([F(1), F(2), F(5)]):
             assert not violations(2, 2, list(perm))
+
+    def test_matches_pairwise_reference(self):
+        # zeros, repeats and +-x pairs, which collide exactly for even r
+        pool = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(9)]
+        rng = random.Random(11)
+        for _ in range(400):
+            r = rng.randint(1, 4)
+            s = rng.randint(1, 3)
+            alphas = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+            assert violations(r, s, alphas) == pairwise_violations(r, s, alphas)
 
 
 class TestClassify:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 
-from fibercurve.linalg import clear_denominators, matrix_rank
+from fibercurve.linalg import clear_denominators, matrix_rank, primitive_vector
 
 
 def naive_rank(rows):
@@ -72,3 +72,10 @@ def test_big_integer_entries():
 def test_clear_denominators_primitive():
     assert clear_denominators([F(1, 2), F(1, 3)]) == [3, 2]
     assert clear_denominators([F(5)]) == [5]
+
+
+def test_primitive_vector_signs_the_chosen_coordinate():
+    row = [F(0), F(-1, 2), F(1, 3), F(-5, 6)]
+    assert primitive_vector(row, positive=1) == [0, 3, -2, 5]
+    assert primitive_vector(row, positive=2) == [0, -3, 2, -5]
+    assert primitive_vector([F(4), F(-6)], positive=0) == [2, -3]

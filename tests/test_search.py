@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from planting import plant_search_instances
 
+from fibercurve.arith import is_sth_power
 from fibercurve.config import validate
 from fibercurve.family import contains
 from fibercurve.search import count_square_classes, search_ab
@@ -87,3 +89,22 @@ class TestCountSquareClasses:
         report = search_ab(PLANT13, height=3)
         table = count_square_classes(PLANT13, 3)
         assert all(len(report.hits) <= c for c in table.per_index)
+
+    def test_matches_search_box_and_brute_force(self):
+        for cfg in (PLANT13, validate(1, 3, [F(1), F(2), F(-3)])):
+            for height in (1, 2, 3):
+                table = count_square_classes(cfg, height)
+                report = search_ab(cfg, height)
+                assert table.search_space_size == report.search_space_size
+                expected = [0] * (cfg.n + 1)
+                for u in range(-height, height + 1):
+                    for v in range(-height, height + 1):
+                        for w in range(1, height + 1):
+                            if u * v == 0 or gcd(u, v, w) != 1:
+                                continue
+                            a, b = F(u, w), F(v, w)
+                            for idx, alpha in enumerate(cfg.alphas):
+                                value = alpha * (a * alpha**cfg.r + b)
+                                if is_sth_power(value, cfg.s) is not None:
+                                    expected[idx] += 1
+                assert list(table.per_index) == expected
