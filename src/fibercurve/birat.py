@@ -71,6 +71,8 @@ def solve_ab(
     r: int, s: int, p0: AffinePoint, p1: AffinePoint
 ) -> tuple[Fraction, Fraction]:
     """The unique (a, b) putting both points on y^s = x(a x^r + b)."""
+    if r < 1 or s < 2:
+        raise ValueError("need r >= 1 and s >= 2")
     x0, y0 = p0.x, p0.y
     x1, y1 = p1.x, p1.y
     if x0 == 0 or x1 == 0:

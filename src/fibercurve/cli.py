@@ -10,6 +10,7 @@ input).  All numbers cross the boundary as exact "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,13 +36,17 @@ def _read_payload(value: str) -> dict:
     """Accept a path, "-" for stdin, or a literal JSON object."""
     try:
         if value.strip().startswith(("{", "[")):
-            return json.loads(value)
-        if value == "-":
-            return json.load(sys.stdin)
-        with open(value, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.loads(value)
+        elif value == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(value, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read input {value!r}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"input {value!r} is not a JSON object")
+    return obj
 
 
 def _load_config(value: str):
@@ -68,6 +73,15 @@ def _parse_affine(text: str) -> family.AffinePoint:
         return family.AffinePoint(parse_rational(x_s), parse_rational(y_s))
     except (ValueError, KeyError) as exc:
         raise UsageError(f"malformed point {text!r}: {exc}") from exc
+
+
+def _in_domain(fn, *args):
+    """fn(*args) for a library function whose ValueError means that a flag
+    lies outside its domain."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _default_workers() -> int:
@@ -124,22 +138,22 @@ def _cmd_fiber_verify(args) -> int:
 
 
 def _cmd_fiber_genus(args) -> int:
-    print(fiber.fiber_genus(args.s, args.n))
+    print(_in_domain(fiber.fiber_genus, args.s, args.n))
     return EXIT_OK
 
 
 def _cmd_gonality_bound(args) -> int:
-    print(fiber.gonality_lower_bound(args.s, args.n))
+    print(_in_domain(fiber.gonality_lower_bound, args.s, args.n))
     return EXIT_OK
 
 
 def _cmd_family_genus(args) -> int:
-    print(family.family_genus(args.r, args.s))
+    print(_in_domain(family.family_genus, args.r, args.s))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    regime, n0 = classify(args.s, args.n)
+    regime, n0 = _in_domain(classify, args.s, args.n)
     _emit({"regime": regime.value, "n0": n0})
     return EXIT_OK
 
@@ -151,6 +165,8 @@ def _cmd_solve_ab(args) -> int:
         a, b = birat.solve_ab(args.r, args.s, p0, p1)
     except birat.SingularSystemError as exc:
         raise MathFailure(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit({"a": format_rational(a), "b": format_rational(b)})
     return EXIT_OK
 
@@ -194,9 +210,11 @@ def _cmd_conic_enumerate(args) -> int:
 
 def _cmd_search_ab(args) -> int:
     cfg = _load_config(args.config)
-    workers = args.workers if args.workers else _default_workers()
-    report = search.search_ab(cfg, args.height, workers=workers)
-    obj = jsonio.search_report_to_obj(report)
+    workers = _default_workers() if args.workers is None else args.workers
+    report = _in_domain(search.search_ab, cfg, args.height, workers)
+    if args.stats:
+        print(json.dumps(report.stats), file=sys.stderr)
+    obj = jsonio.search_report_to_obj(dataclasses.replace(report, stats=None))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2)
@@ -217,6 +235,8 @@ def _cmd_trivial_points(args) -> int:
         cert = fiber.trivial_points(args.r, args.s, args.n)
     except fiber.OrderCapExceeded as exc:
         raise MathFailure(str(exc)) from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _emit(jsonio.certificate_to_obj(cert, include_tuples=args.full))
     return EXIT_OK
 
@@ -323,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
+    p.add_argument("--stats", action="store_true",
+                   help="write the run's counters to stderr as JSON")
     p.set_defaults(func=_cmd_search_ab)
 
     p = sub.add_parser("trivial-points", help="certify root-of-unity points")

@@ -116,7 +116,7 @@ def cwp_from_obj(obj: dict) -> CurveWithPoints:
 
 
 def search_report_to_obj(report: SearchReport) -> dict:
-    return {
+    obj = {
         "config": config_to_obj(report.config),
         "height_bound": report.height_bound,
         "hits": [cwp_to_obj(h) for h in report.hits],
@@ -126,6 +126,9 @@ def search_report_to_obj(report: SearchReport) -> dict:
         "workers": report.workers,
         "note": report.note,
     }
+    if report.stats is not None:
+        obj["stats"] = report.stats
+    return obj
 
 
 def search_report_from_obj(obj: dict) -> SearchReport:
@@ -138,6 +141,7 @@ def search_report_from_obj(obj: dict) -> SearchReport:
         complete=bool(obj["complete"]),
         workers=int(obj["workers"]),
         note=obj.get("note", EVIDENCE_NOTE),
+        stats=obj.get("stats"),
     )
 
 

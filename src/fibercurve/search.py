@@ -8,21 +8,35 @@ points (nonnegative y for even s) and are reported in a canonical order
 independent of how the work was partitioned.  Reports are evidence about
 the searched box only; nothing is claimed beyond the height bound.
 
-The scan tests every candidate directly.  A residue-class pre-sieve
-(rejecting candidates whose conditions fail modulo small primes) would
-prune the box and can be slotted into _test_candidate without touching
-the partitioning or the report format; correctness comes first here.
+The test is on integers.  For alpha = p/q in lowest terms put
+D = q^(r+1) w and
+
+    M = p q^((r+1)(s-1)) w^(s-1) (u p^r + v q^r),
+
+so that alpha (a alpha^r + b) D^s = M.  The value is a rational s-th power
+exactly when M is an integer s-th power t^s (for even s, M >= 0 and
+t >= 0), and then its root is y = t/D.
+
+The box is scanned one row (u, w) at a time, with the v of the row as the
+bits of an int: bit j stands for v = j - H.  Modulo a prime m with
+gcd(s, m - 1) > 1 not every residue is an s-th power, and
+M mod m = c0 + c1 v is affine in v.  When m divides p q w, both c0 and c1
+vanish and m rejects nothing.  Otherwise M = c1 (v - v0) mod m with
+v0 = -u (p/q)^r, so the allowed v are the bit pattern of the residues d
+with c1 d an s-th power, shifted by v0: one shift and one AND per
+(alpha, prime) sieve the whole row.  A row starts from the mask of v
+coprime to gcd(u, w), and only its survivors reach the exact root test.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import is_sth_power
+from . import arith
 from .birat import CurveWithPoints
 from .config import Config
 from .family import AffinePoint, FamilyCurve, contains
@@ -30,6 +44,11 @@ from .family import AffinePoint, FamilyCurve, contains
 EVIDENCE_NOTE = (
     "height-bounded evidence only; no finiteness or emptiness claim"
 )
+
+# Primes per search.  Past the first few, a prime only costs work on the
+# rare rows still alive, and each one passes about 1/gcd(s, m - 1) of the
+# non-powers.
+SIEVE_PRIMES = 15
 
 
 @dataclass(frozen=True)
@@ -42,6 +61,10 @@ class SearchReport:
     complete: bool
     workers: int
     note: str = EVIDENCE_NOTE
+    # counters of the run: candidates, sieve_survivors (root-tested),
+    # root_rejections, hits, workers, block_us (time of each u-block);
+    # a dict, so it stays out of the hash
+    stats: dict | None = field(default=None, hash=False)
 
 
 @dataclass(frozen=True)
@@ -52,44 +75,128 @@ class ClassCountTable:
     search_space_size: int
 
 
-def _candidates(height: int, u_lo: int, u_hi: int):
-    """The box's (a, b) = (u/w, v/w) with u in [u_lo, u_hi), in scan order."""
+def _sieve_primes(s: int) -> list[int]:
+    """The first SIEVE_PRIMES primes modulo which not every residue is an
+    s-th power, i.e. with gcd(s, m - 1) > 1."""
+    primes: list[int] = []
+    m = 2
+    while len(primes) < SIEVE_PRIMES:
+        m += 1
+        if gcd(s, m - 1) > 1 and all(m % k for k in range(2, isqrt(m) + 1)):
+            primes.append(m)
+    return primes
+
+
+def _scan(config: Config, height: int, u_lo: int, u_hi: int, groups):
+    """Sieve and root-test the rows (u, w) with u in [u_lo, u_hi).
+
+    ``groups`` is a list of tuples of alpha indices.  A candidate survives
+    a group when it passes the sieve of every alpha in the group, and
+    passes the group when every one of those values is an s-th power.
+    Returns (candidates, survivors per group, passes per group), a pass
+    being (u, v, w, roots of the group's values).
+    """
+    r, s, H = config.r, config.s, height
+    primes = _sieve_primes(s)
+    width = 2 * H + 1
+    full = (1 << (width + primes[-1])) - 1
+    patterns: dict[tuple[int, int], int] = {}
+
+    def pattern(m: int, c1: int) -> int:
+        """Bit i set iff c1 i mod m is an s-th power, for i < width + m.
+
+        The nonzero s-th powers mod m are the kernel of the character
+        c -> c^((m-1)/g), g = gcd(s, m - 1), so the pattern depends on c1
+        only through its character value.
+        """
+        if c1 == 0:
+            return full
+        e = (m - 1) // gcd(s, m - 1)
+        key = (m, pow(c1, e, m))
+        if key not in patterns:
+            period = sum(1 << d for d in range(m) if pow(c1 * d, e, m) < 2)
+            reps = (width + 2 * m - 1) // m
+            patterns[key] = period * ((1 << m * reps) - 1) // ((1 << m) - 1)
+        return patterns[key]
+
+    # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)) and, per prime m
+    # not dividing p q, (m, (p/q)^r mod m, c1 at w = 1).
+    exact, sieves = [], []
+    for alpha in config.alphas:
+        p, q = alpha.numerator, alpha.denominator
+        p_r, q_r = p**r, q**r
+        k = p * q ** ((r + 1) * (s - 1))
+        exact.append((k, p_r, q_r, q ** (r + 1)))
+        sieves.append([
+            (m, p_r * pow(q_r, -1, m) % m, k * q_r % m)
+            for m in primes
+            if p % m and q % m
+        ])
+    group_sieves = [[sv for i in g for sv in sieves[i]] for g in groups]
+
+    coprime: dict[int, int] = {}  # gcd(u, w) -> mask of its coprime v
+    candidates = 0
+    survivors = [0] * len(groups)
+    passes: list[list] = [[] for _ in groups]
+    rows_w = []
+    for w in range(1, H + 1):
+        ws = w ** (s - 1)
+        tests = [(k * ws, p_r, q_r, d * w) for k, p_r, q_r, d in exact]
+        pats = [
+            [pattern(m, c1 * pow(w, s - 1, m) % m) for m, _, c1 in gs]
+            for gs in group_sieves
+        ]
+        rows_w.append((w, tests, pats))
     for u in range(u_lo, u_hi):
         if u == 0:
             continue
-        for v in range(-height, height + 1):
-            if v == 0:
-                continue
-            g_uv = gcd(u, v)
-            for w in range(1, height + 1):
-                if gcd(g_uv, w) == 1:
-                    yield Fraction(u, w), Fraction(v, w)
+        shifts = [[(u * e - H) % m for m, e, _ in gs] for gs in group_sieves]
+        for w, tests, pats in rows_w:
+            g = gcd(u, w)
+            row = coprime.get(g)
+            if row is None:
+                row = coprime[g] = sum(
+                    1 << j for j in range(width)
+                    if j != H and gcd(g, j - H) == 1
+                )
+            candidates += row.bit_count()
+            for gi, group in enumerate(groups):
+                mask = row
+                for pat, shift in zip(pats[gi], shifts[gi]):
+                    mask &= pat >> shift
+                    if not mask:
+                        break
+                else:
+                    survivors[gi] += mask.bit_count()
+                    _root_test(u, w, mask, H, s, group, tests, passes[gi])
+    return candidates, survivors, passes
 
 
-def _test_candidate(
-    config: Config, a: Fraction, b: Fraction
-) -> tuple[AffinePoint, ...] | None:
-    ys = []
-    for alpha, power in zip(config.alphas, config.powers):
-        y = is_sth_power(alpha * (a * power + b), config.s)
-        if y is None:
-            return None  # early exit on the first failing condition
-        ys.append(y)
-    return tuple(
-        AffinePoint(alpha, y) for alpha, y in zip(config.alphas, ys)
-    )
+def _root_test(u, w, mask, H, s, group, tests, out) -> None:
+    """Append (u, v, w, roots) for each v in mask whose values for every
+    alpha in group are s-th powers."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        v = low.bit_length() - 1 - H
+        roots = []
+        for i in group:
+            k, p_r, q_r, d = tests[i]
+            t = arith.is_sth_power(k * (u * p_r + v * q_r), s)
+            if t is None:
+                break
+            roots.append(t / d)
+        else:
+            out.append((u, v, w, tuple(roots)))
 
 
-def _search_block(args) -> tuple[list, int]:
+def _search_block(args):
     config, height, u_lo, u_hi = args
-    hits = []
-    count = 0
-    for a, b in _candidates(height, u_lo, u_hi):
-        count += 1
-        points = _test_candidate(config, a, b)
-        if points is not None:
-            hits.append((a, b, points))
-    return hits, count
+    start = time.perf_counter()
+    everyone = tuple(range(config.n + 1))
+    count, (survivors,), (hits,) = _scan(config, height, u_lo, u_hi, [everyone])
+    block_us = int((time.perf_counter() - start) * 1e6)
+    return hits, count, survivors, block_us
 
 
 def _canonical_key(hit: CurveWithPoints):
@@ -109,32 +216,35 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
     if workers < 1:
         raise ValueError("workers must be >= 1")
     start = time.monotonic()
-    raw_hits: list[tuple[Fraction, Fraction, tuple[AffinePoint, ...]]] = []
-    space = 0
+    raw_hits: list[tuple[int, int, int, tuple[Fraction, ...]]] = []
+    space = survivors = 0
+    block_us: list[int] = []
     complete = True
+    span = 2 * height + 1
+    per = (span + workers - 1) // workers
+    blocks = [
+        (config, height, lo, min(lo + per, height + 1))
+        for lo in range(-height, height + 1, per)
+    ]
     try:
         if workers == 1:
-            hits, space = _search_block((config, height, -height, height + 1))
-            raw_hits.extend(hits)
+            results = list(map(_search_block, blocks))
         else:
-            span = 2 * height + 1
-            blocks = []
-            per = (span + workers - 1) // workers
-            lo = -height
-            while lo <= height:
-                hi = min(lo + per, height + 1)
-                blocks.append((config, height, lo, hi))
-                lo = hi
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for hits, count in pool.map(_search_block, blocks):
-                    raw_hits.extend(hits)
-                    space += count
+                results = list(pool.map(_search_block, blocks))
+        for hits, count, alive, micros in results:
+            raw_hits.extend(hits)
+            space += count
+            survivors += alive
+            block_us.append(micros)
     except KeyboardInterrupt:
         complete = False
 
     curve_hits = []
-    for a, b, points in raw_hits:
+    for u, v, w, roots in raw_hits:
+        a, b = Fraction(u, w), Fraction(v, w)
         curve = FamilyCurve(r=config.r, s=config.s, a=a, b=b)
+        points = tuple(AffinePoint(x, y) for x, y in zip(config.alphas, roots))
         # soundness: re-verify every hit independently of the search path
         if not all(contains(curve, p) for p in points):
             raise AssertionError(f"hit (a, b) = ({a}, {b}) failed re-verification")
@@ -149,25 +259,27 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
         elapsed_ms=elapsed_ms,
         complete=complete,
         workers=workers,
+        stats={
+            "candidates": space,
+            "sieve_survivors": survivors,
+            "root_rejections": survivors - len(raw_hits),
+            "hits": len(curve_hits),
+            "workers": workers,
+            "block_us": block_us,
+        },
     )
 
 
 def count_square_classes(config: Config, height: int) -> ClassCountTable:
     """Diagnostic: how many candidates pass each coordinate's s-th-power
-    condition alone."""
+    condition alone, each counted on the survivors of its own sieve."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    counts = [0] * (config.n + 1)
-    space = 0
-    for a, b in _candidates(height, -height, height + 1):
-        space += 1
-        for idx, power in enumerate(config.powers):
-            value = config.alphas[idx] * (a * power + b)
-            if is_sth_power(value, config.s) is not None:
-                counts[idx] += 1
+    singles = [(i,) for i in range(config.n + 1)]
+    space, _, passes = _scan(config, height, -height, height + 1, singles)
     return ClassCountTable(
         config=config,
         height_bound=height,
-        per_index=tuple(counts),
+        per_index=tuple(len(p) for p in passes),
         search_space_size=space,
     )

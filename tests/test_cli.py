@@ -84,6 +84,47 @@ class TestValidateVerb:
         assert payload["error"] == "usage"
         assert "'1/0'" in payload["message"]
 
+    @pytest.mark.parametrize("payload", ["[1]", "3", '"x"'])
+    @pytest.mark.parametrize("verb", ["validate", "fiber-build", "search-ab"])
+    def test_non_object_config_is_usage_error(self, capsys, tmp_path, verb, payload):
+        path = tmp_path / "config.json"
+        path.write_text(payload)
+        extra = ["--height", "2"] if verb == "search-ab" else []
+        for source in (str(path), payload):
+            code, out, err = run(capsys, verb, "--config", source, *extra)
+            assert code == EXIT_USAGE and out == ""
+            assert json.loads(err)["error"] == "usage"
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("trivial-points", "--r", "0", "--s", "2", "--n", "2"),
+            ("fiber-genus", "--s", "1", "--n", "3"),
+            ("fiber-genus", "--s", "2", "--n", "1"),
+            ("gonality-bound", "--s", "1", "--n", "3"),
+            ("gonality-bound", "--s", "2", "--n", "1"),
+            ("classify", "--s", "1", "--n", "2"),
+            ("classify", "--s", "2", "--n", "1"),
+            ("family-genus", "--r", "2", "--s", "1"),
+            ("solve-ab", "--r", "0", "--s", "2", "--p0", "1,2", "--p1", "2,6"),
+            ("search-ab", "--config", CFG123, "--height", "0"),
+            ("search-ab", "--config", CFG123, "--height", "2", "--workers", "0"),
+            ("search-ab", "--config", CFG123, "--height", "2", "--workers", "-1"),
+        ],
+        ids=lambda argv: " ".join(a for a in argv if a != CFG123),
+    )
+    def test_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert json.loads(err)["error"] == "usage"
+
+    def test_workers_default_from_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("FIBERCURVE_WORKERS", "2")
+        code, out, _ = run(capsys, "search-ab", "--config", CFG123, "--height", "2")
+        assert code == EXIT_OK and json.loads(out)["workers"] == 2
+
 
 class TestFiberVerbs:
     def test_build_json(self, capsys):
@@ -225,6 +266,29 @@ class TestBatchVerbs:
         assert (F(1), F(3)) in [(h.curve.a, h.curve.b) for h in report.hits]
         assert "evidence" in report.note
 
+    def test_search_ab_stats_on_stderr(self, capsys):
+        argv = ["search-ab", "--config", '{"r":2,"s":2,"alphas":["1","3","12"]}',
+                "--height", "4", "--workers", "2"]
+        code, plain, quiet = run(capsys, *argv)
+        assert code == EXIT_OK and quiet == ""
+        code, out, err = run(capsys, *argv, "--stats")
+        assert code == EXIT_OK
+
+        def masked(text):
+            obj = json.loads(text)
+            obj["elapsed_ms"] = 0
+            return json.dumps(obj, indent=2)
+
+        assert masked(out) == masked(plain)
+        assert plain.count("\n") == out.count("\n")
+        stats = json.loads(err)
+        report = json.loads(out)
+        assert set(stats) == {"candidates", "sieve_survivors", "root_rejections",
+                              "hits", "workers", "block_us"}
+        assert stats["candidates"] == report["search_space_size"]
+        assert stats["hits"] == len(report["hits"])
+        assert stats["workers"] == 2 and len(stats["block_us"]) == 2
+
     def test_trivial_points(self, capsys):
         code, out, _ = run(
             capsys, "trivial-points", "--r", "2", "--s", "2", "--n", "2"
@@ -272,6 +336,15 @@ class TestJsonRoundTrips:
         for value, to_obj, from_obj in cases:
             emitted = json.dumps(to_obj(value))
             assert from_obj(json.loads(emitted)) == value
+
+    def test_report_without_stats_reads(self):
+        report = search_ab(validate(2, 2, [F(1), F(3), F(12)]), 2)
+        obj = jsonio.search_report_to_obj(report)
+        assert obj["stats"] == report.stats
+        del obj["stats"], obj["note"]
+        old = jsonio.search_report_from_obj(obj)
+        assert old.stats is None and old.note == report.note
+        assert old.hits == report.hits
 
     def test_no_floats_anywhere(self):
         cfg = validate(2, 2, [F(1, 3), F(2, 7), F(3)])

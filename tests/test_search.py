@@ -4,15 +4,78 @@ from math import gcd
 
 import pytest
 
-from planting import plant_search_instances
+from planting import brute_force_points, plant_search_instances
 
 from fibercurve.arith import is_sth_power
-from fibercurve.config import validate
-from fibercurve.family import contains
+from fibercurve.config import validate, violations
+from fibercurve.family import AffinePoint, FamilyCurve, contains
 from fibercurve.search import count_square_classes, search_ab
 
 # y^2 = x(x^2 + 3) has small points at x = 1, 3, 12
 PLANT13 = validate(2, 2, [F(1), F(3), F(12)])
+
+
+def fraction_scan(config, height):
+    """The search box tested candidate by candidate with Fractions and
+    is_sth_power: (hits as (a, b, points) in canonical order, box size,
+    per-alpha pass counts).  The oracle for the integer sieve."""
+    hits, space, per_index = [], 0, [0] * (config.n + 1)
+    for u in range(-height, height + 1):
+        for v in range(-height, height + 1):
+            for w in range(1, height + 1):
+                if u * v == 0 or gcd(u, v, w) != 1:
+                    continue
+                space += 1
+                a, b = F(u, w), F(v, w)
+                roots = [
+                    is_sth_power(alpha * (a * alpha**config.r + b), config.s)
+                    for alpha in config.alphas
+                ]
+                for idx, y in enumerate(roots):
+                    per_index[idx] += y is not None
+                if None not in roots:
+                    points = tuple(map(AffinePoint, config.alphas, roots))
+                    hits.append((a, b, points))
+    hits.sort(key=lambda h: (abs(h[0].numerator), h[1], h[0]))
+    return hits, space, per_index
+
+
+def oracle_configs(rng, count):
+    """Seeded (config, height) cases, r in 1..4, s in 2..5, n in 1..4 and
+    H <= 6: half planted through a small curve so that they have hits, half
+    random; alphas negative, fractional and divisible by small primes."""
+    cases = []
+    while len(cases) < count:
+        r, s, n = rng.randint(1, 4), rng.randint(2, 5), rng.randint(1, 4)
+        height = rng.randint(1, 6)
+        if len(cases) % 2:
+            u, v = rng.randint(-height, height), rng.randint(-height, height)
+            w = rng.randint(1, height)
+            if u * v == 0:
+                continue
+            curve = FamilyCurve(r, s, F(u, w), F(v, w))
+            alphas = [p.x for p in brute_force_points(curve, 12)[: n + 1]]
+        else:
+            alphas = [
+                F(rng.choice((-1, 1)) * rng.choice((1, 2, 3, 5, 7, 9, 10, 21, 49)),
+                  rng.choice((1, 1, 2, 3, 4, 5, 7, 25)))
+                for _ in range(n + 1)
+            ]
+        if len(alphas) < 2 or violations(r, s, alphas):
+            continue
+        cases.append((validate(r, s, alphas), height))
+    return cases
+
+
+def assert_matches_fraction_scan(config, height):
+    hits, space, per_index = fraction_scan(config, height)
+    report = search_ab(config, height)
+    assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == hits
+    assert report.search_space_size == space
+    table = count_square_classes(config, height)
+    assert list(table.per_index) == per_index
+    assert table.search_space_size == space
+    return hits
 
 
 class TestSearchAb:
@@ -73,6 +136,42 @@ class TestSearchAb:
             search_ab(PLANT13, height=2, workers=0)
 
 
+class TestIntegerSieve:
+    def test_matches_fraction_scan_on_seeded_configs(self):
+        found = 0
+        for config, height in oracle_configs(random.Random(20251), 60):
+            found += len(assert_matches_fraction_scan(config, height))
+        assert found >= 30  # the planted half must give the oracle hits
+
+    def test_hit_with_a_zero_witness(self):
+        # x(x - 1) vanishes at x = 1 and is a square at 4/3 and 9/8; 3 divides
+        # the denominator of 4/3 and the numerator of 9/8 (c1 = 0 mod 3)
+        config = validate(1, 2, [F(1), F(4, 3), F(9, 8)])
+        hits = assert_matches_fraction_scan(config, 2)
+        assert (F(1), F(-1), (
+            AffinePoint(F(1), F(0)),
+            AffinePoint(F(4, 3), F(2, 3)),
+            AffinePoint(F(9, 8), F(3, 8)),
+        )) in hits
+
+    def test_alphas_divisible_by_sieve_primes(self):
+        # each alpha has a sieve prime in its numerator or denominator
+        # (for s = 5, whose sieve starts 11, 31, only 11/13 and 31/5 do)
+        for r, s in ((1, 2), (2, 3), (3, 4), (4, 5)):
+            alphas = [F(3, 7), F(-7, 2), F(11, 13), F(31, 5)]
+            assert_matches_fraction_scan(validate(r, s, alphas), 5)
+
+    def test_stats_count_every_stage(self):
+        report = search_ab(PLANT13, 6, workers=2)
+        stats = report.stats
+        assert stats["candidates"] == report.search_space_size
+        assert stats["hits"] == len(report.hits) > 0
+        assert stats["workers"] == 2 and len(stats["block_us"]) == 2
+        assert stats["sieve_survivors"] == stats["hits"] + stats["root_rejections"]
+        assert stats["sieve_survivors"] < stats["candidates"] // 100
+        hash(report)  # the stats dict keeps out of the hash
+
+
 class TestCountSquareClasses:
     def test_counts_bounded_by_space(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
@@ -96,15 +195,4 @@ class TestCountSquareClasses:
                 table = count_square_classes(cfg, height)
                 report = search_ab(cfg, height)
                 assert table.search_space_size == report.search_space_size
-                expected = [0] * (cfg.n + 1)
-                for u in range(-height, height + 1):
-                    for v in range(-height, height + 1):
-                        for w in range(1, height + 1):
-                            if u * v == 0 or gcd(u, v, w) != 1:
-                                continue
-                            a, b = F(u, w), F(v, w)
-                            for idx, alpha in enumerate(cfg.alphas):
-                                value = alpha * (a * alpha**cfg.r + b)
-                                if is_sth_power(value, cfg.s) is not None:
-                                    expected[idx] += 1
-                assert list(table.per_index) == expected
+                assert list(table.per_index) == fraction_scan(cfg, height)[2]
