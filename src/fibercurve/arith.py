@@ -22,6 +22,8 @@ _MINUS_SIGNS = ("-", "−")  # accept ASCII hyphen and the unicode minus
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or bare "p") with an optional leading minus sign."""
+    if not isinstance(text, str):
+        raise ValueError(f'expected a rational string "p/q", got {text!r}')
     s = text.strip()
     negative = False
     if s[:1] in _MINUS_SIGNS:

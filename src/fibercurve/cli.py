@@ -17,7 +17,7 @@ import sys
 
 from . import birat, conic, family, fiber, fixtures, jsonio, search
 from .arith import format_rational, parse_rational
-from .config import InvalidConfigError, classify, validate, violations
+from .config import InvalidConfigError, classify, violations
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -30,6 +30,13 @@ class UsageError(Exception):
 
 class MathFailure(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Rejected arguments reach ``main`` as a UsageError, not an exit."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _read_payload(value: str) -> dict:
@@ -50,15 +57,7 @@ def _read_payload(value: str) -> dict:
 
 
 def _load_config(value: str):
-    obj = _read_payload(value)
-    try:
-        return jsonio.config_from_obj(obj)
-    except InvalidConfigError as exc:
-        raise MathFailure(
-            json.dumps({"valid": False, "violations": exc.problems})
-        ) from exc
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"malformed config: {exc}") from exc
+    return jsonio.config_from_obj(_read_payload(value))
 
 
 def _emit(obj) -> None:
@@ -66,22 +65,12 @@ def _emit(obj) -> None:
 
 
 def _parse_affine(text: str) -> family.AffinePoint:
-    try:
-        if text.strip().startswith("{"):
-            return jsonio.point_from_obj(json.loads(text))
-        x_s, y_s = text.split(",")
-        return family.AffinePoint(parse_rational(x_s), parse_rational(y_s))
-    except (ValueError, KeyError) as exc:
-        raise UsageError(f"malformed point {text!r}: {exc}") from exc
-
-
-def _in_domain(fn, *args):
-    """fn(*args) for a library function whose ValueError means that a flag
-    lies outside its domain."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if text.strip().startswith("{"):
+        return jsonio.point_from_obj(json.loads(text))
+    coords = text.split(",")
+    if len(coords) != 2:
+        raise UsageError(f'point {text!r} is not "x,y" or JSON')
+    return family.AffinePoint(*map(parse_rational, coords))
 
 
 def _default_workers() -> int:
@@ -96,13 +85,7 @@ def _default_workers() -> int:
 
 
 def _cmd_validate(args) -> int:
-    obj = _read_payload(args.config)
-    try:
-        alphas = [parse_rational(a) for a in obj["alphas"]]
-        r, s = int(obj["r"]), int(obj["s"])
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"malformed config: {exc}") from exc
-    problems = violations(r, s, alphas)
+    problems = violations(*jsonio.config_fields(_read_payload(args.config)))
     _emit({"valid": not problems, "violations": problems})
     return EXIT_OK if not problems else EXIT_MATH
 
@@ -138,22 +121,22 @@ def _cmd_fiber_verify(args) -> int:
 
 
 def _cmd_fiber_genus(args) -> int:
-    print(_in_domain(fiber.fiber_genus, args.s, args.n))
+    print(fiber.fiber_genus(args.s, args.n))
     return EXIT_OK
 
 
 def _cmd_gonality_bound(args) -> int:
-    print(_in_domain(fiber.gonality_lower_bound, args.s, args.n))
+    print(fiber.gonality_lower_bound(args.s, args.n))
     return EXIT_OK
 
 
 def _cmd_family_genus(args) -> int:
-    print(_in_domain(family.family_genus, args.r, args.s))
+    print(family.family_genus(args.r, args.s))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    regime, n0 = _in_domain(classify, args.s, args.n)
+    regime, n0 = classify(args.s, args.n)
     _emit({"regime": regime.value, "n0": n0})
     return EXIT_OK
 
@@ -161,12 +144,7 @@ def _cmd_classify(args) -> int:
 def _cmd_solve_ab(args) -> int:
     p0 = _parse_affine(args.p0)
     p1 = _parse_affine(args.p1)
-    try:
-        a, b = birat.solve_ab(args.r, args.s, p0, p1)
-    except birat.SingularSystemError as exc:
-        raise MathFailure(str(exc)) from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    a, b = birat.solve_ab(args.r, args.s, p0, p1)
     _emit({"a": format_rational(a), "b": format_rational(b)})
     return EXIT_OK
 
@@ -175,7 +153,7 @@ def _cmd_push(args) -> int:
     cwp = jsonio.cwp_from_obj(_read_payload(args.input))
     try:
         point = birat.to_fiber_point(cwp)
-    except (ValueError, InvalidConfigError) as exc:
+    except ValueError as exc:  # off the curve, all y = 0 or inadmissible x
         raise MathFailure(str(exc)) from exc
     _emit(jsonio.proj_point_to_obj(point))
     return EXIT_OK
@@ -184,26 +162,15 @@ def _cmd_push(args) -> int:
 def _cmd_lift(args) -> int:
     cfg = _load_config(args.config)
     point = jsonio.proj_point_from_obj(_read_payload(args.point))
-    scale = parse_rational(args.scale) if args.scale else None
-    try:
-        cwp = birat.from_fiber_point(cfg, point, scale=scale)
-    except birat.LiftObstruction as exc:
-        raise MathFailure(
-            json.dumps({"obstruction": exc.reason, "index": exc.index})
-        ) from exc
+    scale = None if args.scale is None else parse_rational(args.scale)
+    cwp = birat.from_fiber_point(cfg, point, scale=scale)
     _emit(jsonio.cwp_to_obj(cwp))
     return EXIT_OK
 
 
 def _cmd_conic_enumerate(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        curves = conic.enumerate_curves(cfg, args.count, args.height)
-    except conic.NoRationalPointError as exc:
-        raise MathFailure(str(exc)) from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    for cwp in curves:
+    for cwp in conic.enumerate_curves(cfg, args.count, args.height):
         print(json.dumps(jsonio.cwp_to_obj(cwp)))
     return EXIT_OK
 
@@ -211,7 +178,7 @@ def _cmd_conic_enumerate(args) -> int:
 def _cmd_search_ab(args) -> int:
     cfg = _load_config(args.config)
     workers = _default_workers() if args.workers is None else args.workers
-    report = _in_domain(search.search_ab, cfg, args.height, workers)
+    report = search.search_ab(cfg, args.height, workers)
     if args.stats:
         print(json.dumps(report.stats), file=sys.stderr)
     obj = jsonio.search_report_to_obj(dataclasses.replace(report, stats=None))
@@ -231,28 +198,17 @@ def _cmd_search_ab(args) -> int:
 
 
 def _cmd_trivial_points(args) -> int:
-    try:
-        cert = fiber.trivial_points(args.r, args.s, args.n)
-    except fiber.OrderCapExceeded as exc:
-        raise MathFailure(str(exc)) from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cert = fiber.trivial_points(args.r, args.s, args.n)
     _emit(jsonio.certificate_to_obj(cert, include_tuples=args.full))
     return EXIT_OK
 
 
 def _cmd_fixtures(args) -> int:
-    try:
-        fixture = fixtures.load(args.name)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+    fixture = fixtures.load(args.name)
     if not args.verify:
         _emit(jsonio.cwp_to_obj(fixture.cwp))
         return EXIT_OK
-    try:
-        report = fixtures.verify(fixture)
-    except fixtures.FixtureMismatchError as exc:
-        raise MathFailure(str(exc)) from exc
+    report = fixtures.verify(fixture)
     _emit(
         {
             "name": report.name,
@@ -272,7 +228,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fibercurve",
         description="Exact toolkit for the family y^s = x(a x^r + b) and "
         "its fiber curves.",
@@ -363,23 +319,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Checked in order: most of the mathematical failures subclass ValueError.
+_FAILURES = (
+    (InvalidConfigError, EXIT_MATH,
+     lambda exc: json.dumps({"valid": False, "violations": exc.problems})),
+    (birat.LiftObstruction, EXIT_MATH,
+     lambda exc: json.dumps({"obstruction": exc.reason, "index": exc.index})),
+    ((MathFailure, birat.SingularSystemError, conic.NoRationalPointError,
+      fiber.OrderCapExceeded, fixtures.FixtureMismatchError), EXIT_MATH, str),
+    (KeyError, EXIT_USAGE, lambda exc: f"missing field {exc}"),
+    ((UsageError, ValueError, TypeError), EXIT_USAGE, str),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one verb; every expected failure becomes an exit code and one
+    JSON object on stderr.  Any other exception is a bug and propagates."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_USAGE
-    except MathFailure as exc:
-        print(json.dumps({"error": "math", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_MATH
-    except InvalidConfigError as exc:
-        print(json.dumps({"error": "math", "message": str(exc),
-                          "violations": exc.problems}), file=sys.stderr)
-        return EXIT_MATH
+    except Exception as exc:
+        for types, code, message in _FAILURES:
+            if isinstance(exc, types):
+                kind = "math" if code == EXIT_MATH else "usage"
+                print(json.dumps({"error": kind, "message": message(exc)}),
+                      file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -20,6 +20,20 @@ from .fiber import (
 from .search import EVIDENCE_NOTE, SearchReport
 
 
+def _int_field(obj: dict, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int:  # bool is an int subclass; reject it too
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _list_field(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list, got {value!r}")
+    return value
+
+
 def curve_to_obj(curve: FamilyCurve) -> dict:
     return {
         "r": curve.r,
@@ -31,8 +45,8 @@ def curve_to_obj(curve: FamilyCurve) -> dict:
 
 def curve_from_obj(obj: dict) -> FamilyCurve:
     return FamilyCurve(
-        r=int(obj["r"]),
-        s=int(obj["s"]),
+        r=_int_field(obj, "r"),
+        s=_int_field(obj, "s"),
         a=parse_rational(obj["a"]),
         b=parse_rational(obj["b"]),
     )
@@ -54,12 +68,17 @@ def config_to_obj(config: Config) -> dict:
     }
 
 
-def config_from_obj(obj: dict) -> Config:
-    return validate(
-        int(obj["r"]),
-        int(obj["s"]),
-        [parse_rational(a) for a in obj["alphas"]],
+def config_fields(obj: dict) -> tuple[int, int, list]:
+    """(r, s, alphas) of a configuration object, checked for type only."""
+    return (
+        _int_field(obj, "r"),
+        _int_field(obj, "s"),
+        [parse_rational(a) for a in _list_field(obj, "alphas")],
     )
+
+
+def config_from_obj(obj: dict) -> Config:
+    return validate(*config_fields(obj))
 
 
 def proj_point_to_obj(point: ProjPoint) -> dict:
@@ -67,7 +86,7 @@ def proj_point_to_obj(point: ProjPoint) -> dict:
 
 
 def proj_point_from_obj(obj: dict) -> ProjPoint:
-    return ProjPoint([parse_rational(c) for c in obj["coords"]])
+    return ProjPoint([parse_rational(c) for c in _list_field(obj, "coords")])
 
 
 def fiber_system_to_obj(system: FiberSystem) -> dict:

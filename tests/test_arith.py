@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -36,6 +38,15 @@ class TestIntegerNthRoot:
     def test_huge(self):
         t = 10**80 + 12345
         assert integer_nth_root(t**5, 5) == t
+
+    def test_square_roots_match_isqrt(self):
+        rng = random.Random(13)
+        values = list(range(200)) + [rng.randint(0, 10**30) for _ in range(300)]
+        values += [t * t + d for t in (rng.randint(1, 10**20) for _ in range(100))
+                   for d in (-1, 0, 1)]
+        for m in values:
+            root = math.isqrt(m)
+            assert integer_nth_root(m, 2) == (root if root * root == m else None)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -92,6 +103,11 @@ class TestRationalCodec:
         with pytest.raises(ValueError, match="'1/0'"):
             parse_rational("1/0")
 
+    @pytest.mark.parametrize("value", [3, None, 1.5, ["1"]])
+    def test_non_string_names_the_value(self, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            parse_rational(value)
+
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(200):
@@ -107,6 +123,13 @@ class TestCyclotomicPolynomial:
         assert cyclotomic_polynomial(4) == (1, 0, 1)
         assert cyclotomic_polynomial(6) == (1, -1, 1)
         assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for d in range(1, 61):
+            coeffs = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
+            assert cyclotomic_polynomial(d) == tuple(int(c) for c in reversed(coeffs))
 
     def test_degrees_are_totients(self):
         for d, phi in ((5, 4), (8, 4), (9, 6), (10, 4), (30, 8)):

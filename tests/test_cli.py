@@ -84,7 +84,19 @@ class TestValidateVerb:
         assert payload["error"] == "usage"
         assert "'1/0'" in payload["message"]
 
-    @pytest.mark.parametrize("payload", ["[1]", "3", '"x"'])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[1]",
+            "3",
+            '"x"',
+            '{"r":2,"s":2,"alphas":[1,2,3]}',
+            '{"r":2,"s":2,"alphas":null}',
+            '{"r":2,"s":2,"alphas":"123"}',
+            '{"r":2.5,"s":2,"alphas":["1","2","3"]}',
+            '{"r":true,"s":2,"alphas":["1","2","3"]}',
+        ],
+    )
     @pytest.mark.parametrize("verb", ["validate", "fiber-build", "search-ab"])
     def test_non_object_config_is_usage_error(self, capsys, tmp_path, verb, payload):
         path = tmp_path / "config.json"
@@ -112,6 +124,23 @@ class TestFlagRanges:
             ("search-ab", "--config", CFG123, "--height", "0"),
             ("search-ab", "--config", CFG123, "--height", "2", "--workers", "0"),
             ("search-ab", "--config", CFG123, "--height", "2", "--workers", "-1"),
+            ("fiber-verify", "--config", CFG123, "--point", '{"coords":[0,1,2]}'),
+            ("fiber-verify", "--config", CFG123, "--point", '{"coords":"012"}'),
+            ("fiber-verify", "--config", CFG123, "--point", '{"coords":["0","0","0"]}'),
+            ("fiber-verify", "--config", CFG123, "--point", '{"coords":["a","1","2"]}'),
+            ("lift", "--config", CFG123, "--point", '{"coords":["0","1","2"]}',
+             "--scale", "abc"),
+            ("lift", "--config", CFG123, "--point", '{"coords":["0","1","2"]}',
+             "--scale", ""),
+            ("fiber-build", "--config", '{"r":2,"s":2,"alphas":["1","2"]}'),
+            ("push", "--input", json.dumps({
+                "curve": {"r": 2, "s": 2, "a": 1, "b": 3},
+                "points": [{"x": "1", "y": "2"}, {"x": "3", "y": "6"},
+                           {"x": "12", "y": "42"}],
+            })),
+            ("solve-ab", "--r", "2", "--s", "2", "--p0", '{"x":1,"y":2}',
+             "--p1", "2,6"),
+            ("fiber-genus", "--s", "abc", "--n", "3"),
         ],
         ids=lambda argv: " ".join(a for a in argv if a != CFG123),
     )
@@ -362,3 +391,4 @@ class TestJsonRoundTrips:
                     walk(v)
 
         walk(obj)
+

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from fibercurve.linalg import clear_denominators, matrix_rank, primitive_vector
 
 
@@ -59,6 +61,24 @@ def test_planted_rank_deficiency():
         rank = matrix_rank(prod)
         assert rank <= k
         assert rank == naive_rank(prod)
+
+
+def test_matches_sympy_rank():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(29)
+    for _ in range(150):
+        n_rows, n_cols, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        # a product of random rational factors, so many matrices are deficient
+        A = [[F(rng.randint(-7, 7), rng.randint(1, 9)) for _ in range(k)]
+             for _ in range(n_rows)]
+        B = [[F(rng.randint(-7, 7), rng.randint(1, 9)) for _ in range(n_cols)]
+             for _ in range(k)]
+        m = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(n_cols)]
+             for i in range(n_rows)]
+        expected = sympy.Matrix(
+            [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in m]
+        ).rank()
+        assert matrix_rank(m) == expected
 
 
 def test_big_integer_entries():
