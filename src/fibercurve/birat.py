@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import config as config_mod
 from .config import Config
 from .family import AffinePoint, FamilyCurve, contains
-from .fiber import ProjPoint, build_fiber, det_form, on_fiber
+from .fiber import FiberSystem, ProjPoint, build_fiber, det_form, on_fiber
 
 
 class SingularSystemError(ValueError):
@@ -126,11 +126,12 @@ def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
 
 
 def from_fiber_point(
-    config: Config,
+    system: FiberSystem,
     point: ProjPoint,
     scale: Fraction | None = None,
 ) -> CurveWithPoints:
-    """Lift a fiber point back to a curve with all n+1 points.
+    """Lift a point of the fiber ``system`` back to a curve with all n+1
+    points at the x-coordinates of ``system.config``.
 
     Coordinates are read as y-values y_i = scale * Y_i; the default scale
     1/Y_0 normalizes y_0 = 1.  Because fiber membership is degree-s
@@ -139,7 +140,7 @@ def from_fiber_point(
     explicit scale was given, or when the lifted curve degenerates
     (a = 0 or b = 0).
     """
-    system = build_fiber(config)
+    config = system.config
     report = on_fiber(system, point)
     if not report.ok:
         bad = next(i for i, res in report.residues if res != 0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -163,7 +164,7 @@ def _cmd_lift(args) -> int:
     cfg = _load_config(args.config)
     point = jsonio.proj_point_from_obj(_read_payload(args.point))
     scale = None if args.scale is None else parse_rational(args.scale)
-    cwp = birat.from_fiber_point(cfg, point, scale=scale)
+    cwp = birat.from_fiber_point(fiber.build_fiber(cfg), point, scale=scale)
     _emit(jsonio.cwp_to_obj(cwp))
     return EXIT_OK
 
@@ -227,7 +228,10 @@ def _cmd_fixtures(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.  It keeps no
+    state between ``parse_args`` calls, so ``main`` can run many verbs."""
     parser = _Parser(
         prog="fibercurve",
         description="Exact toolkit for the family y^s = x(a x^r + b) and "

@@ -170,7 +170,7 @@ def enumerate_curves(
 
     def try_point(point: ProjPoint) -> None:
         try:
-            cwp = from_fiber_point(config, point, scale=Fraction(1))
+            cwp = from_fiber_point(system, point, scale=Fraction(1))
         except LiftObstruction:
             return
         key = (cwp.curve.a, cwp.curve.b)

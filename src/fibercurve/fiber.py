@@ -233,12 +233,27 @@ def jacobian_matrix(
     return rows
 
 
+def jacobian_rank(system: FiberSystem, point: ProjPoint) -> int:
+    """Rank of ``jacobian_matrix(system, point)``, read from its structure.
+
+    Off columns 0 and 1, row i is nonzero only in column i, where it holds
+    s C_i Y_i^(s-1) with C_i != 0.  Each row with Y_i != 0 therefore owns a
+    pivot column no other row touches, and the rank is their number plus
+    the rank of the rows (A_i Y_0^(s-1), B_i Y_1^(s-1)) with Y_i = 0.
+    """
+    e = system.config.s - 1
+    y0, y1 = point[0] ** e, point[1] ** e
+    rest = [[eq.A * y0, eq.B * y1]
+            for eq in system.equations if point[eq.i] == 0]
+    return len(system.equations) - len(rest) + matrix_rank(rest)
+
+
 def smooth_at(system: FiberSystem, point: ProjPoint) -> bool:
     """True iff the Jacobian at a fiber point has full rank n-1."""
     report = on_fiber(system, point)
     if not report.ok:
         raise ValueError("point is not on the fiber")
-    return matrix_rank(jacobian_matrix(system, point)) == system.n - 1
+    return jacobian_rank(system, point) == system.n - 1
 
 
 # ---------------------------------------------------------------------------

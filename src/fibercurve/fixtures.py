@@ -31,11 +31,10 @@ from .fiber import (
     ProjPoint,
     build_fiber,
     fiber_genus,
-    jacobian_matrix,
+    jacobian_rank,
     on_fiber,
 )
 from .jsonio import cwp_from_obj
-from .linalg import matrix_rank
 
 EXPECTED_SHA256 = {
     "watkins14": "13d088b26515f1a5d7cf8a7316cf046ba397ceb4aa913d7dc4b6a13ff69a4db7",
@@ -170,7 +169,7 @@ def verify(fixture: Fixture) -> FixtureReport:
         raise FixtureMismatchError(f"fiber point fails equations {bad}")
     checks.append(("on_fiber", "y-coordinate point satisfies every equation"))
 
-    rank = matrix_rank(jacobian_matrix(system, y_point))
+    rank = jacobian_rank(system, y_point)
     if rank != cfg.n - 1:
         raise FixtureMismatchError("Jacobian rank deficient at the point")
     checks.append(("smooth_at", f"Jacobian rank {rank} = n-1"))

@@ -27,6 +27,13 @@ def _int_field(obj: dict, key: str) -> int:
     return value
 
 
+def _bool_field(obj: dict, key: str) -> bool:
+    value = obj[key]
+    if type(value) is not bool:
+        raise ValueError(f"{key!r} must be a JSON bool, got {value!r}")
+    return value
+
+
 def _list_field(obj: dict, key: str) -> list:
     value = obj[key]
     if not isinstance(value, list):
@@ -109,7 +116,7 @@ def fiber_system_from_obj(obj: dict) -> FiberSystem:
     config = config_from_obj(obj["config"])
     equations = tuple(
         FiberEquation(
-            i=int(e["i"]),
+            i=_int_field(e, "i"),
             A=parse_rational(e["A"]),
             B=parse_rational(e["B"]),
             C=parse_rational(e["C"]),
@@ -153,12 +160,12 @@ def search_report_to_obj(report: SearchReport) -> dict:
 def search_report_from_obj(obj: dict) -> SearchReport:
     return SearchReport(
         config=config_from_obj(obj["config"]),
-        height_bound=int(obj["height_bound"]),
+        height_bound=_int_field(obj, "height_bound"),
         hits=tuple(cwp_from_obj(h) for h in obj["hits"]),
-        search_space_size=int(obj["search_space_size"]),
-        elapsed_ms=int(obj["elapsed_ms"]),
-        complete=bool(obj["complete"]),
-        workers=int(obj["workers"]),
+        search_space_size=_int_field(obj, "search_space_size"),
+        elapsed_ms=_int_field(obj, "elapsed_ms"),
+        complete=_bool_field(obj, "complete"),
+        workers=_int_field(obj, "workers"),
         note=obj.get("note", EVIDENCE_NOTE),
         stats=obj.get("stats"),
     )

@@ -14,8 +14,10 @@ from typing import Sequence
 
 
 def clear_denominators(row: Sequence[Fraction]) -> list[int]:
-    scale = lcm(*(Fraction(x).denominator for x in row)) if row else 1
-    return [int(Fraction(x) * scale) for x in row]
+    """The row times the lcm of its denominators; entries are ints or
+    Fractions, read through ``numerator``/``denominator`` only."""
+    scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def primitive_vector(row: Sequence[Fraction], positive: int) -> list[int]:

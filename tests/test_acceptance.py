@@ -150,7 +150,7 @@ def test_criterion_5_birational_round_trip():
 
             k = next(i for i, p in enumerate(cwp.points) if p.y != 0)
             lifted = from_fiber_point(
-                cwp.config(), point, scale=cwp.points[k].y / point[k]
+                system, point, scale=cwp.points[k].y / point[k]
             )
             assert (lifted.curve.a, lifted.curve.b) == (
                 cwp.curve.a,

@@ -110,7 +110,7 @@ class TestToFiberPoint:
 class TestFromFiberPoint:
     def test_small_lift(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
-        cwp = from_fiber_point(cfg, ProjPoint([0, 1, 2]), scale=F(1))
+        cwp = from_fiber_point(build_fiber(cfg), ProjPoint([0, 1, 2]), scale=F(1))
         assert (cwp.curve.a, cwp.curve.b) == (F(1, 6), F(-1, 6))
         assert cwp.points[0].y == 0
 
@@ -118,24 +118,24 @@ class TestFromFiberPoint:
         cfg = validate(2, 2, [F(1), F(2), F(3)])
         # y = (2, 3, 4) lies over the curve through (1,2),(2,3),(3,4)
         point = ProjPoint([2, 3, 4])
-        cwp = from_fiber_point(cfg, point)
+        cwp = from_fiber_point(build_fiber(cfg), point)
         assert cwp.points[0].y == 1
 
     def test_default_scale_needs_nonzero_y0(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
         with pytest.raises(LiftObstruction, match="Y_0"):
-            from_fiber_point(cfg, ProjPoint([0, 1, 2]))
+            from_fiber_point(build_fiber(cfg), ProjPoint([0, 1, 2]))
 
     def test_off_fiber_rejected(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
         with pytest.raises(LiftObstruction, match="not on the fiber"):
-            from_fiber_point(cfg, ProjPoint([1, 1, 1]), scale=F(1))
+            from_fiber_point(build_fiber(cfg), ProjPoint([1, 1, 1]), scale=F(1))
 
     def test_degenerate_lift_is_an_obstruction(self):
         # y^2 = x has (1,1),(4,2),(9,3); lifting forces a = 0
         cfg = validate(2, 2, [F(1), F(4), F(9)])
         with pytest.raises(LiftObstruction, match="degenerate"):
-            from_fiber_point(cfg, ProjPoint([1, 2, 3]), scale=F(1))
+            from_fiber_point(build_fiber(cfg), ProjPoint([1, 2, 3]), scale=F(1))
 
     def test_round_trip_recovers_parameters(self):
         rng = random.Random(53)
@@ -144,7 +144,7 @@ class TestFromFiberPoint:
             # fix the projective scale from the first nonzero y-coordinate
             k = next(i for i, p in enumerate(cwp.points) if p.y != 0)
             lifted = from_fiber_point(
-                cwp.config(), point, scale=cwp.points[k].y / point[k]
+                build_fiber(cwp.config()), point, scale=cwp.points[k].y / point[k]
             )
             assert (lifted.curve.a, lifted.curve.b) == (
                 cwp.curve.a,
@@ -158,9 +158,9 @@ class TestFromFiberPoint:
             point = to_fiber_point(cwp)
             if point[0] == 0:
                 continue
-            base = from_fiber_point(cwp.config(), point, scale=F(1))
+            base = from_fiber_point(build_fiber(cwp.config()), point, scale=F(1))
             lam = F(3, 2)
-            scaled = from_fiber_point(cwp.config(), point, scale=lam)
+            scaled = from_fiber_point(build_fiber(cwp.config()), point, scale=lam)
             s = cwp.curve.s
             assert scaled.curve.a == base.curve.a * lam**s
             assert scaled.curve.b == base.curve.b * lam**s

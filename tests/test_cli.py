@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from fibercurve import config, jsonio
 from fibercurve.birat import CurveWithPoints
-from fibercurve.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from fibercurve.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, build_parser, main
 from fibercurve.config import validate
 from fibercurve.family import AffinePoint, FamilyCurve
 from fibercurve.fiber import ProjPoint, build_fiber
@@ -262,6 +266,52 @@ class TestCorrespondenceVerbs:
         assert "degenerate" in err
 
 
+class TestRepeatedCalls:
+    """``main`` reuses one parser per process; a run of verbs in one
+    process must print what each verb prints in a process of its own."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def fresh(self, *argv):
+        env = {**os.environ, "PYTHONPATH": self.SRC, "COLUMNS": "80"}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from fibercurve.cli import main; sys.exit(main())",
+             *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_same_output_as_a_fresh_process(self, capsys):
+        sequence = [
+            ["fiber-genus", "--s", "abc", "--n", "2"],  # rejected flag
+            ["fiber-verify", "--config", CFG123,
+             "--point", '{"coords":["1","1","1"]}'],  # failing verb
+            ["push", "--input", json.dumps(jsonio.cwp_to_obj(CWP13))],
+            ["push"],  # missing flag
+            ["lift", "--config", CFG123, "--point", '{"coords":["0","1","2"]}',
+             "--scale", "1"],
+        ]
+        expected = [self.fresh(*argv) for argv in sequence]
+        assert [code for code, _, _ in expected] == [
+            EXIT_USAGE, EXIT_MATH, EXIT_OK, EXIT_USAGE, EXIT_OK
+        ]
+        for _ in range(2):
+            assert [run(capsys, *argv) for argv in sequence] == expected
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["lift", "--help"]])
+    def test_help_still_exits_zero(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert (0, out, err) == self.fresh(*argv)
+        code, out, _ = run(capsys, "fiber-genus", "--s", "2", "--n", "13")
+        assert code == EXIT_OK and out.strip() == "20481"
+
+
 class TestBatchVerbs:
     def test_conic_enumerate_lines(self, capsys):
         code, out, _ = run(
@@ -374,6 +424,26 @@ class TestJsonRoundTrips:
         old = jsonio.search_report_from_obj(obj)
         assert old.stats is None and old.note == report.note
         assert old.hits == report.hits
+
+    @pytest.mark.parametrize("key, value", [
+        ("complete", "false"), ("complete", 0), ("complete", None),
+        ("height_bound", 2.9), ("height_bound", True),
+        ("search_space_size", "12"), ("elapsed_ms", 1.5), ("workers", 1.0),
+    ])
+    def test_report_fields_keep_their_json_type(self, key, value):
+        report = search_ab(validate(2, 2, [F(1), F(3), F(12)]), 2)
+        obj = jsonio.search_report_to_obj(report)
+        obj[key] = value
+        with pytest.raises(ValueError, match=key):
+            jsonio.search_report_from_obj(obj)
+
+    @pytest.mark.parametrize("value", [2.7, "2", True])
+    def test_equation_index_must_be_an_integer(self, value):
+        system = build_fiber(validate(2, 2, [F(1), F(2), F(3), F(5)]))
+        obj = jsonio.fiber_system_to_obj(system)
+        obj["equations"][0]["i"] = value
+        with pytest.raises(ValueError, match="'i'"):
+            jsonio.fiber_system_from_obj(obj)
 
     def test_no_floats_anywhere(self):
         cfg = validate(2, 2, [F(1, 3), F(2, 7), F(3)])

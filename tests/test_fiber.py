@@ -13,6 +13,7 @@ from fibercurve.fiber import (
     fiber_genus,
     gonality_lower_bound,
     jacobian_matrix,
+    jacobian_rank,
     on_fiber,
     raw_coefficients,
     smooth_at,
@@ -228,6 +229,42 @@ class TestSmoothAt:
         point = ProjPoint([p.y for p in fx.cwp.points])
         assert smooth_at(system, point)
         assert matrix_rank(jacobian_matrix(system, point)) == 5
+
+    def test_structural_rank_matches_dense_rank(self):
+        # the dense Bareiss rank of the full Jacobian is the oracle
+        rng = random.Random(71)
+        seen = dict.fromkeys(
+            ("y0", "y1", "y0y1", "single", "deficient", "full_with_zero_yi"), 0
+        )
+        for case in range(2000):
+            r, s, n = rng.randint(1, 4), rng.randint(2, 5), rng.randint(2, 7)
+            system = build_fiber(random_config(rng, r, s, n))
+            coords = [F(rng.randint(-5, 5), rng.randint(1, 3))
+                      for _ in range(n + 1)]
+            shape = case % 4
+            if shape == 0:  # zeros among Y_2..Y_n only
+                coords = [c if k < 2 or rng.random() < 0.5 else 0
+                          for k, c in enumerate(coords)]
+            elif shape == 1:  # all but one coordinate zero
+                keep = rng.randrange(n + 1)
+                coords = [c if k == keep else 0 for k, c in enumerate(coords)]
+            elif shape == 2:  # Y_0 or Y_1 zero, some other zeros
+                coords[rng.randrange(2)] = 0
+                coords = [0 if rng.random() < 0.3 else c for c in coords]
+            elif shape == 3:  # Y_0 = Y_1 = 0
+                coords[0] = coords[1] = 0
+            if not any(coords):
+                coords[rng.randrange(n + 1)] = F(1)
+            point = ProjPoint(coords)
+            rank = jacobian_rank(system, point)
+            assert rank == matrix_rank(jacobian_matrix(system, point))
+            seen["y0"] += point[0] == 0
+            seen["y1"] += point[1] == 0
+            seen["y0y1"] += point[0] == point[1] == 0
+            seen["single"] += sum(c != 0 for c in point) == 1
+            seen["deficient"] += rank < n - 1
+            seen["full_with_zero_yi"] += rank == n - 1 and 0 in point[2:]
+        assert min(seen.values()) >= 200, seen
 
 
 class TestTrivialPoints:

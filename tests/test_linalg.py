@@ -99,3 +99,17 @@ def test_primitive_vector_signs_the_chosen_coordinate():
     assert primitive_vector(row, positive=1) == [0, 3, -2, 5]
     assert primitive_vector(row, positive=2) == [0, -3, 2, -5]
     assert primitive_vector([F(4), F(-6)], positive=0) == [2, -3]
+
+
+def test_clear_denominators_on_int_and_mixed_rows():
+    assert clear_denominators([3, -6, 0]) == [3, -6, 0]
+    assert all(type(v) is int for v in clear_denominators([3, -6, 0]))
+    assert clear_denominators([2, F(1, 3), F(-5, 6), 0]) == [12, 2, -5, 0]
+    assert clear_denominators([F(4), 1]) == [4, 1]
+    assert clear_denominators([]) == []
+
+
+def test_primitive_vector_on_int_and_mixed_rows():
+    assert primitive_vector([4, -6, 0], positive=1) == [-2, 3, 0]
+    assert primitive_vector([2, F(-1, 3), F(5, 6)], positive=0) == [12, -2, 5]
+    assert primitive_vector([F(0), -3, F(9, 2)], positive=1) == [0, 2, -3]
