@@ -151,7 +151,7 @@ def from_fiber_point(
                 "Y_0 = 0: default normalization undefined, pass a scale",
                 index=0,
             )
-        scale = 1 / point[0]
+        scale = Fraction(1, point[0])
     scale = Fraction(scale)
     if scale == 0:
         raise ValueError("scale must be nonzero")

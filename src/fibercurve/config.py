@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 
 
@@ -32,15 +31,6 @@ class Config:
     @property
     def n(self) -> int:
         return len(self.alphas) - 1
-
-    @cached_property
-    def powers(self) -> tuple[Fraction, ...]:
-        """alpha_i^r for each alpha_i, computed once per configuration.
-
-        Every consumer of the specialized forms (fiber coefficients, search
-        candidates) reads these instead of raising alpha_i to the r again.
-        """
-        return tuple(a**self.r for a in self.alphas)
 
 
 def violations(r: int, s: int, alphas) -> list[str]:

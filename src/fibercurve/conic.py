@@ -26,20 +26,20 @@ class NoRationalPointError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConicModel:
-    A: Fraction
-    B: Fraction
-    C: Fraction
+    A: int
+    B: int
+    C: int
     base_point: ProjPoint
 
-    def value(self, v) -> Fraction:
+    def value(self, v) -> int:
         return self.A * v[0] ** 2 + self.B * v[1] ** 2 + self.C * v[2] ** 2
 
-    def polar(self, u, v) -> Fraction:
+    def polar(self, u, v) -> int:
         # polar bilinear form of the diagonal quadratic
         return self.A * u[0] * v[0] + self.B * u[1] * v[1] + self.C * u[2] * v[2]
 
 
-def _single_equation(system: FiberSystem) -> tuple[Fraction, Fraction, Fraction]:
+def _single_equation(system: FiberSystem) -> tuple[int, int, int]:
     if system.n != 2 or system.config.s != 2:
         raise ValueError("conic machinery needs s = 2 and n = 2")
     eq = system.equations[0]
@@ -69,11 +69,13 @@ def find_base_point(
                     continue  # canonical sign
                 t = -(A * y0 * y0 + B * y1 * y1)
                 if C != 0:
-                    t = t / C
-                if t < 0 or t.denominator != 1:
+                    t, rem = divmod(t, C)  # exact: rem == 0 iff C | t
+                    if rem:
+                        continue
+                if t < 0:
                     continue
-                root = isqrt(t.numerator)
-                if root * root != t.numerator:
+                root = isqrt(t)
+                if root * root != t:
                     continue
                 if root > search_height:
                     continue
@@ -85,7 +87,7 @@ def find_base_point(
     return None
 
 
-def _direction(model: ConicModel, t: tuple[int, int]) -> list[Fraction]:
+def _direction(model: ConicModel, t: tuple[int, int]) -> list[int]:
     t0, t1 = t
     if (t0, t1) == (0, 0):
         raise ValueError("direction (0, 0) is not allowed")
@@ -95,9 +97,9 @@ def _direction(model: ConicModel, t: tuple[int, int]) -> list[Fraction]:
         i for i, c in enumerate(model.base_point.coords) if c != 0
     )
     basis = [i for i in range(3) if i != pivot]
-    d = [Fraction(0)] * 3
-    d[basis[0]] = Fraction(t0)
-    d[basis[1]] = Fraction(t1)
+    d = [0, 0, 0]
+    d[basis[0]] = t0
+    d[basis[1]] = t1
     return d
 
 

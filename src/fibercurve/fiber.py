@@ -42,18 +42,20 @@ class ProjPoint:
 
     Canonical means: the primitive integer vector proportional to the
     coordinates whose first nonzero entry is positive
-    (``linalg.primitive_vector``).  Equality and hashing are exact.
+    (``linalg.primitive_vector``).  The coordinates are given as ints or
+    Fractions and stored as ints.  Equality and hashing are exact.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords) -> None:
-        values = [Fraction(c) for c in coords]
+        values = list(coords)
         lead = next((k for k, v in enumerate(values) if v != 0), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        ints = primitive_vector(values, positive=lead)
-        object.__setattr__(self, "coords", tuple(Fraction(v) for v in ints))
+        object.__setattr__(
+            self, "coords", tuple(primitive_vector(values, positive=lead))
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -61,7 +63,7 @@ class ProjPoint:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int:
         return self.coords[i]
 
     def __iter__(self):
@@ -76,7 +78,7 @@ class ProjPoint:
         return hash(self.coords)
 
     def __repr__(self) -> str:
-        inner = " : ".join(str(c.numerator) for c in self.coords)
+        inner = " : ".join(str(c) for c in self.coords)
         return f"ProjPoint[{inner}]"
 
 
@@ -85,14 +87,14 @@ class FiberEquation:
     """Normalized equation A Y_0^s + B Y_1^s + C Y_i^s = 0.
 
     (A, B, C) is the primitive integer vector of the raw cofactor triple
-    with C > 0, normalized as ProjPoint is but on C.  ``scale`` restores
-    the raw triple: raw = scale * (A, B, C).
+    with C > 0, normalized as ProjPoint is but on C.  ``scale`` is the
+    rational that restores the raw triple: raw = scale * (A, B, C).
     """
 
     i: int
-    A: Fraction
-    B: Fraction
-    C: Fraction
+    A: int
+    B: int
+    C: int
     scale: Fraction
 
     def raw(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -112,7 +114,7 @@ class FiberSystem:
 @dataclass(frozen=True)
 class MembershipReport:
     ok: bool
-    residues: tuple[tuple[int, Fraction], ...]
+    residues: tuple[tuple[int, int], ...]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -121,11 +123,15 @@ class MembershipReport:
 def raw_coefficients(
     config: Config, i: int
 ) -> tuple[Fraction, Fraction, Fraction]:
-    """Unnormalized cofactor triple (A_i, B_i, C_i) for equation i."""
+    """Unnormalized cofactor triple (A_i, B_i, C_i) for equation i.
+
+    This is the definition; ``build_fiber`` computes the same triple times
+    a positive integer, on integers only.
+    """
     if not 2 <= i <= config.n:
         raise ValueError(f"equation index must be in 2..{config.n}, got {i}")
     a0, a1, ai = config.alphas[0], config.alphas[1], config.alphas[i]
-    p0, p1, pi = config.powers[0], config.powers[1], config.powers[i]
+    p0, p1, pi = a0**config.r, a1**config.r, ai**config.r
     A = a1 * ai * (pi - p1)
     B = a0 * ai * (p0 - pi)
     C = a0 * a1 * (p1 - p0)
@@ -135,21 +141,42 @@ def raw_coefficients(
 def build_fiber(config: Config) -> FiberSystem:
     """The n-1 specialized diagonal equations of X_{a_n}.
 
-    Config admissibility guarantees every coefficient is nonzero.  Each
-    raw triple is stored as its primitive integer vector with C > 0
+    For alpha_j = p_j/q_j put P_j = p_j^r, R_j = q_j^r and Q_j = q_j^(r+1).
+    The raw triple of ``raw_coefficients`` times Q_0 Q_1 Q_i is
+
+        A = p_1 p_i Q_0 (P_i R_1 - P_1 R_i),
+        B = p_0 p_i Q_1 (P_0 R_i - P_i R_0),
+        C = p_0 p_1 Q_i (P_1 R_0 - P_0 R_1),
+
+    all integers.  Config admissibility guarantees each is nonzero.  Each
+    triple is stored as its primitive integer vector with C > 0
     (``linalg.primitive_vector``), and scale = raw C / normalized C.
     """
     if config.n < 2:
         raise ValueError("fiber systems need n >= 2")
+    r = config.r
+    nums = [a.numerator for a in config.alphas]
+    dens = [a.denominator for a in config.alphas]
+    P = [p**r for p in nums]
+    R = [q**r for q in dens]
+    Q = [q * rq for q, rq in zip(dens, R)]
+    p0, p1 = nums[0], nums[1]
+    c01 = p0 * p1 * (P[1] * R[0] - P[0] * R[1])
     equations = []
     for i in range(2, config.n + 1):
-        raw = raw_coefficients(config, i)
+        pi = nums[i]
+        raw = (
+            p1 * pi * Q[0] * (P[i] * R[1] - P[1] * R[i]),
+            p0 * pi * Q[1] * (P[0] * R[i] - P[i] * R[0]),
+            c01 * Q[i],
+        )
         if any(c == 0 for c in raw):
             raise AssertionError(
                 f"degenerate coefficient in equation {i}; config not admissible"
             )
-        A, B, C = (Fraction(v) for v in primitive_vector(raw, positive=2))
-        equations.append(FiberEquation(i=i, A=A, B=B, C=C, scale=raw[2] / C))
+        A, B, C = primitive_vector(raw, positive=2)
+        scale = Fraction(raw[2] // C, Q[0] * Q[1] * Q[i])
+        equations.append(FiberEquation(i=i, A=A, B=B, C=C, scale=scale))
     return FiberSystem(config=config, equations=tuple(equations))
 
 
@@ -219,13 +246,13 @@ def gonality_lower_bound(s: int, n: int) -> int:
 
 def jacobian_matrix(
     system: FiberSystem, point: ProjPoint
-) -> list[list[Fraction]]:
+) -> list[list[int]]:
     """Rows of partial derivatives of the n-1 forms at the point."""
     s = system.config.s
     n = system.n
     rows = []
     for eq in system.equations:
-        row = [Fraction(0)] * (n + 1)
+        row = [0] * (n + 1)
         row[0] = s * eq.A * point[0] ** (s - 1)
         row[1] = s * eq.B * point[1] ** (s - 1)
         row[eq.i] = s * eq.C * point[eq.i] ** (s - 1)

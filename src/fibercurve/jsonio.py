@@ -7,6 +7,8 @@ types the CLI exchanges.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .arith import format_rational, parse_rational
 from .birat import CurveWithPoints
 from .config import Config, validate
@@ -32,6 +34,18 @@ def _bool_field(obj: dict, key: str) -> bool:
     if type(value) is not bool:
         raise ValueError(f"{key!r} must be a JSON bool, got {value!r}")
     return value
+
+
+def _int_text_field(obj: dict, key: str) -> int:
+    """An integer written, like every number the writers emit, as a string."""
+    value = obj[key]
+    try:
+        q = parse_rational(value)
+    except ValueError:
+        q = None
+    if q is None or q.denominator != 1:
+        raise ValueError(f"{key!r} must be an integer string, got {value!r}")
+    return q.numerator
 
 
 def _list_field(obj: dict, key: str) -> list:
@@ -117,9 +131,9 @@ def fiber_system_from_obj(obj: dict) -> FiberSystem:
     equations = tuple(
         FiberEquation(
             i=_int_field(e, "i"),
-            A=parse_rational(e["A"]),
-            B=parse_rational(e["B"]),
-            C=parse_rational(e["C"]),
+            A=_int_text_field(e, "A"),
+            B=_int_text_field(e, "B"),
+            C=_int_text_field(e, "C"),
             scale=parse_rational(e.get("scale", "1")),
         )
         for e in obj["equations"]
@@ -214,8 +228,8 @@ def format_system_display(system: FiberSystem, style: str = "shared") -> str:
                 f"({format_rational(raw_b)}) Y_1^{s}"
             )
         elif style == "monic":
-            p = -eq.A / eq.C
-            q = -eq.B / eq.C
+            p = Fraction(-eq.A, eq.C)
+            q = Fraction(-eq.B, eq.C)
             lines.append(
                 f"Y_{eq.i}^{s} = ({format_rational(p)}) Y_0^{s} + "
                 f"({format_rational(q)}) Y_1^{s}"

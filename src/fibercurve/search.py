@@ -31,7 +31,6 @@ coprime to gcd(u, w), and only its survivors reach the exact root test.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -230,6 +229,9 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
         if workers == 1:
             results = list(map(_search_block, blocks))
         else:
+            # imported here, so that no other verb pays for the import
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_search_block, blocks))
         for hits, count, alive, micros in results:

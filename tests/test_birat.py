@@ -121,6 +121,15 @@ class TestFromFiberPoint:
         cwp = from_fiber_point(build_fiber(cfg), point)
         assert cwp.points[0].y == 1
 
+    def test_default_scale_is_exact(self):
+        # 1/Y_0 with |Y_0| > 1 and no power of two: a float would not lift
+        cfg = validate(1, 2, [F(1, 2), F(3), F(-5, 3)])
+        cwp = from_fiber_point(build_fiber(cfg), ProjPoint([21, -90, 34]))
+        ys = [p.y for p in cwp.points]
+        assert ys == [F(1), F(-30, 7), F(34, 21)]
+        assert all(type(y) is F for y in ys)
+        assert (cwp.curve.a, cwp.curve.b) == (F(404, 245), F(288, 245))
+
     def test_default_scale_needs_nonzero_y0(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
         with pytest.raises(LiftObstruction, match="Y_0"):

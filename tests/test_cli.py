@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -23,6 +24,9 @@ def run(capsys, *argv):
 
 
 CFG123 = '{"r":2,"s":2,"alphas":["1","2","3"]}'
+# non-integer config whose conic is 168 Y_0^2 - 13 Y_1^2 + 27 Y_2^2 = 0
+CFG_FRAC = '{"r":1,"s":2,"alphas":["1/2","3","-5/3"]}'
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # y^2 = x(x^2 + 3) through x = 1, 3, 12
 CWP13 = CurveWithPoints(
@@ -166,6 +170,7 @@ class TestFiberVerbs:
         system = jsonio.fiber_system_from_obj(json.loads(out))
         eq = system.equations[0]
         assert (eq.A, eq.B, eq.C) == (F(5), F(-4), F(1))
+        assert all(type(c) is int for c in (eq.A, eq.B, eq.C))
 
     def test_build_display_styles(self, capsys):
         code, out, _ = run(
@@ -199,6 +204,46 @@ class TestFiberVerbs:
         )
         assert code == EXIT_MATH
         assert json.loads(out)["on_fiber"] is False
+
+
+class TestExactDivision:
+    """The fiber runs on ints; each quotient of two of them is a Fraction,
+    so every printed number is an exact "p" or "p/q"."""
+
+    @staticmethod
+    def exact(text):
+        return not re.search(r"\d\.|\.\d", text)
+
+    def test_monic_display(self, capsys):
+        code, out, _ = run(capsys, "fiber-build", "--config", CFG_FRAC,
+                           "--format", "display", "--style", "monic")
+        assert code == EXIT_OK and self.exact(out)
+        assert out.strip() == "Y_2^2 = (-56/9) Y_0^2 + (13/27) Y_1^2"
+
+    def test_lift_default_scale(self, capsys):
+        code, out, _ = run(capsys, "lift", "--config", CFG_FRAC,
+                           "--point", '{"coords":["21","-90","34"]}')
+        assert code == EXIT_OK and self.exact(out)
+        assert json.loads(out) == {
+            "curve": {"r": 1, "s": 2, "a": "404/245", "b": "288/245"},
+            "points": [{"x": "1/2", "y": "1"}, {"x": "3", "y": "-30/7"},
+                       {"x": "-5/3", "y": "34/21"}],
+        }
+
+    def test_conic_enumerate_with_c_not_one(self, capsys):
+        code, out, _ = run(capsys, "fiber-build", "--config", CFG_FRAC)
+        assert code == EXIT_OK
+        assert json.loads(out)["equations"][0]["C"] == "27"
+        code, out, _ = run(capsys, "conic-enumerate", "--config", CFG_FRAC,
+                           "--count", "3", "--height", "30")
+        assert code == EXIT_OK and self.exact(out)
+        assert [(c["curve"]["a"], c["curve"]["b"],
+                 [p["y"] for p in c["points"]])
+                for c in map(json.loads, out.splitlines())] == [
+            ("3636/5", "2592/5", ["21", "-90", "34"]),
+            ("5364/5", "-2592/5", ["3", "-90", "-62"]),
+            ("55476/5", "28512/5", ["75", "342", "-146"]),
+        ]
 
 
 class TestCorrespondenceVerbs:
@@ -270,10 +315,8 @@ class TestRepeatedCalls:
     """``main`` reuses one parser per process; a run of verbs in one
     process must print what each verb prints in a process of its own."""
 
-    SRC = str(Path(__file__).resolve().parent.parent / "src")
-
     def fresh(self, *argv):
-        env = {**os.environ, "PYTHONPATH": self.SRC, "COLUMNS": "80"}
+        env = {**os.environ, "PYTHONPATH": SRC, "COLUMNS": "80"}
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys; from fibercurve.cli import main; sys.exit(main())",
@@ -437,6 +480,15 @@ class TestJsonRoundTrips:
         with pytest.raises(ValueError, match=key):
             jsonio.search_report_from_obj(obj)
 
+    @pytest.mark.parametrize("key", ["A", "B", "C"])
+    @pytest.mark.parametrize("value", ["1/2", 3])
+    def test_coefficients_must_be_integer_strings(self, key, value):
+        system = build_fiber(validate(2, 2, [F(1), F(2), F(3), F(5)]))
+        obj = jsonio.fiber_system_to_obj(system)
+        obj["equations"][1][key] = value
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            jsonio.fiber_system_from_obj(obj)
+
     @pytest.mark.parametrize("value", [2.7, "2", True])
     def test_equation_index_must_be_an_integer(self, value):
         system = build_fiber(validate(2, 2, [F(1), F(2), F(3), F(5)]))
@@ -462,3 +514,14 @@ class TestJsonRoundTrips:
 
         walk(obj)
 
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only search-ab with workers > 1 needs concurrent.futures
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fibercurve.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False")

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fibercurve import fixtures
+from fibercurve import fixtures, jsonio
 from fibercurve.config import validate, violations
 from fibercurve.fiber import (
     OrderCapExceeded,
@@ -19,7 +19,7 @@ from fibercurve.fiber import (
     smooth_at,
     trivial_points,
 )
-from fibercurve.linalg import matrix_rank
+from fibercurve.linalg import matrix_rank, primitive_vector
 
 
 def random_config(rng, r, s, n):
@@ -55,6 +55,17 @@ class TestProjPoint:
     def test_hashable(self):
         assert len({ProjPoint([1, 2]), ProjPoint([2, 4])}) == 1
 
+    def test_coordinates_are_ints(self):
+        from_fractions = ProjPoint([F(1, 2), F(-3), F(7, 3), F(0)])
+        from_json = jsonio.proj_point_from_obj(
+            {"coords": ["1/2", "-3", "7/3", "0"]}
+        )
+        for point in (from_fractions, from_json):
+            assert point.coords == (3, -18, 14, 0)
+            assert all(type(c) is int for c in point.coords)
+        # hashes as the Fraction coordinates did: hash(F(k)) == hash(k)
+        assert hash(from_json) == hash((F(3), F(-18), F(14), F(0)))
+
 
 class TestBuildFiber:
     def test_three_point_system(self):
@@ -78,6 +89,25 @@ class TestBuildFiber:
                 g = gcd(gcd(abs(ints[0].numerator), abs(ints[1].numerator)),
                         ints[2].numerator)
                 assert g == 1
+
+    def test_matches_fraction_oracle(self):
+        # the integer build against the definitional Fraction triple
+        rng = random.Random(83)
+        negative = fractional = 0
+        for _ in range(400):
+            r, s, n = rng.randint(1, 4), rng.randint(2, 5), rng.randint(2, 8)
+            cfg = random_config(rng, r, s, n)
+            negative += any(a < 0 for a in cfg.alphas)
+            fractional += any(a.denominator != 1 for a in cfg.alphas)
+            system = build_fiber(cfg)
+            assert [eq.i for eq in system.equations] == list(range(2, n + 1))
+            for eq in system.equations:
+                raw = raw_coefficients(cfg, eq.i)
+                assert [eq.A, eq.B, eq.C] == primitive_vector(raw, positive=2)
+                assert all(type(c) is int for c in (eq.A, eq.B, eq.C))
+                assert eq.scale == raw[2] / eq.C and type(eq.scale) is F
+                assert eq.raw() == raw
+        assert negative > 300 and fractional > 300
 
     def test_shared_bottom_cofactor(self):
         cfg = validate(2, 2, [F(1), F(2), F(3), F(5), F(7)])
