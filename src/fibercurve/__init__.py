@@ -3,18 +3,15 @@ the fiber curves attached to prescribed x-coordinate configurations."""
 
 from .arith import (
     CyclotomicElement,
-    Rational,
     format_rational,
     integer_nth_root,
     is_sth_power,
     parse_rational,
 )
 from .birat import (
-    ConsistencyReport,
     CurveWithPoints,
     LiftObstruction,
     SingularSystemError,
-    consistency,
     from_fiber_point,
     solve_ab,
     to_fiber_point,
@@ -30,11 +27,8 @@ from .conic import (
 from .family import (
     AffinePoint,
     FamilyCurve,
-    TwistData,
-    build_twist,
     contains,
     family_genus,
-    smoothness,
 )
 from .fiber import (
     FiberEquation,
@@ -52,9 +46,7 @@ from .fiber import (
     trivial_points,
 )
 from .search import (
-    ClassCountTable,
     SearchReport,
-    count_square_classes,
     search_ab,
 )
 

@@ -2,10 +2,10 @@
 
 Everything downstream computes over arbitrary-precision rationals; the
 scalar type is ``fractions.Fraction`` (always lowest terms, positive
-denominator), re-exported here as ``Rational``.  This module adds exact
-integer s-th roots, rational s-th-power testing, the "p/q" string codec
-used by all JSON interfaces, and arithmetic in the cyclotomic ring
-Q[x]/(Phi_d) needed for root-of-unity point verification.
+denominator).  This module adds exact integer s-th roots, rational
+s-th-power testing, the "p/q" string codec used by all JSON interfaces,
+and arithmetic in the cyclotomic ring Q[x]/(Phi_d) needed for
+root-of-unity point verification.
 
 No floating point anywhere: results are bit-exact by construction.
 """
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-
-Rational = Fraction
 
 _MINUS_SIGNS = ("-", "−")  # accept ASCII hyphen and the unicode minus
 
@@ -149,7 +147,9 @@ class CyclotomicElement:
     """Element of Q(zeta_d) in the power basis 1, zeta, ..., zeta^(phi(d)-1).
 
     Coordinates are exact rationals; products are reduced modulo the d-th
-    cyclotomic polynomial.  Immutable, hashable, safe to share.
+    cyclotomic polynomial.  Arithmetic combines elements of one order
+    only; a rational q enters as ``CyclotomicElement(d, [q])``.
+    Immutable, hashable, safe to share.
     """
 
     __slots__ = ("order", "coeffs")
@@ -169,10 +169,6 @@ class CyclotomicElement:
         raise AttributeError("CyclotomicElement is immutable")
 
     @classmethod
-    def zero(cls, order: int) -> "CyclotomicElement":
-        return cls(order, [])
-
-    @classmethod
     def one(cls, order: int) -> "CyclotomicElement":
         return cls(order, [Fraction(1)])
 
@@ -181,41 +177,26 @@ class CyclotomicElement:
         """The distinguished primitive d-th root of unity."""
         return cls(order, [Fraction(0), Fraction(1)])
 
-    @classmethod
-    def from_rational(cls, order: int, q) -> "CyclotomicElement":
-        return cls(order, [Fraction(q)])
-
     def _check_order(self, other: "CyclotomicElement") -> None:
         if self.order != other.order:
             raise ValueError(
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
-    def _coerce(self, other) -> "CyclotomicElement":
-        if isinstance(other, CyclotomicElement):
-            self._check_order(other)
-            return other
-        return CyclotomicElement.from_rational(self.order, other)
-
-    def __add__(self, other) -> "CyclotomicElement":
-        other = self._coerce(other)
+    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
+        self._check_order(other)
         return CyclotomicElement(
             self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> "CyclotomicElement":
         return CyclotomicElement(self.order, [-a for a in self.coeffs])
 
-    def __sub__(self, other) -> "CyclotomicElement":
-        return self + (-self._coerce(other))
+    def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
+        return self + (-other)
 
-    def __rsub__(self, other) -> "CyclotomicElement":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "CyclotomicElement":
-        other = self._coerce(other)
+    def __mul__(self, other: "CyclotomicElement") -> "CyclotomicElement":
+        self._check_order(other)
         a, b = self.coeffs, other.coeffs
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -224,8 +205,6 @@ class CyclotomicElement:
                     if bj:
                         prod[i + j] += ai * bj
         return CyclotomicElement(self.order, prod)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "CyclotomicElement":
         if exponent < 0:
@@ -243,8 +222,6 @@ class CyclotomicElement:
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicElement):
             return self.order == other.order and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == CyclotomicElement.from_rational(self.order, other)
         return NotImplemented
 
     def __hash__(self) -> int:

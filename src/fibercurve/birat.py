@@ -3,8 +3,7 @@
 A smooth family member through n+1 points with prescribed x-coordinates
 corresponds to the projective point [y_0 : ... : y_n] on the fiber curve
 of that configuration, and conversely.  This module recovers (a, b) from
-two points, checks global consistency of a point list, and implements the
-two directions of the correspondence.
+two points and implements the two directions of the correspondence.
 
 The (a, b) formulas solve the linear system
 
@@ -23,7 +22,7 @@ from fractions import Fraction
 from . import config as config_mod
 from .config import Config
 from .family import AffinePoint, FamilyCurve, contains
-from .fiber import FiberSystem, ProjPoint, build_fiber, det_form, on_fiber
+from .fiber import FiberSystem, ProjPoint, build_fiber, on_fiber
 
 
 class SingularSystemError(ValueError):
@@ -59,14 +58,6 @@ class CurveWithPoints:
         return self.config()
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    ok: bool
-    witness: int | None  # index of the first failing point, if any
-    a: Fraction
-    b: Fraction
-
-
 def solve_ab(
     r: int, s: int, p0: AffinePoint, p1: AffinePoint
 ) -> tuple[Fraction, Fraction]:
@@ -83,36 +74,6 @@ def solve_ab(
     a = (y0**s * x1 - y1**s * x0) / delta
     b = (x0 ** (r + 1) * y1**s - x1 ** (r + 1) * y0**s) / delta
     return a, b
-
-
-def consistency(r: int, s: int, points: list[AffinePoint]) -> ConsistencyReport:
-    """Do all points lie on the single curve fixed by the first two?
-
-    Checks the direct route (solve from the first two points, substitute
-    the rest) and the determinant route (all 3x3 determinants vanish) and
-    asserts that the two verdicts agree.
-    """
-    if len(points) < 3:
-        raise ValueError("need at least three points")
-    cfg = config_mod.validate(r, s, [p.x for p in points])
-    a, b = solve_ab(r, s, points[0], points[1])
-    curve = FamilyCurve(r=r, s=s, a=a, b=b)
-    witness = None
-    for idx in range(2, len(points)):
-        if not contains(curve, points[idx]):
-            witness = idx
-            break
-    direct_ok = witness is None
-
-    point = ProjPoint([p.y for p in points])
-    det_ok = all(
-        det_form(cfg, i, point) == 0 for i in range(2, cfg.n + 1)
-    )
-    if direct_ok != det_ok:
-        raise AssertionError(
-            "direct substitution and determinant tests disagree"
-        )
-    return ConsistencyReport(ok=direct_ok, witness=witness, a=a, b=b)
 
 
 def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:

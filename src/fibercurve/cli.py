@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 
 from . import birat, conic, family, fiber, fixtures, jsonio, search
@@ -72,14 +71,6 @@ def _parse_affine(text: str) -> family.AffinePoint:
     if len(coords) != 2:
         raise UsageError(f'point {text!r} is not "x,y" or JSON')
     return family.AffinePoint(*map(parse_rational, coords))
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("FIBERCURVE_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # --- verb implementations ---------------------------------------------------
@@ -178,8 +169,7 @@ def _cmd_conic_enumerate(args) -> int:
 
 def _cmd_search_ab(args) -> int:
     cfg = _load_config(args.config)
-    workers = _default_workers() if args.workers is None else args.workers
-    report = search.search_ab(cfg, args.height, workers)
+    report = search.search_ab(cfg, args.height, args.workers)
     if args.stats:
         print(json.dumps(report.stats), file=sys.stderr)
     obj = jsonio.search_report_to_obj(dataclasses.replace(report, stats=None))
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-ab", help="height-bounded exhaustive search")
     p.add_argument("--config", required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--stats", action="store_true",
                    help="write the run's counters to stderr as JSON")
@@ -339,6 +329,9 @@ _FAILURES = (
 def main(argv=None) -> int:
     """Run one verb; every expected failure becomes an exit code and one
     JSON object on stderr.  Any other exception is a bug and propagates."""
+    # exact answers such as fiber-genus at large n print more than 4300
+    # digits; the setter is missing before Python 3.10.7
+    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

@@ -1,8 +1,6 @@
 """The curve family C_{a,b}: y^s = x(a x^r + b).
 
-Membership and smoothness tests, the genus of a smooth member, and the
-quadratic-twist construction that turns n+1 rational points into canonical
-points with first y-coordinate 1.
+Exact membership and the genus of a smooth member (one with ab != 0).
 """
 
 from __future__ import annotations
@@ -29,31 +27,9 @@ class AffinePoint:
     y: Fraction
 
 
-@dataclass(frozen=True)
-class TwistData:
-    base: FamilyCurve
-    x0: Fraction
-    y0: Fraction
-    points: tuple[AffinePoint, ...]
-
-    @property
-    def twist_constant(self) -> Fraction:
-        # x0 (a x0^r + b), which equals y0^s on the base curve
-        return self.base.rhs(self.x0)
-
-
 def contains(curve: FamilyCurve, p: AffinePoint) -> bool:
     """Exact membership: p.y**s == p.x (a p.x**r + b)."""
     return p.y**curve.s == curve.rhs(p.x)
-
-
-def smoothness(curve: FamilyCurve) -> bool:
-    """The affine model is smooth iff a != 0 and b != 0.
-
-    The roots of x(a x^r + b) are 0 together with the r-th roots of -b/a;
-    they are simple exactly when ab != 0.
-    """
-    return curve.a != 0 and curve.b != 0
 
 
 def family_genus(r: int, s: int) -> int:
@@ -69,26 +45,3 @@ def family_genus(r: int, s: int) -> int:
     if numerator % 2 != 0:
         raise AssertionError("genus formula produced an odd numerator")
     return numerator // 2
-
-
-def build_twist(curve: FamilyCurve, points: list[AffinePoint]) -> TwistData:
-    """Twist by the first point: canonical points (x_0, 1) and (x_i, y_i/y_0).
-
-    Every stored point (x, t) satisfies x0(a x0^r + b) t^s = x(a x^r + b)
-    exactly; this identity is re-verified before returning.
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    for idx, p in enumerate(points):
-        if not contains(curve, p):
-            raise ValueError(f"point {idx} is not on the curve")
-    x0, y0 = points[0].x, points[0].y
-    if y0 == 0:
-        raise ValueError("first point has y = 0; cannot normalize by it")
-    twisted = [AffinePoint(x0, Fraction(1))]
-    twisted += [AffinePoint(p.x, p.y / y0) for p in points[1:]]
-    constant = curve.rhs(x0)
-    for p in twisted:
-        if constant * p.y**curve.s != curve.rhs(p.x):
-            raise AssertionError("twist invariant failed")
-    return TwistData(base=curve, x0=x0, y0=y0, points=tuple(twisted))

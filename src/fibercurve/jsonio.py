@@ -136,7 +136,7 @@ def fiber_system_from_obj(obj: dict) -> FiberSystem:
             C=_int_text_field(e, "C"),
             scale=parse_rational(e.get("scale", "1")),
         )
-        for e in obj["equations"]
+        for e in _list_field(obj, "equations")
     )
     return FiberSystem(config=config, equations=equations)
 
@@ -151,7 +151,7 @@ def cwp_to_obj(cwp: CurveWithPoints) -> dict:
 def cwp_from_obj(obj: dict) -> CurveWithPoints:
     return CurveWithPoints(
         curve=curve_from_obj(obj["curve"]),
-        points=tuple(point_from_obj(p) for p in obj["points"]),
+        points=tuple(point_from_obj(p) for p in _list_field(obj, "points")),
     )
 
 
@@ -175,7 +175,7 @@ def search_report_from_obj(obj: dict) -> SearchReport:
     return SearchReport(
         config=config_from_obj(obj["config"]),
         height_bound=_int_field(obj, "height_bound"),
-        hits=tuple(cwp_from_obj(h) for h in obj["hits"]),
+        hits=tuple(cwp_from_obj(h) for h in _list_field(obj, "hits")),
         search_space_size=_int_field(obj, "search_space_size"),
         elapsed_ms=_int_field(obj, "elapsed_ms"),
         complete=_bool_field(obj, "complete"),

@@ -30,6 +30,7 @@ coprime to gcd(u, w), and only its survivors reach the exact root test.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,14 +67,6 @@ class SearchReport:
     stats: dict | None = field(default=None, hash=False)
 
 
-@dataclass(frozen=True)
-class ClassCountTable:
-    config: Config
-    height_bound: int
-    per_index: tuple[int, ...]  # candidates passing condition i alone
-    search_space_size: int
-
-
 def _sieve_primes(s: int) -> list[int]:
     """The first SIEVE_PRIMES primes modulo which not every residue is an
     s-th power, i.e. with gcd(s, m - 1) > 1."""
@@ -86,14 +79,12 @@ def _sieve_primes(s: int) -> list[int]:
     return primes
 
 
-def _scan(config: Config, height: int, u_lo: int, u_hi: int, groups):
+def _scan(config: Config, height: int, u_lo: int, u_hi: int):
     """Sieve and root-test the rows (u, w) with u in [u_lo, u_hi).
 
-    ``groups`` is a list of tuples of alpha indices.  A candidate survives
-    a group when it passes the sieve of every alpha in the group, and
-    passes the group when every one of those values is an s-th power.
-    Returns (candidates, survivors per group, passes per group), a pass
-    being (u, v, w, roots of the group's values).
+    A candidate survives when it passes the sieve of every alpha, and is a
+    hit when every alpha's value is an s-th power.  Returns (candidates,
+    survivors, hits), a hit being (u, v, w, roots).
     """
     r, s, H = config.r, config.s, height
     primes = _sieve_primes(s)
@@ -126,30 +117,25 @@ def _scan(config: Config, height: int, u_lo: int, u_hi: int, groups):
         p_r, q_r = p**r, q**r
         k = p * q ** ((r + 1) * (s - 1))
         exact.append((k, p_r, q_r, q ** (r + 1)))
-        sieves.append([
+        sieves += [
             (m, p_r * pow(q_r, -1, m) % m, k * q_r % m)
             for m in primes
             if p % m and q % m
-        ])
-    group_sieves = [[sv for i in g for sv in sieves[i]] for g in groups]
+        ]
 
     coprime: dict[int, int] = {}  # gcd(u, w) -> mask of its coprime v
-    candidates = 0
-    survivors = [0] * len(groups)
-    passes: list[list] = [[] for _ in groups]
+    candidates = survivors = 0
+    hits: list = []
     rows_w = []
     for w in range(1, H + 1):
         ws = w ** (s - 1)
         tests = [(k * ws, p_r, q_r, d * w) for k, p_r, q_r, d in exact]
-        pats = [
-            [pattern(m, c1 * pow(w, s - 1, m) % m) for m, _, c1 in gs]
-            for gs in group_sieves
-        ]
+        pats = [pattern(m, c1 * pow(w, s - 1, m) % m) for m, _, c1 in sieves]
         rows_w.append((w, tests, pats))
     for u in range(u_lo, u_hi):
         if u == 0:
             continue
-        shifts = [[(u * e - H) % m for m, e, _ in gs] for gs in group_sieves]
+        shifts = [(u * e - H) % m for m, e, _ in sieves]
         for w, tests, pats in rows_w:
             g = gcd(u, w)
             row = coprime.get(g)
@@ -159,28 +145,26 @@ def _scan(config: Config, height: int, u_lo: int, u_hi: int, groups):
                     if j != H and gcd(g, j - H) == 1
                 )
             candidates += row.bit_count()
-            for gi, group in enumerate(groups):
-                mask = row
-                for pat, shift in zip(pats[gi], shifts[gi]):
-                    mask &= pat >> shift
-                    if not mask:
-                        break
-                else:
-                    survivors[gi] += mask.bit_count()
-                    _root_test(u, w, mask, H, s, group, tests, passes[gi])
-    return candidates, survivors, passes
+            mask = row
+            for pat, shift in zip(pats, shifts):
+                mask &= pat >> shift
+                if not mask:
+                    break
+            else:
+                survivors += mask.bit_count()
+                _root_test(u, w, mask, H, s, tests, hits)
+    return candidates, survivors, hits
 
 
-def _root_test(u, w, mask, H, s, group, tests, out) -> None:
+def _root_test(u, w, mask, H, s, tests, out) -> None:
     """Append (u, v, w, roots) for each v in mask whose values for every
-    alpha in group are s-th powers."""
+    alpha are s-th powers."""
     while mask:
         low = mask & -mask
         mask ^= low
         v = low.bit_length() - 1 - H
         roots = []
-        for i in group:
-            k, p_r, q_r, d = tests[i]
+        for k, p_r, q_r, d in tests:
             t = arith.is_sth_power(k * (u * p_r + v * q_r), s)
             if t is None:
                 break
@@ -192,8 +176,7 @@ def _root_test(u, w, mask, H, s, group, tests, out) -> None:
 def _search_block(args):
     config, height, u_lo, u_hi = args
     start = time.perf_counter()
-    everyone = tuple(range(config.n + 1))
-    count, (survivors,), (hits,) = _scan(config, height, u_lo, u_hi, [everyone])
+    count, survivors, hits = _scan(config, height, u_lo, u_hi)
     block_us = int((time.perf_counter() - start) * 1e6)
     return hits, count, survivors, block_us
 
@@ -225,14 +208,17 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
         (config, height, lo, min(lo + per, height + 1))
         for lo in range(-height, height + 1, per)
     ]
+    # the pool starts all its processes at once, so more than there are
+    # blocks or CPUs would only cost forks
+    processes = min(len(blocks), os.cpu_count() or 1)
     try:
-        if workers == 1:
+        if processes == 1:
             results = list(map(_search_block, blocks))
         else:
             # imported here, so that no other verb pays for the import
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=processes) as pool:
                 results = list(pool.map(_search_block, blocks))
         for hits, count, alive, micros in results:
             raw_hits.extend(hits)
@@ -269,19 +255,4 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
             "workers": workers,
             "block_us": block_us,
         },
-    )
-
-
-def count_square_classes(config: Config, height: int) -> ClassCountTable:
-    """Diagnostic: how many candidates pass each coordinate's s-th-power
-    condition alone, each counted on the survivors of its own sieve."""
-    if height < 1:
-        raise ValueError("height must be >= 1")
-    singles = [(i,) for i in range(config.n + 1)]
-    space, _, passes = _scan(config, height, -height, height + 1, singles)
-    return ClassCountTable(
-        config=config,
-        height_bound=height,
-        per_index=tuple(len(p) for p in passes),
-        search_space_size=space,
     )

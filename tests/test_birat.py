@@ -7,9 +7,9 @@ from planting import plant_curves
 
 from fibercurve import fixtures
 from fibercurve.birat import (
+    CurveWithPoints,
     LiftObstruction,
     SingularSystemError,
-    consistency,
     from_fiber_point,
     solve_ab,
     to_fiber_point,
@@ -60,31 +60,6 @@ class TestSolveAb:
             assert (a, b) == (fx.cwp.curve.a, fx.cwp.curve.b)
 
 
-class TestConsistency:
-    def test_planted_curves_are_consistent(self):
-        rng = random.Random(43)
-        for cwp in plant_curves(rng, 10):
-            report = consistency(
-                cwp.curve.r, cwp.curve.s, list(cwp.points)
-            )
-            assert report.ok
-            assert report.witness is None
-            assert (report.a, report.b) == (cwp.curve.a, cwp.curve.b)
-
-    def test_corruption_names_the_witness(self):
-        fx = fixtures.load("watkins14")
-        pts = list(fx.cwp.points)
-        bad = 5
-        pts[bad] = AffinePoint(pts[bad].x, pts[bad].y + 1)
-        report = consistency(2, 2, pts)
-        assert not report.ok
-        assert report.witness == bad
-
-    def test_requires_three_points(self):
-        with pytest.raises(ValueError):
-            consistency(2, 2, [AffinePoint(F(1), F(2)), AffinePoint(F(2), F(6))])
-
-
 class TestToFiberPoint:
     def test_reference_points(self):
         for name in fixtures.FIXTURE_NAMES:
@@ -93,6 +68,14 @@ class TestToFiberPoint:
             assert point == ProjPoint([p.y for p in fx.cwp.points])
             system = build_fiber(fx.cwp.config())
             assert on_fiber(system, point).ok
+
+    def test_off_curve_point_rejected(self):
+        cwp = CurveWithPoints(FamilyCurve(2, 2, F(1), F(3)), (
+            AffinePoint(F(1), F(2)), AffinePoint(F(3), F(6)),
+            AffinePoint(F(12), F(43)),
+        ))
+        with pytest.raises(ValueError, match="point 2 is not on the curve"):
+            to_fiber_point(cwp)
 
     def test_sign_flip_keeps_verdict(self):
         rng = random.Random(47)
@@ -130,6 +113,19 @@ class TestFromFiberPoint:
         assert all(type(y) is F for y in ys)
         assert (cwp.curve.a, cwp.curve.b) == (F(404, 245), F(288, 245))
 
+    def test_default_scale_gives_the_twist_by_the_first_point(self):
+        # points (x_0, 1), (x_i, y_i/y_0) on (a/y_0^s, b/y_0^s)
+        for name in fixtures.FIXTURE_NAMES:
+            cwp = fixtures.load(name).cwp
+            curve, (x0, y0) = cwp.curve, (cwp.points[0].x, cwp.points[0].y)
+            lifted = from_fiber_point(build_fiber(cwp.config()), to_fiber_point(cwp))
+            assert lifted.points == (AffinePoint(x0, F(1)),) + tuple(
+                AffinePoint(p.x, p.y / y0) for p in cwp.points[1:]
+            )
+            assert lifted.curve == FamilyCurve(
+                curve.r, curve.s, curve.a / y0**curve.s, curve.b / y0**curve.s
+            )
+
     def test_default_scale_needs_nonzero_y0(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
         with pytest.raises(LiftObstruction, match="Y_0"):
@@ -140,11 +136,22 @@ class TestFromFiberPoint:
         with pytest.raises(LiftObstruction, match="not on the fiber"):
             from_fiber_point(build_fiber(cfg), ProjPoint([1, 1, 1]), scale=F(1))
 
+    def test_off_fiber_names_the_coordinate(self):
+        # a corrupted Y_5 breaks only the form of index 5
+        cwp = fixtures.load("watkins14").cwp
+        coords = list(to_fiber_point(cwp).coords)
+        coords[5] += 1
+        with pytest.raises(LiftObstruction, match="not on the fiber") as info:
+            from_fiber_point(build_fiber(cwp.config()), ProjPoint(coords))
+        assert info.value.index == 5
+
     def test_degenerate_lift_is_an_obstruction(self):
-        # y^2 = x has (1,1),(4,2),(9,3); lifting forces a = 0
+        # y^2 = x has (1,1),(4,2),(9,3); lifting forces a = 0.  y^2 = x^3
+        # has (1,1),(4,8),(9,27); lifting forces b = 0
         cfg = validate(2, 2, [F(1), F(4), F(9)])
-        with pytest.raises(LiftObstruction, match="degenerate"):
-            from_fiber_point(build_fiber(cfg), ProjPoint([1, 2, 3]), scale=F(1))
+        for coords in ([1, 2, 3], [1, 8, 27]):
+            with pytest.raises(LiftObstruction, match="degenerate"):
+                from_fiber_point(build_fiber(cfg), ProjPoint(coords), scale=F(1))
 
     def test_round_trip_recovers_parameters(self):
         rng = random.Random(53)
@@ -173,23 +180,3 @@ class TestFromFiberPoint:
             s = cwp.curve.s
             assert scaled.curve.a == base.curve.a * lam**s
             assert scaled.curve.b == base.curve.b * lam**s
-
-
-class TestAgreement:
-    def test_consistency_iff_on_fiber(self):
-        # the two routes agree on plants and on corrupted variants
-        rng = random.Random(61)
-        for cwp in plant_curves(rng, 8):
-            pts = list(cwp.points)
-            cfg = cwp.config()
-            system = build_fiber(cfg)
-            variants = [pts]
-            corrupted = [
-                AffinePoint(p.x, p.y + (1 if i == len(pts) - 1 else 0))
-                for i, p in enumerate(pts)
-            ]
-            variants.append(corrupted)
-            for variant in variants:
-                direct = consistency(cfg.r, cfg.s, variant).ok
-                point = ProjPoint([p.y for p in variant])
-                assert direct == on_fiber(system, point).ok

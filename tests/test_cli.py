@@ -53,6 +53,18 @@ class TestScalarVerbs:
         code, out, _ = run(capsys, "family-genus", "--r", "2", "--s", "2")
         assert code == EXIT_OK and out.strip() == "1"
 
+    @pytest.mark.parametrize("verb, s, n, formula", [
+        ("fiber-genus", 2, 14400,
+         lambda s, n: 1 + s ** (n - 1) * ((n - 1) * s - n - 1) // 2),
+        ("gonality-bound", 3, 9100, lambda s, n: (s - 1) * s ** (n - 2)),
+    ])
+    def test_answers_past_the_int_digit_limit(self, capsys, verb, s, n, formula):
+        # more than the 4300 digits CPython converts to text by default
+        code, out, _ = run(capsys, verb, "--s", str(s), "--n", str(n))
+        assert code == EXIT_OK
+        assert len(out.strip()) > 4300
+        assert out.strip() == str(formula(s, n))
+
     def test_classify(self, capsys):
         code, out, _ = run(capsys, "classify", "--s", "3", "--n", "2")
         assert code == EXIT_OK
@@ -148,6 +160,13 @@ class TestFlagRanges:
             })),
             ("solve-ab", "--r", "2", "--s", "2", "--p0", '{"x":1,"y":2}',
              "--p1", "2,6"),
+            ("push", "--input", json.dumps({
+                "curve": {"r": 2, "s": 2, "a": "1", "b": "3"}, "points": {},
+            })),
+            ("push", "--input", json.dumps({
+                "curve": {"r": 2, "s": 2, "a": "1", "b": "3"},
+                "points": {"x": "1", "y": "2"},
+            })),
             ("fiber-genus", "--s", "abc", "--n", "3"),
         ],
         ids=lambda argv: " ".join(a for a in argv if a != CFG123),
@@ -157,10 +176,10 @@ class TestFlagRanges:
         assert code == EXIT_USAGE and out == ""
         assert json.loads(err)["error"] == "usage"
 
-    def test_workers_default_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("FIBERCURVE_WORKERS", "2")
+    def test_workers_default_is_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("FIBERCURVE_WORKERS", "2")  # ignored
         code, out, _ = run(capsys, "search-ab", "--config", CFG123, "--height", "2")
-        assert code == EXIT_OK and json.loads(out)["workers"] == 2
+        assert code == EXIT_OK and json.loads(out)["workers"] == 1
 
 
 class TestFiberVerbs:
@@ -488,6 +507,23 @@ class TestJsonRoundTrips:
         obj["equations"][1][key] = value
         with pytest.raises(ValueError, match=f"'{key}'"):
             jsonio.fiber_system_from_obj(obj)
+
+    @pytest.mark.parametrize("value", [{}, {"x": "1", "y": "2"}, "12"])
+    @pytest.mark.parametrize("to_obj, from_obj, key", [
+        (jsonio.cwp_to_obj, jsonio.cwp_from_obj, "points"),
+        (jsonio.fiber_system_to_obj, jsonio.fiber_system_from_obj, "equations"),
+        (jsonio.search_report_to_obj, jsonio.search_report_from_obj, "hits"),
+    ])
+    def test_containers_must_be_lists(self, to_obj, from_obj, key, value):
+        cfg = validate(2, 2, [F(1), F(3), F(12)])
+        values = {
+            "points": CWP13, "equations": build_fiber(cfg),
+            "hits": search_ab(cfg, 2),
+        }
+        obj = to_obj(values[key])
+        obj[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be a JSON list"):
+            from_obj(obj)
 
     @pytest.mark.parametrize("value", [2.7, "2", True])
     def test_equation_index_must_be_an_integer(self, value):

@@ -7,10 +7,8 @@ from fibercurve import fixtures
 from fibercurve.family import (
     AffinePoint,
     FamilyCurve,
-    build_twist,
     contains,
     family_genus,
-    smoothness,
 )
 
 
@@ -62,47 +60,3 @@ class TestFamilyGenus:
     def test_hyperelliptic_floor(self):
         for r in range(1, 21):
             assert family_genus(r, 2) == r // 2
-
-
-class TestSmoothness:
-    def test_values(self):
-        assert smoothness(FamilyCurve(2, 2, F(1), F(1)))
-        assert not smoothness(FamilyCurve(2, 2, F(0), F(5)))
-        assert not smoothness(FamilyCurve(2, 2, F(1), F(0)))
-
-
-class TestBuildTwist:
-    def test_two_point_twist(self):
-        curve = FamilyCurve(2, 2, F(1), F(3))
-        pts = [AffinePoint(F(1), F(2)), AffinePoint(F(3), F(6))]
-        twist = build_twist(curve, pts)
-        assert twist.twist_constant == F(4)
-        assert [(p.x, p.y) for p in twist.points] == [
-            (F(1), F(1)),
-            (F(3), F(3)),
-        ]
-        # the verified identity at the second point: 4 * 9 == 3 * (9 + 3)
-        assert twist.twist_constant * F(3) ** 2 == curve.rhs(F(3))
-
-    def test_single_point_normalizes_to_one(self):
-        curve = FamilyCurve(3, 2, F(2), F(-1))
-        pt = AffinePoint(F(1), F(1))
-        twist = build_twist(curve, [pt])
-        assert twist.points == (AffinePoint(F(1), F(1)),)
-
-    def test_reference_seven_points(self):
-        fx = fixtures.load("rogers7")
-        twist = build_twist(fx.cwp.curve, list(fx.cwp.points))
-        assert len(twist.points) == 7
-        assert twist.points[0].y == 1
-
-    def test_rejects_off_curve_point(self):
-        curve = FamilyCurve(2, 2, F(1), F(3))
-        with pytest.raises(ValueError, match="not on the curve"):
-            build_twist(curve, [AffinePoint(F(1), F(5))])
-
-    def test_rejects_zero_y0(self):
-        curve = FamilyCurve(2, 2, F(1), F(-1))
-        assert contains(curve, AffinePoint(F(1), F(0)))
-        with pytest.raises(ValueError, match="y = 0"):
-            build_twist(curve, [AffinePoint(F(1), F(0))])

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -9,7 +11,7 @@ from planting import brute_force_points, plant_search_instances
 from fibercurve.arith import is_sth_power
 from fibercurve.config import validate, violations
 from fibercurve.family import AffinePoint, FamilyCurve, contains
-from fibercurve.search import count_square_classes, search_ab
+from fibercurve.search import search_ab
 
 # y^2 = x(x^2 + 3) has small points at x = 1, 3, 12
 PLANT13 = validate(2, 2, [F(1), F(3), F(12)])
@@ -17,9 +19,9 @@ PLANT13 = validate(2, 2, [F(1), F(3), F(12)])
 
 def fraction_scan(config, height):
     """The search box tested candidate by candidate with Fractions and
-    is_sth_power: (hits as (a, b, points) in canonical order, box size,
-    per-alpha pass counts).  The oracle for the integer sieve."""
-    hits, space, per_index = [], 0, [0] * (config.n + 1)
+    is_sth_power: (hits as (a, b, points) in canonical order, box size).
+    The oracle for the integer sieve."""
+    hits, space = [], 0
     for u in range(-height, height + 1):
         for v in range(-height, height + 1):
             for w in range(1, height + 1):
@@ -31,13 +33,11 @@ def fraction_scan(config, height):
                     is_sth_power(alpha * (a * alpha**config.r + b), config.s)
                     for alpha in config.alphas
                 ]
-                for idx, y in enumerate(roots):
-                    per_index[idx] += y is not None
                 if None not in roots:
                     points = tuple(map(AffinePoint, config.alphas, roots))
                     hits.append((a, b, points))
     hits.sort(key=lambda h: (abs(h[0].numerator), h[1], h[0]))
-    return hits, space, per_index
+    return hits, space
 
 
 def oracle_configs(rng, count):
@@ -68,13 +68,10 @@ def oracle_configs(rng, count):
 
 
 def assert_matches_fraction_scan(config, height):
-    hits, space, per_index = fraction_scan(config, height)
+    hits, space = fraction_scan(config, height)
     report = search_ab(config, height)
     assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == hits
     assert report.search_space_size == space
-    table = count_square_classes(config, height)
-    assert list(table.per_index) == per_index
-    assert table.search_space_size == space
     return hits
 
 
@@ -118,6 +115,41 @@ class TestSearchAb:
             assert [
                 (h.curve.a, h.curve.b, h.points) for h in parallel.hits
             ] == [(h.curve.a, h.curve.b, h.points) for h in serial.hits]
+
+    @pytest.mark.parametrize("cpus, workers, height, blocks, pool", [
+        (64, 4096, 1, 3, 3),  # more workers than blocks
+        (2, 4096, 3, 7, 2),  # more blocks than CPUs
+        (None, 8, 3, 7, None),  # CPU count unknown: no pool at all
+    ])
+    def test_pool_never_exceeds_blocks_or_cpus(
+        self, monkeypatch, cpus, workers, height, blocks, pool
+    ):
+        sizes = []
+
+        class RecordingPool:
+            """Records the pool size and maps in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        report = search_ab(PLANT13, height, workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert report.workers == report.stats["workers"] == workers
+        assert len(report.stats["block_us"]) == blocks
+        serial = search_ab(PLANT13, height, 1)
+        assert report.hits == serial.hits
+        assert report.search_space_size == serial.search_space_size
 
     def test_planted_instances_complete(self):
         rng = random.Random(71)
@@ -170,29 +202,3 @@ class TestIntegerSieve:
         assert stats["sieve_survivors"] == stats["hits"] + stats["root_rejections"]
         assert stats["sieve_survivors"] < stats["candidates"] // 100
         hash(report)  # the stats dict keeps out of the hash
-
-
-class TestCountSquareClasses:
-    def test_counts_bounded_by_space(self):
-        cfg = validate(2, 2, [F(1), F(2), F(3)])
-        table = count_square_classes(cfg, 1)
-        assert table.search_space_size == 4
-        assert all(c <= table.search_space_size for c in table.per_index)
-
-    def test_planted_counts_positive(self):
-        table = count_square_classes(PLANT13, 3)
-        assert all(c >= 1 for c in table.per_index)
-
-    def test_intersection_monotone(self):
-        # joint hits cannot exceed any single-condition count
-        report = search_ab(PLANT13, height=3)
-        table = count_square_classes(PLANT13, 3)
-        assert all(len(report.hits) <= c for c in table.per_index)
-
-    def test_matches_search_box_and_brute_force(self):
-        for cfg in (PLANT13, validate(1, 3, [F(1), F(2), F(-3)])):
-            for height in (1, 2, 3):
-                table = count_square_classes(cfg, height)
-                report = search_ab(cfg, height)
-                assert table.search_space_size == report.search_space_size
-                assert list(table.per_index) == fraction_scan(cfg, height)[2]
