@@ -12,30 +12,31 @@ No floating point anywhere: results are bit-exact by construction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 
-_MINUS_SIGNS = ("-", "−")  # accept ASCII hyphen and the unicode minus
+# [-]digits[/digits], "-" the ASCII hyphen or the unicode minus; [0-9],
+# unlike \d, takes ASCII digits only
+_RATIONAL = re.compile(r"\s*([-−]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or bare "p") with an optional leading minus sign."""
-    if not isinstance(text, str):
+    """Parse "p/q" (or bare "p") with an optional leading minus sign.
+
+    Whitespace may surround the text but not split it.  Any other text
+    raises ValueError naming it.
+    """
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f'expected a rational string "p/q", got {text!r}')
-    s = text.strip()
-    negative = False
-    if s[:1] in _MINUS_SIGNS:
-        negative = True
-        s = s[1:].strip()
-    if "/" in s:
-        num_s, den_s = s.split("/", 1)
-        den = int(den_s)
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        value = Fraction(int(num_s), den)
-    else:
-        value = Fraction(int(s))
-    return -value if negative else value
+    sign, num, den = match.groups()
+    p = -int(num) if sign else int(num)
+    if den is None:
+        return Fraction(p)
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(p, int(den))
 
 
 def format_rational(q: Fraction) -> str:

@@ -113,9 +113,10 @@ def from_fiber_point(
                 index=0,
             )
         scale = Fraction(1, point[0])
-    scale = Fraction(scale)
-    if scale == 0:
-        raise ValueError("scale must be nonzero")
+    else:
+        scale = Fraction(scale)
+        if scale == 0:
+            raise ValueError("scale must be nonzero")
     ys = [scale * c for c in point.coords]
     p0 = AffinePoint(config.alphas[0], ys[0])
     p1 = AffinePoint(config.alphas[1], ys[1])

@@ -39,16 +39,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_json(text: str, source: str):
+    """``json.loads`` that reports nesting too deep for the decoder as a
+    usage error naming ``source``, not as a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise UsageError(f"input {source!r} is nested too deeply") from None
+
+
 def _read_payload(value: str) -> dict:
     """Accept a path, "-" for stdin, or a literal JSON object."""
     try:
         if value.strip().startswith(("{", "[")):
-            obj = json.loads(value)
+            text = value
         elif value == "-":
-            obj = json.load(sys.stdin)
+            text = sys.stdin.read()
         else:
             with open(value, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
+                text = fh.read()
+        obj = _parse_json(text, value)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read input {value!r}: {exc}") from exc
     if not isinstance(obj, dict):
@@ -66,7 +76,7 @@ def _emit(obj) -> None:
 
 def _parse_affine(text: str) -> family.AffinePoint:
     if text.strip().startswith("{"):
-        return jsonio.point_from_obj(json.loads(text))
+        return jsonio.point_from_obj(_parse_json(text, text))
     coords = text.split(",")
     if len(coords) != 2:
         raise UsageError(f'point {text!r} is not "x,y" or JSON')

@@ -34,27 +34,30 @@ class Config:
 
 
 def violations(r: int, s: int, alphas) -> list[str]:
-    """Every admissibility violation, each naming the offending index/pair."""
+    """Every admissibility violation, each naming the offending index/pair.
+
+    ``alphas`` is a sequence of exact rationals (ints or Fractions), used
+    as given.
+    """
     problems: list[str] = []
     if r < 1:
         problems.append(f"r must be >= 1, got {r}")
     if s < 2:
         problems.append(f"s must be >= 2, got {s}")
-    values = [Fraction(a) for a in alphas]
-    if len(values) < 2:
+    if len(alphas) < 2:
         problems.append("need at least two x-coordinates")
-    for i, a in enumerate(values):
+    for i, a in enumerate(alphas):
         if a == 0:
             problems.append(f"alpha[{i}] is zero")
     if r >= 1:
         # equal bases have equal r-th powers, so every colliding pair
         # shares one group; sorting restores the pairwise (i, j) order
         groups: dict[Fraction, list[int]] = {}
-        for j, a in enumerate(values):
+        for j, a in enumerate(alphas):
             groups.setdefault(a**r, []).append(j)
         pairs = sorted(p for g in groups.values() for p in combinations(g, 2))
         for i, j in pairs:
-            if values[i] == values[j]:
+            if alphas[i] == alphas[j]:
                 problems.append(f"alpha[{i}] == alpha[{j}]")
             else:
                 problems.append(
@@ -65,10 +68,11 @@ def violations(r: int, s: int, alphas) -> list[str]:
 
 def validate(r: int, s: int, alphas) -> Config:
     """Build a Config, or raise InvalidConfigError listing every violation."""
-    problems = violations(r, s, alphas)
+    values = tuple(Fraction(a) for a in alphas)
+    problems = violations(r, s, values)
     if problems:
         raise InvalidConfigError(problems)
-    return Config(r=r, s=s, alphas=tuple(Fraction(a) for a in alphas))
+    return Config(r=r, s=s, alphas=values)
 
 
 class Regime(enum.Enum):

@@ -55,12 +55,13 @@ def find_base_point(
     lexicographic; y_2 is recovered from the equation as a nonnegative
     integer square root.  Triples whose third coordinate exceeds the
     height bound are rejected, so the scan is exhaustive over primitive
-    triples of height <= search_height.
+    triples of height <= search_height.  The first hit is primitive: a
+    multiple g P of a conic point P lies g shells further out than P.
     """
     A, B, C = _single_equation(system)
     if search_height < 1:
         raise ValueError("search height must be positive")
-    for shell in range(0, search_height + 1):
+    for shell in range(1, search_height + 1):
         for y0 in range(0, shell + 1):
             for y1 in range(-shell, shell + 1):
                 if max(y0, abs(y1)) != shell:
@@ -78,10 +79,6 @@ def find_base_point(
                 if root * root != t:
                     continue
                 if root > search_height:
-                    continue
-                if y0 == 0 and y1 == 0 and root == 0:
-                    continue
-                if gcd(gcd(y0, abs(y1)), root) != 1:
                     continue
                 return ProjPoint([y0, y1, root])
     return None
@@ -127,10 +124,9 @@ def parametrize(
     return point, False
 
 
-def _directions(limit: int | None = None):
+def _directions():
     """Canonical coprime directions, one per +-pair, in shell order."""
-    shells = range(1, limit + 1) if limit else itertools.count(1)
-    for shell in shells:
+    for shell in itertools.count(1):
         for t0 in range(-shell, shell + 1):
             for t1 in range(0, shell + 1):
                 if max(abs(t0), t1) != shell:
@@ -148,10 +144,13 @@ def enumerate_curves(
     """Up to ``count`` distinct smooth members through the three prescribed
     x-coordinates.
 
-    Streams conic points from the line pencil in a fixed order, lifts each
-    with scale 1, skips points that degenerate (a = 0 or b = 0), and
-    deduplicates on the exact (a, b) pair.  Deterministic: same inputs,
-    same output sequence.
+    Streams conic points from the line pencil in a fixed order and lifts
+    each with scale 1, skipping points that degenerate (a = 0 or b = 0).
+    With scale 1 the lift solves y_j^2 = a alpha_j^(r+1) + b alpha_j for
+    j = 0, 1, so (a, b) and (Y_0^2, Y_1^2) determine each other: a point
+    whose (Y_0^2, Y_1^2) was already seen, a sign flip of an earlier one or
+    the base point again from the tangent direction, is skipped before it
+    is lifted.  Deterministic: same inputs, same output sequence.
     """
     if config.s != 2 or config.n != 2:
         raise ValueError("enumeration needs s = 2 and n = 2")
@@ -167,35 +166,30 @@ def enumerate_curves(
         )
     model = ConicModel(*_single_equation(system), base_point=base)
 
-    results: list[CurveWithPoints] = []
-    seen: set[tuple[Fraction, Fraction]] = set()
-
-    def try_point(point: ProjPoint) -> None:
-        try:
-            cwp = from_fiber_point(system, point, scale=Fraction(1))
-        except LiftObstruction:
-            return
-        key = (cwp.curve.a, cwp.curve.b)
-        if key in seen:
-            return
-        seen.add(key)
-        results.append(cwp)
-
-    try_point(base)
     # Each (a, b) absorbs at most four sign-flipped conic points and lift
     # failures are finite, so this budget is never the binding constraint
     # for a solvable conic; it only guards against looping forever.
     budget = 16 * (count + 2) + 64
-    for t in itertools.islice(_directions(), budget):
+    pencil = (
+        parametrize(model, t)[0]
+        for t in itertools.islice(_directions(), budget)
+    )
+    results: list[CurveWithPoints] = []
+    seen: set[tuple[int, int]] = set()
+    for point in itertools.chain([base], pencil):
         if len(results) >= count:
             break
-        point, tangent = parametrize(model, t)
-        if tangent:
+        key = (point[0] ** 2, point[1] ** 2)
+        if key in seen:
             continue
-        try_point(point)
+        seen.add(key)
+        try:
+            results.append(from_fiber_point(system, point, scale=Fraction(1)))
+        except LiftObstruction:
+            pass
     if len(results) < count:
         raise NoRationalPointError(
             f"exhausted {budget} directions with only {len(results)} "
             f"distinct curves"
         )
-    return results[:count]
+    return results

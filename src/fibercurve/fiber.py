@@ -66,9 +66,6 @@ class ProjPoint:
     def __getitem__(self, i: int) -> int:
         return self.coords[i]
 
-    def __iter__(self):
-        return iter(self.coords)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, ProjPoint):
             return self.coords == other.coords

@@ -22,18 +22,28 @@ from .fiber import (
 from .search import EVIDENCE_NOTE, SearchReport
 
 
-def _int_field(obj: dict, key: str) -> int:
-    value = obj[key]
-    if type(value) is not int:  # bool is an int subclass; reject it too
-        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+_JSON_TYPES = {int: "integer", bool: "bool", list: "list", dict: "object"}
+
+
+def _typed(value, name: str, kind: type):
+    """``value`` when its JSON type is ``kind``, else a ValueError naming
+    the field ``name``.  The exact type test keeps a bool out of an int."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"{name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}"
+        )
     return value
 
 
-def _bool_field(obj: dict, key: str) -> bool:
-    value = obj[key]
-    if type(value) is not bool:
-        raise ValueError(f"{key!r} must be a JSON bool, got {value!r}")
-    return value
+def _field(obj: dict, key: str, kind: type):
+    return _typed(obj[key], key, kind)
+
+
+def _object_entries(obj: dict, key: str) -> list[dict]:
+    return [
+        _typed(entry, f"{key}[{k}]", dict)
+        for k, entry in enumerate(_field(obj, key, list))
+    ]
 
 
 def _int_text_field(obj: dict, key: str) -> int:
@@ -48,13 +58,6 @@ def _int_text_field(obj: dict, key: str) -> int:
     return q.numerator
 
 
-def _list_field(obj: dict, key: str) -> list:
-    value = obj[key]
-    if not isinstance(value, list):
-        raise ValueError(f"{key!r} must be a JSON list, got {value!r}")
-    return value
-
-
 def curve_to_obj(curve: FamilyCurve) -> dict:
     return {
         "r": curve.r,
@@ -66,8 +69,8 @@ def curve_to_obj(curve: FamilyCurve) -> dict:
 
 def curve_from_obj(obj: dict) -> FamilyCurve:
     return FamilyCurve(
-        r=_int_field(obj, "r"),
-        s=_int_field(obj, "s"),
+        r=_field(obj, "r", int),
+        s=_field(obj, "s", int),
         a=parse_rational(obj["a"]),
         b=parse_rational(obj["b"]),
     )
@@ -92,9 +95,9 @@ def config_to_obj(config: Config) -> dict:
 def config_fields(obj: dict) -> tuple[int, int, list]:
     """(r, s, alphas) of a configuration object, checked for type only."""
     return (
-        _int_field(obj, "r"),
-        _int_field(obj, "s"),
-        [parse_rational(a) for a in _list_field(obj, "alphas")],
+        _field(obj, "r", int),
+        _field(obj, "s", int),
+        [parse_rational(a) for a in _field(obj, "alphas", list)],
     )
 
 
@@ -107,7 +110,7 @@ def proj_point_to_obj(point: ProjPoint) -> dict:
 
 
 def proj_point_from_obj(obj: dict) -> ProjPoint:
-    return ProjPoint([parse_rational(c) for c in _list_field(obj, "coords")])
+    return ProjPoint([parse_rational(c) for c in _field(obj, "coords", list)])
 
 
 def fiber_system_to_obj(system: FiberSystem) -> dict:
@@ -127,16 +130,16 @@ def fiber_system_to_obj(system: FiberSystem) -> dict:
 
 
 def fiber_system_from_obj(obj: dict) -> FiberSystem:
-    config = config_from_obj(obj["config"])
+    config = config_from_obj(_field(obj, "config", dict))
     equations = tuple(
         FiberEquation(
-            i=_int_field(e, "i"),
+            i=_field(e, "i", int),
             A=_int_text_field(e, "A"),
             B=_int_text_field(e, "B"),
             C=_int_text_field(e, "C"),
             scale=parse_rational(e.get("scale", "1")),
         )
-        for e in _list_field(obj, "equations")
+        for e in _object_entries(obj, "equations")
     )
     return FiberSystem(config=config, equations=equations)
 
@@ -150,8 +153,8 @@ def cwp_to_obj(cwp: CurveWithPoints) -> dict:
 
 def cwp_from_obj(obj: dict) -> CurveWithPoints:
     return CurveWithPoints(
-        curve=curve_from_obj(obj["curve"]),
-        points=tuple(point_from_obj(p) for p in _list_field(obj, "points")),
+        curve=curve_from_obj(_field(obj, "curve", dict)),
+        points=tuple(point_from_obj(p) for p in _object_entries(obj, "points")),
     )
 
 
@@ -173,13 +176,13 @@ def search_report_to_obj(report: SearchReport) -> dict:
 
 def search_report_from_obj(obj: dict) -> SearchReport:
     return SearchReport(
-        config=config_from_obj(obj["config"]),
-        height_bound=_int_field(obj, "height_bound"),
-        hits=tuple(cwp_from_obj(h) for h in _list_field(obj, "hits")),
-        search_space_size=_int_field(obj, "search_space_size"),
-        elapsed_ms=_int_field(obj, "elapsed_ms"),
-        complete=_bool_field(obj, "complete"),
-        workers=_int_field(obj, "workers"),
+        config=config_from_obj(_field(obj, "config", dict)),
+        height_bound=_field(obj, "height_bound", int),
+        hits=tuple(cwp_from_obj(h) for h in _object_entries(obj, "hits")),
+        search_space_size=_field(obj, "search_space_size", int),
+        elapsed_ms=_field(obj, "elapsed_ms", int),
+        complete=_field(obj, "complete", bool),
+        workers=_field(obj, "workers", int),
         note=obj.get("note", EVIDENCE_NOTE),
         stats=obj.get("stats"),
     )

@@ -99,6 +99,22 @@ class TestRationalCodec:
         assert parse_rational("-5") == F(-5)
         assert parse_rational("−8/3") == F(-8, 3)  # unicode minus
 
+    @pytest.mark.parametrize("text, value", [
+        (" 1", F(1)), ("2 ", F(2)), ("\t-3/4\n", F(-3, 4)), ("007", F(7)),
+        ("-0", F(0)), ("6/4", F(3, 2)),
+    ])
+    def test_outer_whitespace_and_plain_digits(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "--1", "1_0", "\u0663", "1/-2", "-1/-2", "+1", "1 / 2", "\u2212 5",
+        "- 5", "", " ", "/2", "1/", "1//2", "1/2/3", "1.5", "1e3", "0x10",
+        "\uff11", "\u00b2", "1\n/2",
+    ])
+    def test_malformed_text_names_the_input(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_rational(text)
+
     def test_zero_denominator_names_the_input(self):
         with pytest.raises(ValueError, match="'1/0'"):
             parse_rational("1/0")

@@ -27,6 +27,8 @@ CFG123 = '{"r":2,"s":2,"alphas":["1","2","3"]}'
 # non-integer config whose conic is 168 Y_0^2 - 13 Y_1^2 + 27 Y_2^2 = 0
 CFG_FRAC = '{"r":1,"s":2,"alphas":["1/2","3","-5/3"]}'
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+# nested past the recursion limit of the JSON decoder
+DEEP = "[" * 100_000 + "]" * 100_000
 
 # y^2 = x(x^2 + 3) through x = 1, 3, 12
 CWP13 = CurveWithPoints(
@@ -128,6 +130,25 @@ class TestValidateVerb:
             assert json.loads(err)["error"] == "usage"
 
 
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_deeply_nested_config_is_usage_error(self, capsys, tmp_path, literal):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        source = DEEP if literal else str(path)
+        code, out, err = run(capsys, "validate", "--config", source)
+        assert code == EXIT_USAGE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert payload["message"] == f"input {source!r} is nested too deeply"
+
+    def test_malformed_rationals_are_usage_errors(self, capsys):
+        cfg = '{"r":2,"s":2,"alphas":["--1","1_0","\u0663"]}'
+        code, out, err = run(capsys, "validate", "--config", cfg)
+        assert code == EXIT_USAGE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage" and "'--1'" in payload["message"]
+
+
 class TestFlagRanges:
     @pytest.mark.parametrize(
         "argv",
@@ -167,6 +188,17 @@ class TestFlagRanges:
                 "curve": {"r": 2, "s": 2, "a": "1", "b": "3"},
                 "points": {"x": "1", "y": "2"},
             })),
+            ("push", "--input", json.dumps({
+                "curve": {"r": 2, "s": 2, "a": "1", "b": "3"}, "points": [1, 2],
+            })),
+            ("push", "--input", json.dumps({
+                "curve": [], "points": [{"x": "1", "y": "2"}, {"x": "3", "y": "6"}],
+            })),
+            pytest.param(("solve-ab", "--r", "2", "--s", "2", "--p0",
+                          '{"x": %s}' % DEEP, "--p1", "2,6"),
+                         id="solve-ab --p0 {deeply nested}"),
+            ("lift", "--config", CFG123, "--point", '{"coords":["0","1","2"]}',
+             "--scale", "1/-2"),
             ("fiber-genus", "--s", "abc", "--n", "3"),
         ],
         ids=lambda argv: " ".join(a for a in argv if a != CFG123),
@@ -523,6 +555,33 @@ class TestJsonRoundTrips:
         obj = to_obj(values[key])
         obj[key] = value
         with pytest.raises(ValueError, match=f"'{key}' must be a JSON list"):
+            from_obj(obj)
+
+    @pytest.mark.parametrize("to_obj, from_obj, key, value", [
+        (jsonio.cwp_to_obj, jsonio.cwp_from_obj, "curve", []),
+        (jsonio.cwp_to_obj, jsonio.cwp_from_obj, "points", 1),
+        (jsonio.fiber_system_to_obj, jsonio.fiber_system_from_obj, "config", "x"),
+        (jsonio.fiber_system_to_obj, jsonio.fiber_system_from_obj, "equations", None),
+        (jsonio.search_report_to_obj, jsonio.search_report_from_obj, "config", []),
+        (jsonio.search_report_to_obj, jsonio.search_report_from_obj, "hits", []),
+    ])
+    def test_nested_values_must_be_objects(self, to_obj, from_obj, key, value):
+        cfg = validate(2, 2, [F(1), F(3), F(12)])
+        values = {
+            jsonio.cwp_to_obj: CWP13,
+            jsonio.fiber_system_to_obj: build_fiber(
+                validate(2, 2, [F(1), F(2), F(3), F(5)])
+            ),
+            jsonio.search_report_to_obj: search_ab(cfg, 4),  # two hits
+        }
+        obj = to_obj(values[to_obj])
+        if isinstance(obj[key], list):  # the message names the last entry
+            name = f"{key}[{len(obj[key]) - 1}]"
+            obj[key][-1] = value
+        else:
+            name = key
+            obj[key] = value
+        with pytest.raises(ValueError, match=re.escape(f"{name!r} must be a JSON object")):
             from_obj(obj)
 
     @pytest.mark.parametrize("value", [2.7, "2", True])

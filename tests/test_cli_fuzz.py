@@ -21,7 +21,7 @@ def mostly(good, bad):
 
 
 SMALL = st.integers(-2, 6)
-BAD_TEXT = st.sampled_from(["1/0", "abc", ""])
+BAD_TEXT = st.sampled_from(["1/0", "abc", "", "--1", "1_0", "\u0663"])
 SCALARS = mostly(st.integers(2, 5).map(str), SMALL.map(str) | BAD_TEXT)
 RATIONALS = mostly(st.sampled_from(["1", "-1", "2", "3", "1/2", "-5/3", "4"]),
                    st.just("0") | BAD_TEXT)
@@ -47,8 +47,13 @@ CURVES = fields(curve=fields(r=st.integers(1, 3), s=st.integers(2, 3),
                 points=st.lists(AFFINE, max_size=4))
 
 
+# nested past the recursion limit of the JSON decoder
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def payloads(objects):
-    return mostly(objects.map(json.dumps), st.sampled_from(["[1]", "3", "abc", "{"]))
+    return mostly(objects.map(json.dumps),
+                  st.sampled_from(["[1]", "3", "abc", "{", DEEP]))
 
 
 def flag(name, values):

@@ -1,11 +1,16 @@
+import itertools
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from fibercurve.config import validate
+from fibercurve.birat import LiftObstruction, from_fiber_point
+from fibercurve.config import InvalidConfigError, validate
 from fibercurve.conic import (
     ConicModel,
     NoRationalPointError,
+    _directions,
     enumerate_curves,
     find_base_point,
     parametrize,
@@ -17,6 +22,8 @@ CFG123 = validate(2, 2, [F(1), F(2), F(3)])
 CFG124 = validate(2, 2, [F(1), F(2), F(4)])
 # all three cofactors share a sign here, so the conic is definite
 CFG_DEFINITE = validate(2, 2, [F(1), F(-2), F(4)])
+# the base point (1, 2, 5) and its sign flips lift to b = 0
+CFG125 = validate(1, 2, [F(1), F(2), F(5)])
 
 
 def model_for(cfg, height=20):
@@ -58,6 +65,35 @@ class TestFindBasePoint:
             ),
         )
         assert find_base_point(system, 30) is None
+
+
+    def test_matches_a_scan_of_primitive_triples(self):
+        def brute_force(system, height):
+            eq = system.equations[0]
+            hits = [
+                (max(y0, abs(y1)), y0, y1, y2)
+                for y0 in range(height + 1)
+                for y1 in range(-height, height + 1)
+                for y2 in range(height + 1)
+                if (y0 > 0 or y1 > 0) and gcd(y0, y1, y2) == 1
+                and eq.A * y0 * y0 + eq.B * y1 * y1 + eq.C * y2 * y2 == 0
+            ]
+            return ProjPoint(min(hits)[1:]) if hits else None
+
+        rng = random.Random(8)
+        checked = found = 0
+        while checked < 300:
+            alphas = [F(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(3)]
+            try:
+                cfg = validate(rng.randint(1, 3), 2, alphas)
+            except InvalidConfigError:
+                continue
+            system = build_fiber(cfg)
+            point = find_base_point(system, 8)
+            assert point == brute_force(system, 8), cfg
+            checked += 1
+            found += point is not None
+        assert found >= 50
 
 
 class TestParametrize:
@@ -103,7 +139,39 @@ class TestParametrize:
             parametrize(model, (2, 4))
 
 
+def lift_every_point(cfg, count, height):
+    """Lift the base point and every non-tangent pencil point, and drop
+    repeated (a, b) after the lift; also count the obstructed lifts."""
+    system = build_fiber(cfg)
+    model = model_for(cfg, height)
+    pencil = (parametrize(model, t) for t in _directions())
+    results, seen, obstructed = [], set(), 0
+    for point, tangent in itertools.chain([(model.base_point, False)], pencil):
+        if tangent:
+            continue
+        if len(results) >= count:
+            break
+        try:
+            cwp = from_fiber_point(system, point, scale=F(1))
+        except LiftObstruction:
+            obstructed += 1
+            continue
+        if (cwp.curve.a, cwp.curve.b) not in seen:
+            seen.add((cwp.curve.a, cwp.curve.b))
+            results.append(cwp)
+    return results, obstructed
+
+
 class TestEnumerateCurves:
+    @pytest.mark.parametrize("cfg, obstructed", [
+        (CFG123, 0), (CFG124, 0), (CFG125, 4),
+    ])
+    def test_matches_lifting_every_point(self, cfg, obstructed):
+        expected, seen_obstructed = lift_every_point(cfg, 150, 20)
+        assert seen_obstructed == obstructed
+        assert enumerate_curves(cfg, 150, 20) == expected
+
+
     def test_five_distinct_verified_curves(self):
         curves = enumerate_curves(CFG123, 5, 20)
         assert len(curves) == 5
