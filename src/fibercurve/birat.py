@@ -51,11 +51,15 @@ class CurveWithPoints:
         )
 
     def verify(self) -> Config:
-        """Check every point is on the curve; return the validated Config."""
+        """Check every point is on the curve; return the validated Config.
+
+        The configuration is validated first: ``contains`` needs r and s
+        in range (s = -1 would divide by zero)."""
+        cfg = self.config()
         for idx, p in enumerate(self.points):
             if not contains(self.curve, p):
                 raise ValueError(f"point {idx} is not on the curve")
-        return self.config()
+        return cfg
 
 
 def solve_ab(

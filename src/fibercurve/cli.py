@@ -39,30 +39,40 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _shown(text: str) -> str:
+    """``repr`` of an input literal for a message, cut to its first 40
+    characters and its length when it is longer than 80."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:40]!r}… ({len(text)} characters)"
+
+
 def _parse_json(text: str, source: str):
     """``json.loads`` that reports nesting too deep for the decoder as a
     usage error naming ``source``, not as a RecursionError."""
     try:
         return json.loads(text)
     except RecursionError:
-        raise UsageError(f"input {source!r} is nested too deeply") from None
+        raise UsageError(f"input {source} is nested too deeply") from None
 
 
 def _read_payload(value: str) -> dict:
-    """Accept a path, "-" for stdin, or a literal JSON object."""
+    """Accept a path, "-" for stdin, or a literal JSON object.  A message
+    names a path in full and shortens a literal."""
+    source = repr(value)
     try:
         if value.strip().startswith(("{", "[")):
-            text = value
+            text, source = value, _shown(value)
         elif value == "-":
             text = sys.stdin.read()
         else:
             with open(value, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        obj = _parse_json(text, value)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read input {value!r}: {exc}") from exc
+        obj = _parse_json(text, source)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read input {source}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise UsageError(f"input {value!r} is not a JSON object")
+        raise UsageError(f"input {source} is not a JSON object")
     return obj
 
 
@@ -76,10 +86,10 @@ def _emit(obj) -> None:
 
 def _parse_affine(text: str) -> family.AffinePoint:
     if text.strip().startswith("{"):
-        return jsonio.point_from_obj(_parse_json(text, text))
+        return jsonio.point_from_obj(_parse_json(text, _shown(text)))
     coords = text.split(",")
     if len(coords) != 2:
-        raise UsageError(f'point {text!r} is not "x,y" or JSON')
+        raise UsageError(f'point {_shown(text)} is not "x,y" or JSON')
     return family.AffinePoint(*map(parse_rational, coords))
 
 
@@ -180,21 +190,23 @@ def _cmd_conic_enumerate(args) -> int:
 def _cmd_search_ab(args) -> int:
     cfg = _load_config(args.config)
     report = search.search_ab(cfg, args.height, args.workers)
-    if args.stats:
-        print(json.dumps(report.stats), file=sys.stderr)
     obj = jsonio.search_report_to_obj(dataclasses.replace(report, stats=None))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-        _emit(
-            {
-                "hits": len(report.hits),
-                "search_space_size": report.search_space_size,
-                "out": args.out,
-            }
-        )
-    else:
-        _emit(obj)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh, indent=2)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write --out {args.out!r}: {exc.strerror or exc}"
+            ) from exc
+        obj = {
+            "hits": len(report.hits),
+            "search_space_size": report.search_space_size,
+            "out": args.out,
+        }
+    if args.stats:
+        print(json.dumps(report.stats), file=sys.stderr)
+    _emit(obj)
     return EXIT_OK
 
 

@@ -46,6 +46,17 @@ def _single_equation(system: FiberSystem) -> tuple[int, int, int]:
     return eq.A, eq.B, eq.C
 
 
+def _half_shell(k: int):
+    """The 4k pairs (a, b) with max(a, |b|) = k, a >= 0 and b > 0 when
+    a = 0: one of each +- pair on the square shell, in lexicographic order."""
+    yield 0, k
+    for a in range(1, k):
+        yield a, -k
+        yield a, k
+    for b in range(-k, k + 1):
+        yield k, b
+
+
 def find_base_point(
     system: FiberSystem, search_height: int
 ) -> ProjPoint | None:
@@ -62,24 +73,13 @@ def find_base_point(
     if search_height < 1:
         raise ValueError("search height must be positive")
     for shell in range(1, search_height + 1):
-        for y0 in range(0, shell + 1):
-            for y1 in range(-shell, shell + 1):
-                if max(y0, abs(y1)) != shell:
-                    continue
-                if y0 == 0 and y1 < 0:
-                    continue  # canonical sign
-                t = -(A * y0 * y0 + B * y1 * y1)
-                if C != 0:
-                    t, rem = divmod(t, C)  # exact: rem == 0 iff C | t
-                    if rem:
-                        continue
-                if t < 0:
-                    continue
-                root = isqrt(t)
-                if root * root != t:
-                    continue
-                if root > search_height:
-                    continue
+        for y0, y1 in _half_shell(shell):
+            # exact: rem == 0 iff C | t; C > 0 is build_fiber's normalization
+            t, rem = divmod(-(A * y0 * y0 + B * y1 * y1), C)
+            if rem or t < 0:
+                continue
+            root = isqrt(t)
+            if root * root == t and root <= search_height:
                 return ProjPoint([y0, y1, root])
     return None
 
@@ -127,15 +127,9 @@ def parametrize(
 def _directions():
     """Canonical coprime directions, one per +-pair, in shell order."""
     for shell in itertools.count(1):
-        for t0 in range(-shell, shell + 1):
-            for t1 in range(0, shell + 1):
-                if max(abs(t0), t1) != shell:
-                    continue
-                if t1 == 0 and t0 < 0:
-                    continue
-                if gcd(abs(t0), t1) != 1:
-                    continue
-                yield (t0, t1)
+        for t0, t1 in sorted((b, a) for a, b in _half_shell(shell)):
+            if gcd(t0, t1) == 1:
+                yield t0, t1
 
 
 def enumerate_curves(

@@ -139,7 +139,29 @@ class TestValidateVerb:
         assert code == EXIT_USAGE and out == ""
         payload = json.loads(err)
         assert payload["error"] == "usage"
-        assert payload["message"] == f"input {source!r} is nested too deeply"
+        shown = (f"{DEEP[:40]!r}… ({len(DEEP)} characters)" if literal
+                 else repr(source))
+        assert payload["message"] == f"input {shown} is nested too deeply"
+
+    def test_long_literal_is_shortened_in_the_message(self, capsys):
+        literal = '{"r": 2, "alphas": [' + '"1", ' * 40_000 + "]"
+        assert len(literal) > 200_000
+        code, out, err = run(capsys, "validate", "--config", literal)
+        assert code == EXIT_USAGE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert len(payload["message"]) < 200
+        assert payload["message"].startswith(f"cannot read input {literal[:40]!r}…")
+
+    def test_non_utf8_file_names_the_path(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"r": 2, "s": 2, "alphas": ["1", "\xff"]}')
+        code, out, err = run(capsys, "validate", "--config", str(path))
+        assert code == EXIT_USAGE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert payload["message"].startswith(f"cannot read input {str(path)!r}: ")
+        assert "utf-8" in payload["message"]
 
     def test_malformed_rationals_are_usage_errors(self, capsys):
         cfg = '{"r":2,"s":2,"alphas":["--1","1_0","\u0663"]}'
@@ -353,6 +375,18 @@ class TestCorrespondenceVerbs:
         assert code == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("curve, x0, message", [
+        ({"r": 2, "s": -1}, "1", "s must be >= 2, got -1"),
+        ({"r": -2, "s": 2}, "0", "r must be >= 1, got -2; alpha[0] is zero"),
+    ], ids=["s=-1", "r=-2"])
+    def test_push_out_of_range_curve_is_math_failure(self, capsys, curve, x0,
+                                                     message):
+        cwp = {"curve": {**curve, "a": "1", "b": "1"},
+               "points": [{"x": x0, "y": "0"}, {"x": "2", "y": "3"}]}
+        code, out, err = run(capsys, "push", "--input", json.dumps(cwp))
+        assert code == EXIT_MATH and out == ""
+        assert json.loads(err) == {"error": "math", "message": message}
+
     def test_lift_obstruction(self, capsys):
         cfg = '{"r":2,"s":2,"alphas":["1","4","9"]}'
         point = '{"coords":["1","2","3"]}'
@@ -438,6 +472,20 @@ class TestBatchVerbs:
         )
         assert (F(1), F(3)) in [(h.curve.a, h.curve.b) for h in report.hits]
         assert "evidence" in report.note
+
+    @pytest.mark.parametrize("name", ["nope/r.json", "."],
+                             ids=["missing directory", "directory"])
+    def test_search_ab_unwritable_out_is_usage_error(self, capsys, tmp_path,
+                                                     name):
+        out_path = tmp_path / name
+        code, out, err = run(capsys, "search-ab", "--config", CFG123,
+                             "--height", "2", "--out", str(out_path), "--stats")
+        assert code == EXIT_USAGE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert payload["message"].startswith(
+            f"cannot write --out {str(out_path)!r}: "
+        )
 
     def test_search_ab_stats_on_stderr(self, capsys):
         argv = ["search-ab", "--config", '{"r":2,"s":2,"alphas":["1","3","12"]}',

@@ -38,12 +38,13 @@ def fields(**good):
     )
 
 
-CONFIGS = fields(r=st.integers(1, 3), s=st.integers(2, 3),
+R = mostly(st.integers(1, 3), SMALL)
+S = mostly(st.integers(2, 3), SMALL)
+CONFIGS = fields(r=R, s=S,
                  alphas=st.lists(RATIONALS, min_size=2, max_size=5, unique=True))
 POINTS = fields(coords=st.lists(RATIONALS, min_size=2, max_size=5))
 AFFINE = fields(x=RATIONALS, y=RATIONALS)
-CURVES = fields(curve=fields(r=st.integers(1, 3), s=st.integers(2, 3),
-                             a=RATIONALS, b=RATIONALS),
+CURVES = fields(curve=fields(r=R, s=S, a=RATIONALS, b=RATIONALS),
                 points=st.lists(AFFINE, max_size=4))
 
 
@@ -94,6 +95,14 @@ VERBS = {
 }
 
 
+def as_int(text):
+    """The value argparse's ``type=int`` reads ("1_0" is 10), else None."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 @st.composite
 def argvs(draw):
     verb = draw(st.sampled_from(sorted(VERBS) + ["fixtures"]))
@@ -107,10 +116,10 @@ def argvs(draw):
         argv += draw(switch("--stats"))
     if verb == "trivial-points":
         argv += draw(switch("--full"))
-        r, s, n = (argv[argv.index(k) + 1] if k in argv else ""
+        r, s, n = (as_int(argv[argv.index(k) + 1]) if k in argv else None
                    for k in ("--r", "--s", "--n"))
-        if all(v.lstrip("-").isdigit() for v in (r, s, n)) and int(n) >= 0:
-            hypothesis.assume((int(r) * int(s)) ** (int(n) + 1) <= 10**3)
+        if None not in (r, s, n) and n >= 0:
+            hypothesis.assume(abs(r * s) ** (n + 1) <= 10**3)
     return argv
 
 

@@ -11,12 +11,13 @@ from fibercurve.conic import (
     ConicModel,
     NoRationalPointError,
     _directions,
+    _half_shell,
     enumerate_curves,
     find_base_point,
     parametrize,
 )
 from fibercurve.family import contains
-from fibercurve.fiber import ProjPoint, build_fiber
+from fibercurve.fiber import FiberEquation, FiberSystem, ProjPoint, build_fiber
 
 CFG123 = validate(2, 2, [F(1), F(2), F(3)])
 CFG124 = validate(2, 2, [F(1), F(2), F(4)])
@@ -32,6 +33,44 @@ def model_for(cfg, height=20):
     base = find_base_point(system, height)
     assert base is not None
     return ConicModel(eq.A, eq.B, eq.C, base_point=base)
+
+
+def filtered_shell(k):
+    """The square filter the base-point search ran before ``_half_shell``."""
+    return [
+        (y0, y1)
+        for y0 in range(0, k + 1)
+        for y1 in range(-k, k + 1)
+        if max(y0, abs(y1)) == k and not (y0 == 0 and y1 < 0)
+    ]
+
+
+def filtered_directions():
+    """The square filter ``_directions`` ran before ``_half_shell``."""
+    for shell in itertools.count(1):
+        for t0 in range(-shell, shell + 1):
+            for t1 in range(0, shell + 1):
+                if max(abs(t0), t1) != shell:
+                    continue
+                if t1 == 0 and t0 < 0:
+                    continue
+                if gcd(abs(t0), t1) != 1:
+                    continue
+                yield (t0, t1)
+
+
+class TestShellWalk:
+    def test_half_shell_is_the_filtered_shell(self):
+        for k in range(1, 41):
+            pairs = list(_half_shell(k))
+            assert len(pairs) == 4 * k
+            assert pairs == filtered_shell(k)
+
+    def test_directions_match_the_filtered_walk(self):
+        n = 20_000
+        assert list(itertools.islice(_directions(), n)) == list(
+            itertools.islice(filtered_directions(), n)
+        )
 
 
 class TestFindBasePoint:
@@ -56,8 +95,6 @@ class TestFindBasePoint:
         assert find_base_point(system, 40) is None
 
     def test_synthetic_sum_of_squares(self):
-        from fibercurve.fiber import FiberEquation, FiberSystem
-
         system = FiberSystem(
             config=CFG123,
             equations=(
@@ -65,6 +102,24 @@ class TestFindBasePoint:
             ),
         )
         assert find_base_point(system, 30) is None
+
+    def test_c_zero_is_rejected(self):
+        # build_fiber normalizes C > 0; a hand-built C = 0 has no y_2 to solve
+        system = FiberSystem(
+            config=CFG123,
+            equations=(FiberEquation(i=2, A=1, B=-2, C=0, scale=F(1)),),
+        )
+        with pytest.raises(ZeroDivisionError):
+            find_base_point(system, 5)
+
+    def test_no_point_at_height_400(self):
+        # about 0.1 s with an O(k) walk per shell; an O(k^2) one takes
+        # about 10 s here
+        system = FiberSystem(
+            config=CFG123,
+            equations=(FiberEquation(i=2, A=1, B=1, C=1, scale=F(1)),),
+        )
+        assert find_base_point(system, 400) is None
 
 
     def test_matches_a_scan_of_primitive_triples(self):
