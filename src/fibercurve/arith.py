@@ -21,6 +21,17 @@ from functools import lru_cache
 _RATIONAL = re.compile(r"\s*([-−]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
+def shown(value) -> str:
+    """``repr`` of an input value for a message.  A string longer than 80
+    characters, or another value whose repr is, is cut to its first 40
+    characters and its length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 80:
+        return repr(value)
+    head = repr(text[:40]) if isinstance(value, str) else text[:40]
+    return f"{head}… ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or bare "p") with an optional leading minus sign.
 
@@ -29,14 +40,25 @@ def parse_rational(text: str) -> Fraction:
     """
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise ValueError(f'expected a rational string "p/q", got {text!r}')
+        raise ValueError(
+            f'expected a rational string "p/q", got {shown(text)}'
+        )
     sign, num, den = match.groups()
     p = -int(num) if sign else int(num)
     if den is None:
         return Fraction(p)
     if int(den) == 0:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {shown(text)}")
     return Fraction(p, int(den))
+
+
+def parse_integer(text: str) -> int:
+    """Parse what ``parse_rational`` accepts without a "/": [-]digits."""
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None or match[3] is not None:
+        raise ValueError(f"expected an integer string, got {shown(text)}")
+    sign, num, _ = match.groups()
+    return -int(num) if sign else int(num)
 
 
 def format_rational(q: Fraction) -> str:

@@ -10,8 +10,19 @@ The (a, b) formulas solve the linear system
     y_0^s = a x_0^{r+1} + b x_0,    y_1^s = a x_1^{r+1} + b x_1,
 
 whose determinant x_0 x_1 (x_0^r - x_1^r) is nonzero for admissible
-x-coordinates.  The normative contract is the round trip: both defining
-points land back on the returned curve, exactly.
+x-coordinates.  They run on integers: with x_j = n_j/d_j and
+y_j^s = m_j/e_j, put t_0 = m_0 e_1 n_1 d_0 and t_1 = m_1 e_0 n_0 d_1
+(y_0^s x_1 and y_1^s x_0 over e_0 e_1 d_0 d_1) and
+P_0 = n_0^r d_1^r, P_1 = n_1^r d_0^r (x_0^r and x_1^r over d_0^r d_1^r).
+Cramer's rule over the one common denominator
+
+    den = e_0 e_1 n_0 n_1 (P_0 - P_1)
+
+gives a = (t_0 - t_1) d_0^r d_1^r / den and b = (t_1 P_0 - t_0 P_1) / den,
+so a and b are the only Fractions built.  The normative contract is the
+round trip: both defining points land back on the returned curve, exactly.
+A lift re-checks every point with ``family.contains``, which also compares
+integers.
 """
 
 from __future__ import annotations
@@ -65,19 +76,26 @@ class CurveWithPoints:
 def solve_ab(
     r: int, s: int, p0: AffinePoint, p1: AffinePoint
 ) -> tuple[Fraction, Fraction]:
-    """The unique (a, b) putting both points on y^s = x(a x^r + b)."""
+    """The unique (a, b) putting both points on y^s = x(a x^r + b).
+
+    Coordinates are ints or Fractions, read through ``numerator`` and
+    ``denominator``; the integer formulas are in the module docstring."""
     if r < 1 or s < 2:
         raise ValueError("need r >= 1 and s >= 2")
-    x0, y0 = p0.x, p0.y
-    x1, y1 = p1.x, p1.y
-    if x0 == 0 or x1 == 0:
+    n0, d0 = p0.x.numerator, p0.x.denominator
+    n1, d1 = p1.x.numerator, p1.x.denominator
+    if n0 == 0 or n1 == 0:
         raise SingularSystemError("x-coordinates must be nonzero")
-    delta = x0 * x1 * (x0**r - x1**r)
-    if delta == 0:
+    d0_r, d1_r = d0**r, d1**r
+    P0, P1 = n0**r * d1_r, n1**r * d0_r
+    if P0 == P1:
         raise SingularSystemError(f"x_0^{r} == x_1^{r}: singular system")
-    a = (y0**s * x1 - y1**s * x0) / delta
-    b = (x0 ** (r + 1) * y1**s - x1 ** (r + 1) * y0**s) / delta
-    return a, b
+    m0, e0 = p0.y.numerator**s, p0.y.denominator**s
+    m1, e1 = p1.y.numerator**s, p1.y.denominator**s
+    t0, t1 = m0 * e1 * n1 * d0, m1 * e0 * n0 * d1
+    den = e0 * e1 * n0 * n1 * (P0 - P1)
+    a = Fraction((t0 - t1) * d0_r * d1_r, den)
+    return a, Fraction(t1 * P0 - t0 * P1, den)
 
 
 def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
@@ -98,9 +116,10 @@ def from_fiber_point(
     """Lift a point of the fiber ``system`` back to a curve with all n+1
     points at the x-coordinates of ``system.config``.
 
-    Coordinates are read as y-values y_i = scale * Y_i; the default scale
-    1/Y_0 normalizes y_0 = 1.  Because fiber membership is degree-s
-    homogeneous, changing the scale moves (a, b) by an s-th power.  Raises
+    Coordinates are read as y-values y_i = scale * Y_i, each built as one
+    Fraction(u Y_i, v) for scale = u/v; the default scale 1/Y_0 normalizes
+    y_0 = 1.  Because fiber membership is degree-s homogeneous, changing
+    the scale moves (a, b) by an s-th power.  Raises
     LiftObstruction when the point is off the fiber, when Y_0 = 0 and no
     explicit scale was given, or when the lifted curve degenerates
     (a = 0 or b = 0).
@@ -116,12 +135,13 @@ def from_fiber_point(
                 "Y_0 = 0: default normalization undefined, pass a scale",
                 index=0,
             )
-        scale = Fraction(1, point[0])
+        u, v = 1, point[0]
     else:
         scale = Fraction(scale)
         if scale == 0:
             raise ValueError("scale must be nonzero")
-    ys = [scale * c for c in point.coords]
+        u, v = scale.numerator, scale.denominator
+    ys = [Fraction(u * c, v) for c in point.coords]
     p0 = AffinePoint(config.alphas[0], ys[0])
     p1 = AffinePoint(config.alphas[1], ys[1])
     a, b = solve_ab(config.r, config.s, p0, p1)

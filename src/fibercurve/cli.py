@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import birat, conic, family, fiber, fixtures, jsonio, search
-from .arith import format_rational, parse_rational
+from .arith import format_rational, parse_integer, parse_rational, shown
 from .config import InvalidConfigError, classify, violations
 
 EXIT_OK = 0
@@ -39,12 +39,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _shown(text: str) -> str:
-    """``repr`` of an input literal for a message, cut to its first 40
-    characters and its length when it is longer than 80."""
-    if len(text) <= 80:
-        return repr(text)
-    return f"{text[:40]!r}… ({len(text)} characters)"
+def _integer(text: str) -> int:
+    """The type of every integer flag: ``parse_integer``, rejecting as
+    argparse rejects a text that ``int`` cannot read."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {shown(text)}"
+        ) from None
 
 
 def _parse_json(text: str, source: str):
@@ -62,7 +65,7 @@ def _read_payload(value: str) -> dict:
     source = repr(value)
     try:
         if value.strip().startswith(("{", "[")):
-            text, source = value, _shown(value)
+            text, source = value, shown(value)
         elif value == "-":
             text = sys.stdin.read()
         else:
@@ -86,10 +89,10 @@ def _emit(obj) -> None:
 
 def _parse_affine(text: str) -> family.AffinePoint:
     if text.strip().startswith("{"):
-        return jsonio.point_from_obj(_parse_json(text, _shown(text)))
+        return jsonio.point_from_obj(_parse_json(text, shown(text)))
     coords = text.split(",")
     if len(coords) != 2:
-        raise UsageError(f'point {_shown(text)} is not "x,y" or JSON')
+        raise UsageError(f'point {shown(text)} is not "x,y" or JSON')
     return family.AffinePoint(*map(parse_rational, coords))
 
 
@@ -267,28 +270,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fiber_verify)
 
     p = sub.add_parser("fiber-genus", help="genus of the fiber curve")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--s", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.set_defaults(func=_cmd_fiber_genus)
 
     p = sub.add_parser("gonality-bound", help="gonality lower bound")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--s", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.set_defaults(func=_cmd_gonality_bound)
 
     p = sub.add_parser("family-genus", help="genus of a family member")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--s", type=_integer, required=True)
     p.set_defaults(func=_cmd_family_genus)
 
     p = sub.add_parser("classify", help="fiber regime and n0 threshold")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--s", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("solve-ab", help="recover (a, b) from two points")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--s", type=_integer, required=True)
     p.add_argument("--p0", required=True, help='point as "x,y" or JSON')
     p.add_argument("--p1", required=True)
     p.set_defaults(func=_cmd_solve_ab)
@@ -306,23 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("conic-enumerate", help="stream curves from the "
                        "genus-zero fiber (s=2, n=2)")
     p.add_argument("--config", required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--height", type=int, default=64)
+    p.add_argument("--count", type=_integer, required=True)
+    p.add_argument("--height", type=_integer, default=64)
     p.set_defaults(func=_cmd_conic_enumerate)
 
     p = sub.add_parser("search-ab", help="height-bounded exhaustive search")
     p.add_argument("--config", required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--height", type=_integer, required=True)
+    p.add_argument("--workers", type=_integer, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--stats", action="store_true",
                    help="write the run's counters to stderr as JSON")
     p.set_defaults(func=_cmd_search_ab)
 
     p = sub.add_parser("trivial-points", help="certify root-of-unity points")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--s", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--full", action="store_true",
                    help="include every verified tuple in the output")
     p.set_defaults(func=_cmd_trivial_points)

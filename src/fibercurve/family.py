@@ -1,6 +1,7 @@
 """The curve family C_{a,b}: y^s = x(a x^r + b).
 
 Exact membership and the genus of a smooth member (one with ab != 0).
+Coefficients and coordinates are exact rationals, ints or Fractions.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ class FamilyCurve:
     a: Fraction
     b: Fraction
 
-    def rhs(self, x: Fraction) -> Fraction:
-        return x * (self.a * x**self.r + self.b)
-
 
 @dataclass(frozen=True)
 class AffinePoint:
@@ -28,8 +26,20 @@ class AffinePoint:
 
 
 def contains(curve: FamilyCurve, p: AffinePoint) -> bool:
-    """Exact membership: p.y**s == p.x (a p.x**r + b)."""
-    return p.y**curve.s == curve.rhs(p.x)
+    """Exact membership: p.y**s == p.x (a p.x**r + b).
+
+    With y = u/w, x = n/d, a = g/q and b = h/Q this is the integer identity
+    u^s d^(r+1) q Q == w^s n (g n^r Q + h q d^r), both denominators being
+    nonzero; r and s must be nonnegative."""
+    r, s = curve.r, curve.s
+    a, b, x, y = curve.a, curve.b, p.x, p.y
+    n, d = x.numerator, x.denominator
+    q, Q = a.denominator, b.denominator
+    d_r = d**r
+    lhs = y.numerator**s * d_r * d * q * Q
+    return lhs == y.denominator**s * n * (
+        a.numerator * n**r * Q + b.numerator * q * d_r
+    )
 
 
 def family_genus(r: int, s: int) -> int:

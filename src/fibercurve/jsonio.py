@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import format_rational, parse_rational
+from .arith import format_rational, parse_rational, shown
 from .birat import CurveWithPoints
 from .config import Config, validate
 from .family import AffinePoint, FamilyCurve
@@ -30,7 +30,7 @@ def _typed(value, name: str, kind: type):
     the field ``name``.  The exact type test keeps a bool out of an int."""
     if type(value) is not kind:
         raise ValueError(
-            f"{name!r} must be a JSON {_JSON_TYPES[kind]}, got {value!r}"
+            f"{name!r} must be a JSON {_JSON_TYPES[kind]}, got {shown(value)}"
         )
     return value
 
@@ -54,7 +54,9 @@ def _int_text_field(obj: dict, key: str) -> int:
     except ValueError:
         q = None
     if q is None or q.denominator != 1:
-        raise ValueError(f"{key!r} must be an integer string, got {value!r}")
+        raise ValueError(
+            f"{key!r} must be an integer string, got {shown(value)}"
+        )
     return q.numerator
 
 

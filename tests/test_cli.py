@@ -153,6 +153,25 @@ class TestValidateVerb:
         assert len(payload["message"]) < 200
         assert payload["message"].startswith(f"cannot read input {literal[:40]!r}…")
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--config",
+         json.dumps({"r": list(range(30_000)), "s": 2, "alphas": ["1", "2"]})),
+        ("validate", "--config",
+         json.dumps({"r": 2, "s": 2, "alphas": ["1", "2" * 100_000 + "x"]})),
+        ("validate", "--config",
+         json.dumps({"r": 2, "s": 2, "alphas": ["1", "2" * 100_000 + "/0"]})),
+        ("solve-ab", "--r", "2", "--s", "2", "--p0", "1" * 100_000 + "x,2",
+         "--p1", "2,6"),
+        ("fiber-genus", "--s", "2" * 100_000 + "_0", "--n", "3"),
+    ], ids=["list r", "alpha", "zero denominator", "--p0", "--s"])
+    def test_long_values_are_shortened_in_the_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert len(payload["message"]) < 200
+        assert "characters)" in payload["message"]
+
     def test_non_utf8_file_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"r": 2, "s": 2, "alphas": ["1", "\xff"]}')
@@ -229,6 +248,36 @@ class TestFlagRanges:
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        ("fiber-genus", "--s", "2", "--n", "3"),
+        ("gonality-bound", "--s", "2", "--n", "3"),
+        ("family-genus", "--r", "2", "--s", "2"),
+        ("classify", "--s", "2", "--n", "3"),
+        ("solve-ab", "--r", "2", "--s", "2", "--p0", "1,2", "--p1", "2,6"),
+        ("conic-enumerate", "--config", CFG123, "--count", "1", "--height", "4"),
+        ("search-ab", "--config", CFG123, "--height", "2", "--workers", "1"),
+        ("trivial-points", "--r", "1", "--s", "2", "--n", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_integer_flags_read_only_signed_ascii_digits(self, capsys, argv):
+        # what parse_rational reads without a "/"; int() would also take
+        # "1_0" as 10, "\u0663" (Arabic-Indic 3) as 3 and "+3" as 3
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        padded = [f" 0{v} " if v.isdigit() else v for v in argv]
+        assert run(capsys, *padded)[:2] == (EXIT_OK, out)
+        flags = [k for k, v in enumerate(argv) if v.isdigit()]
+        assert len(flags) >= 2
+        for k in flags:
+            for bad in ("1_0", "\u0663", "+3", "3/1", "3.0"):
+                bad_argv = argv[:k] + (bad,) + argv[k + 1:]
+                code, out, err = run(capsys, *bad_argv)
+                assert code == EXIT_USAGE and out == ""
+                payload = json.loads(err)
+                assert payload["error"] == "usage"
+                assert payload["message"] == (
+                    f"argument {argv[k - 1]}: invalid int value: {bad!r}"
+                )
 
     def test_workers_default_is_one(self, capsys, monkeypatch):
         monkeypatch.setenv("FIBERCURVE_WORKERS", "2")  # ignored
@@ -587,6 +636,14 @@ class TestJsonRoundTrips:
         obj["equations"][1][key] = value
         with pytest.raises(ValueError, match=f"'{key}'"):
             jsonio.fiber_system_from_obj(obj)
+
+    def test_long_coefficient_is_shortened_in_the_message(self):
+        system = build_fiber(validate(2, 2, [F(1), F(2), F(3)]))
+        obj = jsonio.fiber_system_to_obj(system)
+        obj["equations"][0]["A"] = "1/" + "3" * 100_000
+        with pytest.raises(ValueError, match="'A'") as info:
+            jsonio.fiber_system_from_obj(obj)
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("value", [{}, {"x": "1", "y": "2"}, "12"])
     @pytest.mark.parametrize("to_obj, from_obj, key", [

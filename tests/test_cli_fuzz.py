@@ -4,6 +4,7 @@ failure is one JSON object on stderr whose "error" names its exit code."""
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -21,7 +22,7 @@ def mostly(good, bad):
 
 
 SMALL = st.integers(-2, 6)
-BAD_TEXT = st.sampled_from(["1/0", "abc", "", "--1", "1_0", "\u0663"])
+BAD_TEXT = st.sampled_from(["1/0", "abc", "", "--1", "1_0", "\u0663", "+3"])
 SCALARS = mostly(st.integers(2, 5).map(str), SMALL.map(str) | BAD_TEXT)
 RATIONALS = mostly(st.sampled_from(["1", "-1", "2", "3", "1/2", "-5/3", "4"]),
                    st.just("0") | BAD_TEXT)
@@ -90,17 +91,21 @@ VERBS = {
     "search-ab": {"--config": payloads(CONFIGS),
                   "--height": mostly(st.integers(1, 6).map(str), BAD_TEXT),
                   "--workers": mostly(st.just("1"),
-                                      st.sampled_from(["0", "-1", "abc"]))},
+                                      st.sampled_from(["0", "-1"]) | BAD_TEXT)},
     "trivial-points": {"--r": SCALARS, "--s": SCALARS, "--n": SCALARS},
 }
 
 
+INT_FLAGS = ("--r", "--s", "--n", "--count", "--height", "--workers")
+
+
 def as_int(text):
-    """The value argparse's ``type=int`` reads ("1_0" is 10), else None."""
-    try:
-        return int(text)
-    except ValueError:
+    """The value an integer flag reads, else None: what ``parse_rational``
+    reads without a "/", so "1_0", "+3" and "\u0663" are rejected."""
+    match = re.fullmatch(r"\s*([-\u2212]?)([0-9]+)\s*", text)
+    if match is None:
         return None
+    return -int(match[2]) if match[1] else int(match[2])
 
 
 @st.composite
@@ -136,6 +141,9 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
     out, err = out.getvalue(), err.getvalue()
     assert code in (EXIT_OK, EXIT_MATH, EXIT_USAGE)
     assert "Traceback" not in err
+    if any(as_int(value) is None
+           for flag, value in zip(argv, argv[1:]) if flag in INT_FLAGS):
+        assert code == EXIT_USAGE
     if code == EXIT_OK:
         return
     if code == EXIT_MATH and argv[0] in VERIFICATION_KEYS and err == "":
