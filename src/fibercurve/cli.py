@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 
 from . import birat, conic, family, fiber, fixtures, jsonio, search
@@ -33,9 +34,22 @@ class MathFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Rejected arguments reach ``main`` as a UsageError, not an exit."""
+    """Rejected arguments reach ``main`` as a UsageError, not an exit.
+
+    A negative rational ("-1/2", or "-1/2,3" for a point) is a value, as
+    argparse takes "-2" for one; argparse echoes whole arguments, so an
+    over-long message keeps its head and length, as ``shown`` does.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-[0-9]+(?:/[0-9]+)?(?:,[-−]?[0-9]+(?:/[0-9]+)?)?\Z"
+        )
 
     def error(self, message):
+        if len(message) > 320:
+            message = f"{message[:160]}… ({len(message)} characters)"
         raise UsageError(message)
 
 

@@ -30,7 +30,6 @@ coprime to gcd(u, w), and only its survivors reach the exact root test.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -79,12 +78,13 @@ def _sieve_primes(s: int) -> list[int]:
     return primes
 
 
-def _scan(config: Config, height: int, u_lo: int, u_hi: int):
-    """Sieve and root-test the rows (u, w) with u in [u_lo, u_hi).
+def _scan(config: Config, height: int, blocks):
+    """Sieve and root-test the rows (u, w) of each block [u_lo, u_hi) of
+    u in turn, all blocks sharing the per-alpha and per-w tables.
 
     A candidate survives when it passes the sieve of every alpha, and is a
-    hit when every alpha's value is an s-th power.  Returns (candidates,
-    survivors, hits), a hit being (u, v, w, roots).
+    hit when every alpha's value is an s-th power.  Yields (hits,
+    candidates, survivors, block_us) per block; a hit is (u, v, w, roots).
     """
     r, s, H = config.r, config.s, height
     primes = _sieve_primes(s)
@@ -124,36 +124,39 @@ def _scan(config: Config, height: int, u_lo: int, u_hi: int):
         ]
 
     coprime: dict[int, int] = {}  # gcd(u, w) -> mask of its coprime v
-    candidates = survivors = 0
-    hits: list = []
     rows_w = []
     for w in range(1, H + 1):
         ws = w ** (s - 1)
         tests = [(k * ws, p_r, q_r, d * w) for k, p_r, q_r, d in exact]
         pats = [pattern(m, c1 * pow(w, s - 1, m) % m) for m, _, c1 in sieves]
         rows_w.append((w, tests, pats))
-    for u in range(u_lo, u_hi):
-        if u == 0:
-            continue
-        shifts = [(u * e - H) % m for m, e, _ in sieves]
-        for w, tests, pats in rows_w:
-            g = gcd(u, w)
-            row = coprime.get(g)
-            if row is None:
-                row = coprime[g] = sum(
-                    1 << j for j in range(width)
-                    if j != H and gcd(g, j - H) == 1
-                )
-            candidates += row.bit_count()
-            mask = row
-            for pat, shift in zip(pats, shifts):
-                mask &= pat >> shift
-                if not mask:
-                    break
-            else:
-                survivors += mask.bit_count()
-                _root_test(u, w, mask, H, s, tests, hits)
-    return candidates, survivors, hits
+    for u_lo, u_hi in blocks:
+        start = time.perf_counter()
+        candidates = survivors = 0
+        hits: list = []
+        for u in range(u_lo, u_hi):
+            if u == 0:
+                continue
+            shifts = [(u * e - H) % m for m, e, _ in sieves]
+            for w, tests, pats in rows_w:
+                g = gcd(u, w)
+                row = coprime.get(g)
+                if row is None:
+                    row = coprime[g] = sum(
+                        1 << j for j in range(width)
+                        if j != H and gcd(g, j - H) == 1
+                    )
+                candidates += row.bit_count()
+                mask = row
+                for pat, shift in zip(pats, shifts):
+                    mask &= pat >> shift
+                    if not mask:
+                        break
+                else:
+                    survivors += mask.bit_count()
+                    _root_test(u, w, mask, H, s, tests, hits)
+        block_us = int((time.perf_counter() - start) * 1e6)
+        yield hits, candidates, survivors, block_us
 
 
 def _root_test(u, w, mask, H, s, tests, out) -> None:
@@ -173,14 +176,6 @@ def _root_test(u, w, mask, H, s, tests, out) -> None:
             out.append((u, v, w, tuple(roots)))
 
 
-def _search_block(args):
-    config, height, u_lo, u_hi = args
-    start = time.perf_counter()
-    count, survivors, hits = _scan(config, height, u_lo, u_hi)
-    block_us = int((time.perf_counter() - start) * 1e6)
-    return hits, count, survivors, block_us
-
-
 def _canonical_key(hit: CurveWithPoints):
     return (abs(hit.curve.a.numerator), hit.curve.b, hit.curve.a)
 
@@ -188,10 +183,11 @@ def _canonical_key(hit: CurveWithPoints):
 def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
     """Every hit in the height-H box, fully verified, canonically ordered.
 
-    The u-range is split into contiguous blocks; each block is pure, and
-    the merged hit list is sorted by (|numerator of a|, b, a), so the
-    result does not depend on the worker count.  Interruption returns a
-    partial report marked incomplete.
+    The u-range is split into at most ``workers`` contiguous blocks, run
+    one after another in this process; the merged hit list is sorted by
+    (|numerator of a|, b, a), so the result does not depend on the
+    partition.  Interruption returns a partial report, holding the blocks
+    that finished, marked incomplete.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
@@ -205,22 +201,11 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
     span = 2 * height + 1
     per = (span + workers - 1) // workers
     blocks = [
-        (config, height, lo, min(lo + per, height + 1))
+        (lo, min(lo + per, height + 1))
         for lo in range(-height, height + 1, per)
     ]
-    # the pool starts all its processes at once, so more than there are
-    # blocks or CPUs would only cost forks
-    processes = min(len(blocks), os.cpu_count() or 1)
     try:
-        if processes == 1:
-            results = list(map(_search_block, blocks))
-        else:
-            # imported here, so that no other verb pays for the import
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                results = list(pool.map(_search_block, blocks))
-        for hits, count, alive, micros in results:
+        for hits, count, alive, micros in _scan(config, height, blocks):
             raw_hits.extend(hits)
             space += count
             survivors += alive

@@ -172,6 +172,22 @@ class TestValidateVerb:
         assert len(payload["message"]) < 200
         assert "characters)" in payload["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("fixtures", "x" * 5000),
+        ("fixtures", "rogers7", "x" * 5000),
+    ], ids=["invalid choice", "unrecognized argument"])
+    def test_argparse_messages_are_shortened(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        message = json.loads(err)["message"]
+        assert len(message) < 200
+        assert message.endswith(" characters)")
+
+    def test_short_argparse_message_is_whole(self, capsys):
+        code, _, err = run(capsys, "no-such-verb")
+        assert code == EXIT_USAGE
+        assert json.loads(err)["message"].endswith("'fixtures')")
+
     def test_non_utf8_file_names_the_path(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"r": 2, "s": 2, "alphas": ["1", "\xff"]}')
@@ -389,6 +405,26 @@ class TestCorrespondenceVerbs:
             "--p1=-1,2",
         )
         assert code == EXIT_MATH
+
+    @pytest.mark.parametrize("argv", [
+        ("lift", "--config", '{"r":2,"s":2,"alphas":["1","3","12"]}',
+         "--point", '{"coords":["1","3","21"]}', "--scale", "-1/2"),
+        ("solve-ab", "--r", "2", "--s", "2", "--p0", "-1/2,3", "--p1", "1,2"),
+        ("solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1", "-1,-3/2"),
+    ], ids=["--scale", "--p0", "--p1"])
+    def test_negative_rational_is_a_value(self, capsys, argv):
+        # argparse by itself reads only "-digits" as a value, and stops at
+        # "-1/2" with "expected one argument"
+        joined = (*argv[:-2], f"{argv[-2]}={argv[-1]}")
+        spaced = run(capsys, *argv)
+        assert spaced[0] == EXIT_OK
+        assert spaced == run(capsys, *joined)
+
+    def test_unknown_option_is_still_an_option(self, capsys):
+        code, _, err = run(capsys, "solve-ab", "--r", "2", "--s", "2",
+                           "--p0", "-x", "--p1", "1,2")
+        assert code == EXIT_USAGE
+        assert json.loads(err)["message"] == "argument --p0: expected one argument"
 
     def test_push_lift_round_trip(self, capsys):
         code, out, _ = run(
@@ -715,13 +751,18 @@ class TestJsonRoundTrips:
         walk(obj)
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # only search-ab with workers > 1 needs concurrent.futures
+def test_no_verb_starts_a_process():
+    # search-ab runs its blocks in-process, whatever --workers says
+    script = (
+        "import sys; from fibercurve import cli; "
+        f"code = cli.main(['search-ab', '--config', {CFG123!r}, "
+        "'--height', '4', '--workers', '2']); "
+        "print(code, 'concurrent.futures' in sys.modules, "
+        "'multiprocessing' in sys.modules, file=sys.stderr)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fibercurve.cli; "
-         "print('concurrent.futures' in sys.modules)"],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC},
     )
-    assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+    assert (proc.returncode, proc.stderr.strip()) == (0, "0 False False")

@@ -1,5 +1,3 @@
-import concurrent.futures
-import os
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -11,6 +9,7 @@ from planting import brute_force_points, plant_search_instances
 from fibercurve.arith import is_sth_power
 from fibercurve.config import validate, violations
 from fibercurve.family import AffinePoint, FamilyCurve, contains
+from fibercurve import search
 from fibercurve.search import search_ab
 
 # y^2 = x(x^2 + 3) has small points at x = 1, 3, 12
@@ -116,40 +115,38 @@ class TestSearchAb:
                 (h.curve.a, h.curve.b, h.points) for h in parallel.hits
             ] == [(h.curve.a, h.curve.b, h.points) for h in serial.hits]
 
-    @pytest.mark.parametrize("cpus, workers, height, blocks, pool", [
-        (64, 4096, 1, 3, 3),  # more workers than blocks
-        (2, 4096, 3, 7, 2),  # more blocks than CPUs
-        (None, 8, 3, 7, None),  # CPU count unknown: no pool at all
+    @pytest.mark.parametrize("workers, height, blocks", [
+        (4096, 1, 3),  # more workers than rows of u
+        (4096, 3, 7),
+        (8, 3, 7),
     ])
-    def test_pool_never_exceeds_blocks_or_cpus(
-        self, monkeypatch, cpus, workers, height, blocks, pool
-    ):
-        sizes = []
-
-        class RecordingPool:
-            """Records the pool size and maps in this process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    def test_workers_partition_the_u_range(self, workers, height, blocks):
         report = search_ab(PLANT13, height, workers)
-        assert sizes == ([] if pool is None else [pool])
         assert report.workers == report.stats["workers"] == workers
         assert len(report.stats["block_us"]) == blocks
         serial = search_ab(PLANT13, height, 1)
         assert report.hits == serial.hits
         assert report.search_space_size == serial.search_space_size
+
+    def test_interrupt_keeps_the_finished_blocks(self, monkeypatch):
+        # workers=2 at H = 6 makes the blocks u in [-6, 1) and [1, 7)
+        full = search_ab(PLANT13, 6)
+        root_test = search._root_test
+
+        def interrupted(u, *args):
+            if u > 0:
+                raise KeyboardInterrupt
+            root_test(u, *args)
+
+        monkeypatch.setattr(search, "_root_test", interrupted)
+        report = search_ab(PLANT13, 6, workers=2)
+        assert report.complete is False
+        assert report.hits == tuple(h for h in full.hits if h.curve.a < 0)
+        assert report.hits != full.hits
+        # u -> -u maps the box onto itself, so the u < 0 block is half of it
+        assert 2 * report.search_space_size == full.search_space_size
+        assert report.search_space_size == report.stats["candidates"]
+        assert len(report.stats["block_us"]) == 1
 
     def test_planted_instances_complete(self):
         rng = random.Random(71)
