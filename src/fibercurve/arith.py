@@ -47,9 +47,9 @@ def parse_rational(text: str) -> Fraction:
     p = -int(num) if sign else int(num)
     if den is None:
         return Fraction(p)
-    if int(den) == 0:
+    if (q := int(den)) == 0:
         raise ValueError(f"zero denominator in {shown(text)}")
-    return Fraction(p, int(den))
+    return Fraction(p, q)
 
 
 def parse_integer(text: str) -> int:

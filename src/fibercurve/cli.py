@@ -15,6 +15,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import birat, conic, family, fiber, fixtures, jsonio, search
 from .arith import format_rational, parse_integer, parse_rational, shown
@@ -97,8 +98,30 @@ def _load_config(value: str):
     return jsonio.config_from_obj(_read_payload(value))
 
 
+def _json(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for str (also as keys), int, bool, None,
+    dict, and list or tuple; other types raise TypeError, as in ``json``."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        ends, body = "{}", [f"{_quote(k)}: {_json(v, inner)}"
+                            for k, v in obj.items()]
+    elif isinstance(obj, (list, tuple)):
+        ends, body = "[]", [_json(v, inner) for v in obj]
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    if not body:
+        return ends
+    return f"{ends[0]}{inner}{f',{inner}'.join(body)}{newline}{ends[1]}"
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_json(obj))
 
 
 def _parse_affine(text: str) -> family.AffinePoint:
@@ -149,18 +172,22 @@ def _cmd_fiber_verify(args) -> int:
     return EXIT_OK if report.ok and result.get("smooth", True) else EXIT_MATH
 
 
-def _cmd_fiber_genus(args) -> int:
-    print(fiber.fiber_genus(args.s, args.n))
-    return EXIT_OK
+def _int_text(value: int) -> str:
+    """``str(value)`` in subquadratic time, where ``str`` is quadratic: past
+    8192 bits, the halves of the binary expansion join exactly in decimal."""
+    bits = value.bit_length()
+    if bits <= 8192:
+        return str(value)
+    from decimal import Context, Decimal, Inexact, Overflow
+    digits = bits * 30103 // 100000 + 1  # at least the digits of value
+    ctx = Context(prec=digits, Emax=digits, traps=[Inexact, Overflow])
+    h = bits // 2
+    hi, lo = (Decimal(_int_text(v)) for v in (value >> h, value & ~(-1 << h)))
+    return str(ctx.fma(hi, ctx.power(2, h), lo))
 
 
-def _cmd_gonality_bound(args) -> int:
-    print(fiber.gonality_lower_bound(args.s, args.n))
-    return EXIT_OK
-
-
-def _cmd_family_genus(args) -> int:
-    print(family.family_genus(args.r, args.s))
+def _cmd_integer(args) -> int:
+    print(_int_text(args.compute(*(getattr(args, f) for f in args.flags))))
     return EXIT_OK
 
 
@@ -211,7 +238,7 @@ def _cmd_search_ab(args) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2)
+                fh.write(_json(obj))
         except OSError as exc:
             raise UsageError(
                 f"cannot write --out {args.out!r}: {exc.strerror or exc}"
@@ -283,20 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True)
     p.set_defaults(func=_cmd_fiber_verify)
 
-    p = sub.add_parser("fiber-genus", help="genus of the fiber curve")
-    p.add_argument("--s", type=_integer, required=True)
-    p.add_argument("--n", type=_integer, required=True)
-    p.set_defaults(func=_cmd_fiber_genus)
-
-    p = sub.add_parser("gonality-bound", help="gonality lower bound")
-    p.add_argument("--s", type=_integer, required=True)
-    p.add_argument("--n", type=_integer, required=True)
-    p.set_defaults(func=_cmd_gonality_bound)
-
-    p = sub.add_parser("family-genus", help="genus of a family member")
-    p.add_argument("--r", type=_integer, required=True)
-    p.add_argument("--s", type=_integer, required=True)
-    p.set_defaults(func=_cmd_family_genus)
+    for verb, help_text, compute, flags in (
+        ("fiber-genus", "genus of the fiber curve", fiber.fiber_genus, "sn"),
+        ("gonality-bound", "gonality lower bound",
+         fiber.gonality_lower_bound, "sn"),
+        ("family-genus", "genus of a family member",
+         family.family_genus, "rs"),
+    ):
+        p = sub.add_parser(verb, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=_integer, required=True)
+        p.set_defaults(func=_cmd_integer, compute=compute, flags=flags)
 
     p = sub.add_parser("classify", help="fiber regime and n0 threshold")
     p.add_argument("--s", type=_integer, required=True)

@@ -50,11 +50,11 @@ def violations(r: int, s: int, alphas) -> list[str]:
         if a == 0:
             problems.append(f"alpha[{i}] is zero")
     if r >= 1:
-        # equal bases have equal r-th powers, so every colliding pair
-        # shares one group; sorting restores the pairwise (i, j) order
-        groups: dict[Fraction, list[int]] = {}
+        # equal bases have equal r-th powers (lowest-terms integer pairs), so
+        # colliding pairs share a group; sorting restores the (i, j) order
+        groups: dict[tuple[int, int], list[int]] = {}
         for j, a in enumerate(alphas):
-            groups.setdefault(a**r, []).append(j)
+            groups.setdefault((a.numerator**r, a.denominator**r), []).append(j)
         pairs = sorted(p for g in groups.values() for p in combinations(g, 2))
         for i, j in pairs:
             if alphas[i] == alphas[j]:
@@ -68,7 +68,7 @@ def violations(r: int, s: int, alphas) -> list[str]:
 
 def validate(r: int, s: int, alphas) -> Config:
     """Build a Config, or raise InvalidConfigError listing every violation."""
-    values = tuple(Fraction(a) for a in alphas)
+    values = tuple(a if type(a) is Fraction else Fraction(a) for a in alphas)
     problems = violations(r, s, values)
     if problems:
         raise InvalidConfigError(problems)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .arith import CyclotomicElement
 from .config import Config
@@ -146,8 +146,8 @@ def build_fiber(config: Config) -> FiberSystem:
         C = p_0 p_1 Q_i (P_1 R_0 - P_0 R_1),
 
     all integers.  Config admissibility guarantees each is nonzero.  Each
-    triple is stored as its primitive integer vector with C > 0
-    (``linalg.primitive_vector``), and scale = raw C / normalized C.
+    triple is divided by its gcd g, signed so that C > 0, and scale is
+    g / (Q_0 Q_1 Q_i): the triple of ``raw_coefficients`` is scale * (A, B, C).
     """
     if config.n < 2:
         raise ValueError("fiber systems need n >= 2")
@@ -167,12 +167,13 @@ def build_fiber(config: Config) -> FiberSystem:
             p0 * pi * Q[1] * (P[0] * R[i] - P[i] * R[0]),
             c01 * Q[i],
         )
-        if any(c == 0 for c in raw):
+        if 0 in raw:
             raise AssertionError(
                 f"degenerate coefficient in equation {i}; config not admissible"
             )
-        A, B, C = primitive_vector(raw, positive=2)
-        scale = Fraction(raw[2] // C, Q[0] * Q[1] * Q[i])
+        g = gcd(*raw) if raw[2] > 0 else -gcd(*raw)
+        A, B, C = raw[0] // g, raw[1] // g, raw[2] // g
+        scale = Fraction(g, Q[0] * Q[1] * Q[i])
         equations.append(FiberEquation(i=i, A=A, B=B, C=C, scale=scale))
     return FiberSystem(config=config, equations=tuple(equations))
 

@@ -1,0 +1,305 @@
+"""A seeded corpus of ``fibercurve`` argvs and the bytes they produce.
+
+Every argv runs in-process through ``fibercurve.cli.main``.  Its record
+is the exit code and the sha256 of stdout, of stderr and of the file an
+``--out`` flag names.  ``elapsed_ms`` and ``block_us`` are timings, so
+they are masked before hashing.  The expected records are kept in
+``tests/data/cli_golden.json``; ``tests/test_cli_corpus.py`` compares.
+
+Regenerating the records is a deliberate act:
+
+    python tests/cli_corpus.py --write
+
+A change that alters a record names each changed argv in CHANGES.md.
+
+argparse words its own messages, and that wording can change between
+Python minor versions.  A record whose message went through
+``cli._Parser.error`` is marked ``"argparse": true``; on another minor
+version than the one that wrote the file, such a record is compared on
+all but its stderr.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import re
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: import the checkout's package
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from planting import plant_curves, plant_search_instances  # noqa: E402
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+SEED = 12
+# stands in an argv for the --out path; a run puts a fresh path there and
+# writes the placeholder back into what it records
+OUT = "@OUT@"
+_TIMINGS = (
+    (re.compile(r'"elapsed_ms": \d+'), '"elapsed_ms": 0'),
+    (re.compile(r'"block_us": \[[^\]]*\]'), '"block_us": []'),
+)
+
+CFG123 = '{"r":2,"s":2,"alphas":["1","2","3"]}'
+CFG_FRAC = '{"r":1,"s":2,"alphas":["1/2","3","-5/3"]}'
+CONIC_CONFIGS = (
+    CFG123,
+    '{"r":1,"s":2,"alphas":["1","2","5"]}',
+    '{"r":2,"s":2,"alphas":["1","-2","4"]}',
+    CFG_FRAC,
+)
+BUILD_CONFIGS = CONIC_CONFIGS + (
+    '{"r":3,"s":3,"alphas":["1","2","3","5"]}',
+    '{"r":2,"s":3,"alphas":["1/2","-3","7/5","4","-11/6"]}',
+    '{"r":1,"s":5,"alphas":["123456789/1000","-2","1/987654321"]}',
+)
+INVALID_CONFIGS = (
+    '{"r":2,"s":2,"alphas":["1","-1"]}',
+    '{"r":2,"s":2,"alphas":["1","2","-2","2/1","0"]}',
+    '{"r":4,"s":3,"alphas":["1/2","-1/2","3","3"]}',
+    '{"r":0,"s":1,"alphas":["1"]}',
+)
+MALFORMED_PAYLOADS = (
+    '{"nope":1}',
+    "[1]",
+    "abc",
+    "{",
+    '{"r":2,"s":2,"alphas":[1,2,3]}',
+    '{"r":2,"s":2,"alphas":["1/0","2","3"]}',
+    '{"r":2.5,"s":2,"alphas":["1","2","3"]}',
+    '{"r":true,"s":2,"alphas":["1","2","3"]}',
+    "/nonexistent/config.json",
+)
+BAD_TEXT = ("1/0", "abc", "", "--1", "1_0", "٣", "+3", "-2")
+
+
+def fmt(q) -> str:
+    q = Fraction(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _plant_argvs(rng: random.Random) -> list[list[str]]:
+    """push, fiber-verify and lift on planted curves: as planted, with no
+    scale, with a negative scale, and with one y-coordinate corrupted."""
+    argvs = []
+    plants = plant_curves(rng, 24, r_s_choices=((1, 2), (2, 2), (1, 3), (2, 3)),
+                          x_height=20, max_points=5)
+    for k, cwp in enumerate(plants):
+        r, s = cwp.curve.r, cwp.curve.s
+        a, b = cwp.curve.a, cwp.curve.b
+        points = [(p.x, p.y) for p in cwp.points]
+        if k % 2:  # the same points seen through x = lam X
+            lam = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            a, b = a * lam ** (r + 1), b * lam
+            points = [(x / lam, y) for x, y in points]
+        config = json.dumps({"r": r, "s": s, "alphas": [fmt(x) for x, _ in points]})
+        bad = rng.randrange(len(points))
+        for ys in ([y for _, y in points],
+                   [y + (j == bad) for j, (_, y) in enumerate(points)]):
+            cwp_obj = {
+                "curve": {"r": r, "s": s, "a": fmt(a), "b": fmt(b)},
+                "points": [{"x": fmt(x), "y": fmt(y)} for (x, _), y in zip(points, ys)],
+            }
+            point = json.dumps({"coords": [fmt(y) for y in ys]})
+            scale = f"-{rng.randint(1, 9)}" + rng.choice(("", f"/{rng.randint(2, 9)}"))
+            argvs += [
+                ["push", "--input", json.dumps(cwp_obj)],
+                ["fiber-verify", "--config", config, "--point", point],
+                ["lift", "--config", config, "--point", point],
+                ["lift", "--config", config, "--point", point, "--scale", scale],
+            ]
+    return argvs
+
+
+def _search_argvs(rng: random.Random) -> list[list[str]]:
+    argvs = []
+    for cwp, _, _, _ in plant_search_instances(rng, 2):
+        config = json.dumps({"r": 2, "s": 2, "alphas": [fmt(p.x) for p in cwp.points]})
+        for height in (1, 3, 6):
+            for workers in ("1", "2"):
+                argvs.append(["search-ab", "--config", config,
+                              "--height", str(height), "--workers", workers])
+        argvs += [
+            ["search-ab", "--config", config, "--height", "6", "--out", OUT],
+            ["search-ab", "--config", config, "--height", "4", "--workers", "2",
+             "--stats", "--out", OUT],
+        ]
+    argvs += [
+        ["search-ab", "--config", CFG_FRAC, "--height", "5", "--stats"],
+        ["search-ab", "--config", '{"r":1,"s":3,"alphas":["1","2","-3"]}',
+         "--height", "6"],
+        ["search-ab", "--config", CFG123, "--height", "0"],
+        ["search-ab", "--config", CFG123, "--height", "2", "--workers", "0"],
+        ["search-ab", "--config", CFG123, "--height", "2",
+         "--out", "/nonexistent/dir/report.json"],
+        ["search-ab", "--config", CFG123],
+    ]
+    return argvs
+
+
+def _solve_ab_argvs(rng: random.Random) -> list[list[str]]:
+    def rational():
+        return fmt(Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+
+    argvs = []
+    for _ in range(12):
+        r, s = str(rng.randint(1, 4)), str(rng.randint(2, 5))
+        p0 = f"{rational()},{rational()}"
+        p1 = json.dumps({"x": rational(), "y": rational()}) if rng.random() < 0.3 \
+            else f"{rational()},{rational()}"
+        argvs.append(["solve-ab", "--r", r, "--s", s, "--p0", p0, "--p1", p1])
+    argvs += [
+        ["solve-ab", "--r", "2", "--s", "2", "--p0", "-1/2,3", "--p1", "1/2,3"],
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", "0,1", "--p1", "2,3"],
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", "1,2,3", "--p1", "2,3"],
+        ["solve-ab", "--r", "0", "--s", "2", "--p0", "1,2", "--p1", "2,3"],
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", '{"x":"1"}', "--p1", "2,3"],
+    ]
+    return argvs
+
+
+def argvs() -> list[list[str]]:
+    """The corpus, in a fixed order; a pure function of ``SEED``."""
+    rng = random.Random(SEED)
+    out = _plant_argvs(rng)
+    out += [
+        ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"3"},"points":[1,2]}'],
+        ["push", "--input", '{"curve":[],"points":[]}'],
+        ["fiber-verify", "--config", CFG123, "--point", '{"coords":["1","2"]}'],
+        ["fiber-verify", "--config", CFG123, "--point", '{"coords":["0","0","0"]}'],
+        ["lift", "--config", CFG123, "--point", '{"coords":["0","1","1"]}'],
+        ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}',
+         "--scale", "0"],
+        ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}',
+         "--scale", "x"],
+    ]
+    for payload in MALFORMED_PAYLOADS:
+        out += [
+            ["push", "--input", payload],
+            ["fiber-verify", "--config", payload, "--point", '{"coords":["1","1","1"]}'],
+            ["fiber-verify", "--config", CFG123, "--point", payload],
+            ["lift", "--config", payload, "--point", '{"coords":["1","1","1"]}'],
+            ["validate", "--config", payload],
+            ["fiber-build", "--config", payload],
+            ["conic-enumerate", "--config", payload, "--count", "1"],
+        ]
+    for config in BUILD_CONFIGS + INVALID_CONFIGS:
+        out += [
+            ["validate", "--config", config],
+            ["fiber-build", "--config", config],
+            ["fiber-build", "--config", config, "--format", "display"],
+            ["fiber-build", "--config", config, "--format", "display",
+             "--style", "monic"],
+        ]
+    out += [
+        ["fiber-build", "--config", CFG123, "--format", "xml"],
+        ["fiber-build", "--config", CFG123, "--style", "x"],
+    ]
+    out += _search_argvs(rng)
+    for config in CONIC_CONFIGS:
+        for count in ("0", "1", "40"):
+            out.append(["conic-enumerate", "--config", config, "--count", count])
+    out += [
+        ["conic-enumerate", "--config", CFG123, "--count", "5", "--height", "3"],
+        ["conic-enumerate", "--config", '{"r":2,"s":3,"alphas":["1","2","3"]}',
+         "--count", "1"],
+        ["conic-enumerate", "--config", '{"r":2,"s":2,"alphas":["1","2","3","5"]}',
+         "--count", "1"],
+        ["conic-enumerate", "--config", CFG123, "--count", "-1"],
+        ["conic-enumerate", "--config", CFG123, "--count", "3", "--height", "0"],
+    ]
+    for r, s, n in ((1, 2, 2), (2, 2, 2), (1, 3, 2), (2, 2, 3), (3, 2, 2)):
+        args = ["trivial-points", "--r", str(r), "--s", str(s), "--n", str(n)]
+        out += [args, args + ["--full"]]
+    out.append(["trivial-points", "--r", "0", "--s", "2", "--n", "2"])
+    out += _solve_ab_argvs(rng)
+    for s, n in ((2, 2), (2, 3), (3, 2), (3, 5), (7, 40), (2, 1), (1, 3)):
+        out.append(["classify", "--s", str(s), "--n", str(n)])
+    for s, n in ((2, 2), (3, 7), (2, 14400), (3, 9100), (7, 5200), (2, 1)):
+        out += [["fiber-genus", "--s", str(s), "--n", str(n)],
+                ["gonality-bound", "--s", str(s), "--n", str(n)]]
+    out += [["family-genus", "--r", str(r), "--s", str(s)]
+            for r, s in ((1, 2), (2, 2), (3, 5), (0, 2))]
+    for name in ("watkins14", "rogers7", "nope"):
+        out += [["fixtures", name], ["fixtures", name, "--verify"]]
+    for head in (["fiber-genus", "--s", "2", "--n"],
+                 ["classify", "--n", "3", "--s"],
+                 ["family-genus", "--s", "2", "--r"],
+                 ["conic-enumerate", "--config", CFG123, "--count"],
+                 ["search-ab", "--config", CFG123, "--height"],
+                 ["trivial-points", "--r", "1", "--s", "2", "--n"]):
+        out += [head + [text] for text in BAD_TEXT]
+    out += [[], ["nope"], ["validate"], ["push", "--input"],
+            ["fiber-genus", "--s", "2", "--n", "3", "--extra"]]
+    return out
+
+
+def key(argv: list[str]) -> str:
+    return json.dumps(argv, ensure_ascii=False)
+
+
+def python_version() -> str:
+    return "%d.%d" % sys.version_info[:2]
+
+
+def _digest(text: str) -> str:
+    for pattern, fixed in _TIMINGS:
+        text = pattern.sub(fixed, text)
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def record(argv: list[str], workdir: Path) -> dict:
+    """Run ``argv`` through ``cli.main`` and return its record.  An OUT
+    placeholder becomes a fresh file under ``workdir``."""
+    from fibercurve import cli
+
+    out_path = workdir / f"out{len(list(workdir.iterdir()))}.json"
+    run_argv = [str(out_path) if arg == OUT else arg for arg in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    parser_errors = []
+    error = cli._Parser.error
+
+    def noted_error(self, message):
+        parser_errors.append(message)
+        error(self, message)
+
+    cli._Parser.error = noted_error
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(run_argv)
+    finally:
+        cli._Parser.error = error
+    out_text = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+    return {
+        "exit": code,
+        "stdout": _digest(stdout.getvalue().replace(str(out_path), OUT)),
+        "stderr": _digest(stderr.getvalue().replace(str(out_path), OUT)),
+        "out": None if out_text is None else _digest(out_text),
+        "argparse": bool(parser_errors),
+    }
+
+
+def write(workdir: Path) -> int:
+    cases = {}
+    for argv in argvs():
+        cases.setdefault(key(argv), record(argv, workdir))
+    GOLDEN.parent.mkdir(exist_ok=True)
+    doc = {"python": python_version(), "seed": SEED, "cases": cases}
+    GOLDEN.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n",
+                      encoding="utf-8")
+    return len(cases)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/cli_corpus.py --write")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f"wrote {write(Path(tmp))} records to {GOLDEN}")

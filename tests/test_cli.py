@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,10 +11,22 @@ import pytest
 
 from fibercurve import config, jsonio
 from fibercurve.birat import CurveWithPoints
-from fibercurve.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, build_parser, main
+from fibercurve.cli import (
+    EXIT_MATH,
+    EXIT_OK,
+    EXIT_USAGE,
+    _int_text,
+    build_parser,
+    main,
+)
 from fibercurve.config import validate
 from fibercurve.family import AffinePoint, FamilyCurve
-from fibercurve.fiber import ProjPoint, build_fiber
+from fibercurve.fiber import (
+    ProjPoint,
+    build_fiber,
+    fiber_genus,
+    gonality_lower_bound,
+)
 from fibercurve.search import search_ab
 
 
@@ -66,6 +79,36 @@ class TestScalarVerbs:
         assert code == EXIT_OK
         assert len(out.strip()) > 4300
         assert out.strip() == str(formula(s, n))
+
+    def test_long_answers_print_as_str_does(self, capsys):
+        # seeded (s, n) from under the 8192 bits where the decimal path
+        # starts to about 60000 bits, where str() is still cheap
+        rng = random.Random(9)
+        for _ in range(12):
+            s = rng.randint(2, 12)
+            n = rng.randint(2, 60000 // s.bit_length())
+            for verb, formula in (("fiber-genus", fiber_genus),
+                                  ("gonality-bound", gonality_lower_bound)):
+                code, out, _ = run(capsys, verb, "--s", str(s), "--n", str(n))
+                assert code == EXIT_OK
+                assert out == f"{formula(s, n)}\n"
+
+    @pytest.mark.parametrize("value", [
+        2**8192, 2**8192 - 1, -(2**8193), 10**2467, 3**50_001, -(7**40_000),
+    ], ids=["2^8192", "2^8192-1", "-2^8193", "10^2467", "3^50001", "-7^40000"])
+    def test_int_text_converts_no_long_int_with_str(self, value):
+        # under CPython's 4300-digit limit, str() of any piece past 4300
+        # digits would raise: the decimal path only converts short pieces
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("no int digit limit before Python 3.10.7")
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = str(value)
+            sys.set_int_max_str_digits(4300)
+            assert _int_text(value) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_classify(self, capsys):
         code, out, _ = run(capsys, "classify", "--s", "3", "--n", "2")

@@ -74,14 +74,29 @@ class TestValidate:
             assert not violations(2, 2, list(perm))
 
     def test_matches_pairwise_reference(self):
-        # zeros, repeats and +-x pairs, which collide exactly for even r
-        pool = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(9)]
+        # zeros, repeats and +-x pairs, which collide exactly for even r;
+        # plain ints equal to Fractions of the pool; large numerators and
+        # denominators, whose r-th powers are compared as integer pairs
+        big, den = 10**40 + 7, 3**90
+        pool = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2), F(3), F(9),
+                0, 1, -1, 2, -2, 9, F(big, den), F(-big, den), F(big), -big,
+                F(den, big), F(-den, big)]
         rng = random.Random(11)
-        for _ in range(400):
+        for _ in range(600):
             r = rng.randint(1, 4)
             s = rng.randint(1, 3)
             alphas = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
             assert violations(r, s, alphas) == pairwise_violations(r, s, alphas)
+
+    @pytest.mark.parametrize("alphas, problem", [
+        ([2, F(2)], "alpha[0] == alpha[1]"),
+        ([F(2), 2], "alpha[0] == alpha[1]"),
+        ([-2, F(2)], "alpha[0]^2 == alpha[1]^2 with distinct bases"),
+        ([F(-3, 7), F(3, 7)], "alpha[0]^2 == alpha[1]^2 with distinct bases"),
+    ])
+    def test_int_and_fraction_alphas_collide(self, alphas, problem):
+        assert violations(2, 2, alphas) == [problem]
+        assert pairwise_violations(2, 2, alphas) == [problem]
 
 
 class TestClassify:
