@@ -77,6 +77,19 @@ MALFORMED_PAYLOADS = (
     "/nonexistent/config.json",
 )
 BAD_TEXT = ("1/0", "abc", "", "--1", "1_0", "٣", "+3", "-2")
+# search-ab configs with alphas of both signs: odd s, where a hit (u, v, w)
+# comes with its mirror (-u, -v, w), and even s with odd r, where a
+# negative alpha has p^r < 0
+SEARCH_ODD = (
+    '{"r":1,"s":3,"alphas":["-1","-1/2","3","-3/2"]}',
+    '{"r":2,"s":5,"alphas":["-3","1"]}',
+    '{"r":1,"s":3,"alphas":["-1","-4","1/5","-1/8"]}',
+)
+SEARCH_EVEN = (
+    '{"r":3,"s":2,"alphas":["-1","2","3","-8/11"]}',
+    '{"r":3,"s":2,"alphas":["-1","-1/2","3/2"]}',
+    '{"r":1,"s":4,"alphas":["-4","4","8"]}',
+)
 
 
 def fmt(q) -> str:
@@ -161,6 +174,17 @@ def _solve_ab_argvs(rng: random.Random) -> list[list[str]]:
         ["solve-ab", "--r", "0", "--s", "2", "--p0", "1,2", "--p1", "2,3"],
         ["solve-ab", "--r", "1", "--s", "2", "--p0", '{"x":"1"}', "--p1", "2,3"],
     ]
+    for config in SEARCH_ODD + SEARCH_EVEN:
+        for height in ("1", "5", "6"):
+            for workers in ("1", "2", "3"):
+                argvs.append(["search-ab", "--config", config,
+                              "--height", height, "--workers", workers])
+        argvs += [
+            ["search-ab", "--config", config, "--height", "6", "--workers", "3",
+             "--stats", "--out", OUT],
+            ["search-ab", "--config", config, "--height", "5", "--workers", "2",
+             "--stats"],
+        ]
     return argvs
 
 
