@@ -325,8 +325,8 @@ def trivial_points(
     beyond order_cap are refused outright.  Tuple spaces beyond tuple_cap
     are sampled by lexicographic prefix and the certificate says so.
     """
-    if r < 1 or s < 1:
-        raise ValueError("need r >= 1 and s >= 1")
+    if r < 1 or s < 2:
+        raise ValueError("need r >= 1 and s >= 2")
     if n < 2:
         raise ValueError("need n >= 2")
     d = lcm(r, s)

@@ -24,8 +24,18 @@ M mod m = c0 + c1 v is affine in v.  When m divides p q w, both c0 and c1
 vanish and m rejects nothing.  Otherwise M = c1 (v - v0) mod m with
 v0 = -u (p/q)^r, so the allowed v are the bit pattern of the residues d
 with c1 d an s-th power, shifted by v0: one shift and one AND per
-(alpha, prime) sieve the whole row.  A row starts from the mask of v
-coprime to gcd(u, w), and only its survivors reach the exact root test.
+(alpha, prime) sieve the whole row; each prime's pattern of every
+residue c1 is built once per search.  A row starts from the mask of v
+coprime to gcd(u, w).  For even s a sign stage first keeps, per alpha,
+the half-line of v with M >= 0 (M has the sign of p (u p^r + v q^r);
+M = 0, the witness y = 0, stays).  Only the survivors reach the exact
+root test.
+
+For odd s, M(-u, -v, w) = -M(u, v, w) and (-t)^s = -t^s, so (u, v, w) is
+a hit exactly when (-u, -v, w) is, with every root negated; the sieve,
+which passes c exactly when it passes -c, agrees.  The rows of |u| are
+scanned once per search and mirrored to -u, and every counter still
+covers the whole box.
 """
 
 from __future__ import annotations
@@ -60,9 +70,9 @@ class SearchReport:
     complete: bool
     workers: int
     note: str = EVIDENCE_NOTE
-    # counters of the run: candidates, sieve_survivors (root-tested),
-    # root_rejections, hits, workers, block_us (time of each u-block);
-    # a dict, so it stays out of the hash
+    # counters of the run: candidates, sieve_survivors (past the sign stage
+    # and every prime: root-tested), root_rejections, hits, workers,
+    # block_us (time of each u-block); a dict, so it stays out of the hash
     stats: dict | None = field(default=None, hash=False)
 
 
@@ -82,32 +92,29 @@ def _scan(config: Config, height: int, blocks):
     """Sieve and root-test the rows (u, w) of each block [u_lo, u_hi) of
     u in turn, all blocks sharing the per-alpha and per-w tables.
 
-    A candidate survives when it passes the sieve of every alpha, and is a
-    hit when every alpha's value is an s-th power.  Yields (hits,
-    candidates, survivors, block_us) per block; a hit is (u, v, w, roots).
+    A candidate survives when it passes the sign stage (even s) and the
+    sieve of every alpha, and is a hit when every alpha's value is an s-th
+    power.  Yields (hits, candidates, survivors, block_us) per block; a hit
+    is (u, v, w, roots).
     """
     r, s, H = config.r, config.s, height
     primes = _sieve_primes(s)
     width = 2 * H + 1
     full = (1 << (width + primes[-1])) - 1
-    patterns: dict[tuple[int, int], int] = {}
-
-    def pattern(m: int, c1: int) -> int:
-        """Bit i set iff c1 i mod m is an s-th power, for i < width + m.
-
-        The nonzero s-th powers mod m are the kernel of the character
-        c -> c^((m-1)/g), g = gcd(s, m - 1), so the pattern depends on c1
-        only through its character value.
-        """
-        if c1 == 0:
-            return full
-        e = (m - 1) // gcd(s, m - 1)
-        key = (m, pow(c1, e, m))
-        if key not in patterns:
-            period = sum(1 << d for d in range(m) if pow(c1 * d, e, m) < 2)
-            reps = (width + 2 * m - 1) // m
-            patterns[key] = period * ((1 << m * reps) - 1) // ((1 << m) - 1)
-        return patterns[key]
+    # Per prime m, the pattern of each residue c1: bit i set iff c1 i mod m
+    # is an s-th power, for i < width + m.  The nonzero s-th powers mod m
+    # are the kernel of the character c -> c^((m-1)/g), g = gcd(s, m - 1),
+    # so c1 matters only through its character value.
+    tables: dict[int, list[int]] = {}
+    for m in primes:
+        chi = [pow(c, (m - 1) // gcd(s, m - 1), m) for c in range(m)]
+        reps = (width + 2 * m - 1) // m
+        by_chi: dict[int, int] = {}
+        for c in range(1, m):
+            if chi[c] not in by_chi:
+                period = sum(1 << d for d in range(m) if chi[c * d % m] < 2)
+                by_chi[chi[c]] = period * ((1 << m * reps) - 1) // ((1 << m) - 1)
+        tables[m] = [full] + [by_chi[k] for k in chi[1:]]
 
     # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)) and, per prime m
     # not dividing p q, (m, (p/q)^r mod m, c1 at w = 1).
@@ -128,8 +135,43 @@ def _scan(config: Config, height: int, blocks):
     for w in range(1, H + 1):
         ws = w ** (s - 1)
         tests = [(k * ws, p_r, q_r, d * w) for k, p_r, q_r, d in exact]
-        pats = [pattern(m, c1 * pow(w, s - 1, m) % m) for m, _, c1 in sieves]
+        w_m = {m: pow(w, s - 1, m) for m in primes}
+        pats = [tables[m][c1 * w_m[m] % m] for m, _, c1 in sieves]
         rows_w.append((w, tests, pats))
+
+    def scan_u(u):
+        """(hits, candidates, survivors) of the rows (u, w), 1 <= w <= H."""
+        sign = -1  # even s: the v with M >= 0 for every alpha
+        if s % 2 == 0:
+            for k, p_r, q_r, _ in exact:
+                if k > 0:  # k has the sign of p; v >= -u p^r / q^r
+                    sign &= -1 << max(H - u * p_r // q_r, 0)
+                else:  # v <= -u p^r / q^r
+                    sign &= (1 << max(H + 1 + -u * p_r // q_r, 0)) - 1
+        shifts = [(u * e - H) % m for m, e, _ in sieves]
+        hits: list = []
+        candidates = survivors = 0
+        for w, tests, pats in rows_w:
+            g = gcd(u, w)
+            row = coprime.get(g)
+            if row is None:
+                row = coprime[g] = sum(
+                    1 << j for j in range(width)
+                    if j != H and gcd(g, j - H) == 1
+                )
+            candidates += row.bit_count()
+            mask = row & sign
+            for pat, shift in zip(pats, shifts):
+                mask &= pat >> shift
+                if not mask:
+                    break
+            else:
+                survivors += mask.bit_count()
+                _root_test(u, w, mask, H, s, tests, hits)
+        return hits, candidates, survivors
+
+    # odd s: the rows of |u|, scanned once per call and mirrored to -u
+    mirrored: dict[int, tuple] = {}
     for u_lo, u_hi in blocks:
         start = time.perf_counter()
         candidates = survivors = 0
@@ -137,24 +179,18 @@ def _scan(config: Config, height: int, blocks):
         for u in range(u_lo, u_hi):
             if u == 0:
                 continue
-            shifts = [(u * e - H) % m for m, e, _ in sieves]
-            for w, tests, pats in rows_w:
-                g = gcd(u, w)
-                row = coprime.get(g)
-                if row is None:
-                    row = coprime[g] = sum(
-                        1 << j for j in range(width)
-                        if j != H and gcd(g, j - H) == 1
-                    )
-                candidates += row.bit_count()
-                mask = row
-                for pat, shift in zip(pats, shifts):
-                    mask &= pat >> shift
-                    if not mask:
-                        break
-                else:
-                    survivors += mask.bit_count()
-                    _root_test(u, w, mask, H, s, tests, hits)
+            if s % 2 == 0:
+                found, count, alive = scan_u(u)
+            else:
+                if abs(u) not in mirrored:
+                    mirrored[abs(u)] = scan_u(abs(u))
+                found, count, alive = mirrored[abs(u)]
+                if u < 0:
+                    found = [(u, -v, w, tuple(-t for t in roots))
+                             for _, v, w, roots in found]
+            hits += found
+            candidates += count
+            survivors += alive
         block_us = int((time.perf_counter() - start) * 1e6)
         yield hits, candidates, survivors, block_us
 

@@ -153,6 +153,17 @@ def _search_argvs(rng: random.Random) -> list[list[str]]:
          "--out", "/nonexistent/dir/report.json"],
         ["search-ab", "--config", CFG123],
     ]
+    for config in SEARCH_ODD + SEARCH_EVEN:
+        for height in ("1", "5", "6"):
+            for workers in ("1", "2", "3"):
+                argvs.append(["search-ab", "--config", config,
+                              "--height", height, "--workers", workers])
+        argvs += [
+            ["search-ab", "--config", config, "--height", "6", "--workers", "3",
+             "--stats", "--out", OUT],
+            ["search-ab", "--config", config, "--height", "5", "--workers", "2",
+             "--stats"],
+        ]
     return argvs
 
 
@@ -174,17 +185,6 @@ def _solve_ab_argvs(rng: random.Random) -> list[list[str]]:
         ["solve-ab", "--r", "0", "--s", "2", "--p0", "1,2", "--p1", "2,3"],
         ["solve-ab", "--r", "1", "--s", "2", "--p0", '{"x":"1"}', "--p1", "2,3"],
     ]
-    for config in SEARCH_ODD + SEARCH_EVEN:
-        for height in ("1", "5", "6"):
-            for workers in ("1", "2", "3"):
-                argvs.append(["search-ab", "--config", config,
-                              "--height", height, "--workers", workers])
-        argvs += [
-            ["search-ab", "--config", config, "--height", "6", "--workers", "3",
-             "--stats", "--out", OUT],
-            ["search-ab", "--config", config, "--height", "5", "--workers", "2",
-             "--stats"],
-        ]
     return argvs
 
 
@@ -241,7 +241,8 @@ def argvs() -> list[list[str]]:
     for r, s, n in ((1, 2, 2), (2, 2, 2), (1, 3, 2), (2, 2, 3), (3, 2, 2)):
         args = ["trivial-points", "--r", str(r), "--s", str(s), "--n", str(n)]
         out += [args, args + ["--full"]]
-    out.append(["trivial-points", "--r", "0", "--s", "2", "--n", "2"])
+    out += [["trivial-points", "--r", "0", "--s", "2", "--n", "2"],
+            ["trivial-points", "--r", "2", "--s", "1", "--n", "2"]]
     out += _solve_ab_argvs(rng)
     for s, n in ((2, 2), (2, 3), (3, 2), (3, 5), (7, 40), (2, 1), (1, 3)):
         out.append(["classify", "--s", str(s), "--n", str(n)])

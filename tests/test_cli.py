@@ -254,6 +254,7 @@ class TestFlagRanges:
         "argv",
         [
             ("trivial-points", "--r", "0", "--s", "2", "--n", "2"),
+            ("trivial-points", "--r", "2", "--s", "1", "--n", "2"),
             ("fiber-genus", "--s", "1", "--n", "3"),
             ("fiber-genus", "--s", "2", "--n", "1"),
             ("gonality-bound", "--s", "1", "--n", "3"),

@@ -315,6 +315,12 @@ class TestTrivialPoints:
         assert cert.order == 3
         assert len(cert.verified) == 27
 
+    def test_s_below_two_is_refused(self):
+        # the family y^s = x(a x^r + b) needs s >= 2
+        for s in (1, 0, -2):
+            with pytest.raises(ValueError, match="s >= 2"):
+                trivial_points(2, s, 2)
+
     def test_order_cap_refusal(self):
         with pytest.raises(OrderCapExceeded):
             trivial_points(31, 2, 2)

@@ -39,14 +39,39 @@ def fraction_scan(config, height):
     return hits, space
 
 
-def oracle_configs(rng, count):
+def sieve_survivor_count(config, height):
+    """The candidates of the box whose M, for every alpha, is >= 0 when s is
+    even and an s-th power residue modulo every sieve prime: what
+    ``sieve_survivors`` counts, computed candidate by candidate."""
+    r, s = config.r, config.s
+    powers = {m: {pow(x, s, m) for x in range(m)} for m in search._sieve_primes(s)}
+    count = 0
+    for u in range(-height, height + 1):
+        for v in range(-height, height + 1):
+            for w in range(1, height + 1):
+                if u * v == 0 or gcd(u, v, w) != 1:
+                    continue
+                for alpha in config.alphas:
+                    p, q = alpha.numerator, alpha.denominator
+                    M = p * q ** ((r + 1) * (s - 1)) * w ** (s - 1) * (u * p**r + v * q**r)
+                    if s % 2 == 0 and M < 0:
+                        break
+                    if any(M % m not in residues for m, residues in powers.items()):
+                        break
+                else:
+                    count += 1
+    return count
+
+
+def oracle_configs(rng, count, heights=(1, 6)):
     """Seeded (config, height) cases, r in 1..4, s in 2..5, n in 1..4 and
-    H <= 6: half planted through a small curve so that they have hits, half
-    random; alphas negative, fractional and divisible by small primes."""
+    H in ``heights``: half planted through a small curve so that they have
+    hits, half random; alphas negative, fractional and divisible by small
+    primes."""
     cases = []
     while len(cases) < count:
         r, s, n = rng.randint(1, 4), rng.randint(2, 5), rng.randint(1, 4)
-        height = rng.randint(1, 6)
+        height = rng.randint(*heights)
         if len(cases) % 2:
             u, v = rng.randint(-height, height), rng.randint(-height, height)
             w = rng.randint(1, height)
@@ -199,3 +224,65 @@ class TestIntegerSieve:
         assert stats["sieve_survivors"] == stats["hits"] + stats["root_rejections"]
         assert stats["sieve_survivors"] < stats["candidates"] // 100
         hash(report)  # the stats dict keeps out of the hash
+
+
+class TestSignStageAndMirror:
+    """Even s keeps only the v with M >= 0 for every alpha before the sieve;
+    odd s scans the rows of |u| and mirrors them to -u."""
+
+    CASES = oracle_configs(random.Random(1313), 12, heights=(7, 10))
+
+    def test_cases_cover_both_parities_odd_r_and_negative_alphas(self):
+        for parity in (0, 1):
+            cases = [c for c, _ in self.CASES if c.s % 2 == parity]
+            assert len(cases) >= 3
+            assert any(c.r % 2 and min(c.alphas) < 0 for c in cases)
+            assert any(max(a.denominator for a in c.alphas) > 1 for c in cases)
+
+    @pytest.mark.parametrize("k", range(len(CASES)))
+    def test_matches_fraction_scan_and_survivor_count(self, k):
+        config, height = self.CASES[k]
+        hits = assert_matches_fraction_scan(config, height)
+        stats = search_ab(config, height).stats
+        assert stats["sieve_survivors"] == sieve_survivor_count(config, height)
+        assert stats["hits"] == len(hits)
+
+    def test_survivors_with_one_sieve_prime(self, monkeypatch):
+        # with one prime many candidates with M < 0 pass the sieve, so the
+        # count shows a half-line that is one v too wide or too narrow
+        monkeypatch.setattr(search, "SIEVE_PRIMES", 1)
+        for config, height in self.CASES:
+            stats = search_ab(config, height).stats
+            assert stats["sieve_survivors"] == sieve_survivor_count(config, height)
+
+    @pytest.mark.parametrize("k", range(len(CASES)))
+    def test_counters_do_not_depend_on_workers(self, k):
+        config, height = self.CASES[k]
+        keys = ("candidates", "sieve_survivors", "root_rejections", "hits")
+        reports = [search_ab(config, height, workers) for workers in (1, 2, 3, 4096)]
+        for report in reports[1:]:
+            assert [report.stats[key] for key in keys] == [
+                reports[0].stats[key] for key in keys
+            ]
+            assert report.hits == reports[0].hits
+        assert len(reports[-1].stats["block_us"]) == 2 * height + 1
+
+    def test_odd_s_root_tests_each_positive_row_once(self, monkeypatch):
+        # x-coordinates of points of y^3 = x(-5/2 x - 3/2)
+        config = validate(1, 3, [F(-1), F(-1, 2), F(3), F(-3, 2)])
+        full = fraction_scan(config, 6)[0]
+        assert any(a < 0 for a, _, _ in full) and any(a > 0 for a, _, _ in full)
+        rows = []
+        root_test = search._root_test
+
+        def noted(u, w, *args):
+            rows.append((u, w))
+            root_test(u, w, *args)
+
+        monkeypatch.setattr(search, "_root_test", noted)
+        for workers in (1, 2, 3):
+            rows.clear()
+            report = search_ab(config, 6, workers)
+            assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == full
+            assert rows and min(u for u, _ in rows) > 0
+            assert len(rows) == len(set(rows))
