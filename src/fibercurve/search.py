@@ -104,16 +104,19 @@ def _scan(config: Config, height: int, blocks):
     # Per prime m, the pattern of each residue c1: bit i set iff c1 i mod m
     # is an s-th power, for i < width + m.  The nonzero s-th powers mod m
     # are the kernel of the character c -> c^((m-1)/g), g = gcd(s, m - 1),
-    # so c1 matters only through its character value.
+    # so c1 matters only through its character value, and the bits of c1
+    # are the s-th powers (0 included) times 1/c1.
     tables: dict[int, list[int]] = {}
     for m in primes:
         chi = [pow(c, (m - 1) // gcd(s, m - 1), m) for c in range(m)]
+        powers = [d for d in range(m) if chi[d] < 2]
         reps = (width + 2 * m - 1) // m
+        repeat = ((1 << m * reps) - 1) // ((1 << m) - 1)  # reps ones, m apart
         by_chi: dict[int, int] = {}
         for c in range(1, m):
             if chi[c] not in by_chi:
-                period = sum(1 << d for d in range(m) if chi[c * d % m] < 2)
-                by_chi[chi[c]] = period * ((1 << m * reps) - 1) // ((1 << m) - 1)
+                inverse = pow(c, -1, m)
+                by_chi[chi[c]] = repeat * sum(1 << inverse * d % m for d in powers)
         tables[m] = [full] + [by_chi[k] for k in chi[1:]]
 
     # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)) and, per prime m

@@ -247,6 +247,15 @@ class TestSignStageAndMirror:
         assert stats["sieve_survivors"] == sieve_survivor_count(config, height)
         assert stats["hits"] == len(hits)
 
+    def test_prime_s_uses_every_character(self):
+        # for s = 7 and 11 each sieve prime m has gcd(s, m - 1) = s, so the
+        # residue tables hold s distinct patterns
+        found = 0
+        for s in (7, 11):
+            for alphas in ([F(1), F(1, 2)], [F(-1), F(2, 3), F(3)]):
+                found += len(assert_matches_fraction_scan(validate(1, s, alphas), 6))
+        assert found > 0
+
     def test_survivors_with_one_sieve_prime(self, monkeypatch):
         # with one prime many candidates with M < 0 pass the sieve, so the
         # count shows a half-line that is one v too wide or too narrow
