@@ -24,23 +24,22 @@ M mod m = c0 + c1 v is affine in v.  When m divides p q w, both c0 and c1
 vanish and m rejects nothing.  Otherwise M = c1 (v - v0) mod m with
 v0 = -u (p/q)^r, so the allowed v are the bit pattern of the residues d
 with c1 d an s-th power, shifted by v0: one shift and one AND per
-(alpha, prime) sieve the whole row; each prime's pattern of every
-residue c1 is built once per search.  A row starts from the mask of v
+(alpha, prime) sieve the whole row.  A row starts from the mask of v
 coprime to gcd(u, w).  For even s a sign stage first keeps, per alpha,
 the half-line of v with M >= 0 (M has the sign of p (u p^r + v q^r);
 M = 0, the witness y = 0, stays).  Only the survivors reach the exact
 root test.
 
 For odd s, M(-u, -v, w) = -M(u, v, w) and (-t)^s = -t^s, so (u, v, w) is
-a hit exactly when (-u, -v, w) is, with every root negated; the sieve,
-which passes c exactly when it passes -c, agrees.  The rows of |u| are
-scanned once per search and mirrored to -u, and every counter still
-covers the whole box.
+a hit exactly when (-u, -v, w) is, roots negated, and the sieve passes c
+exactly when it passes -c.  The rows of |u| are scanned once per search
+and mirrored to -u; every counter still covers the whole box.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -88,6 +87,27 @@ def _sieve_primes(s: int) -> list[int]:
     return primes
 
 
+class _Patterns(dict):
+    """Sieve patterns of one prime m, keyed by character value (``chi``
+    holds c^((m-1)/g) per residue c, g = gcd(s, m - 1)) and built on first
+    use, since each of the g takes bits + m bits.  The pattern of c1 has
+    bit i set iff c1 i is an s-th power mod m, for i < bits: the s-th
+    powers (0 included; character 0 or 1) times 1/c1."""
+
+    def __init__(self, m: int, s: int, bits: int):
+        super().__init__({0: (1 << bits) - 1})  # c1 = 0 rejects nothing
+        self.m = m
+        self.chi = array("Q", [pow(c, (m - 1) // gcd(s, m - 1), m) for c in range(m)])
+        self.powers = [d for d in range(m) if self.chi[d] < 2]
+        reps = (bits + m - 1) // m
+        self.repeat = ((1 << m * reps) - 1) // ((1 << m) - 1)  # reps ones, m apart
+
+    def __missing__(self, chi: int) -> int:
+        inverse = pow(self.chi.index(chi), -1, self.m)
+        self[chi] = self.repeat * sum(1 << inverse * d % self.m for d in self.powers)
+        return self[chi]
+
+
 def _scan(config: Config, height: int, blocks):
     """Sieve and root-test the rows (u, w) of each block [u_lo, u_hi) of
     u in turn, all blocks sharing the per-alpha and per-w tables.
@@ -100,25 +120,6 @@ def _scan(config: Config, height: int, blocks):
     r, s, H = config.r, config.s, height
     primes = _sieve_primes(s)
     width = 2 * H + 1
-    full = (1 << (width + primes[-1])) - 1
-    # Per prime m, the pattern of each residue c1: bit i set iff c1 i mod m
-    # is an s-th power, for i < width + m.  The nonzero s-th powers mod m
-    # are the kernel of the character c -> c^((m-1)/g), g = gcd(s, m - 1),
-    # so c1 matters only through its character value, and the bits of c1
-    # are the s-th powers (0 included) times 1/c1.
-    tables: dict[int, list[int]] = {}
-    for m in primes:
-        chi = [pow(c, (m - 1) // gcd(s, m - 1), m) for c in range(m)]
-        powers = [d for d in range(m) if chi[d] < 2]
-        reps = (width + 2 * m - 1) // m
-        repeat = ((1 << m * reps) - 1) // ((1 << m) - 1)  # reps ones, m apart
-        by_chi: dict[int, int] = {}
-        for c in range(1, m):
-            if chi[c] not in by_chi:
-                inverse = pow(c, -1, m)
-                by_chi[chi[c]] = repeat * sum(1 << inverse * d % m for d in powers)
-        tables[m] = [full] + [by_chi[k] for k in chi[1:]]
-
     # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)) and, per prime m
     # not dividing p q, (m, (p/q)^r mod m, c1 at w = 1).
     exact, sieves = [], []
@@ -133,13 +134,14 @@ def _scan(config: Config, height: int, blocks):
             if p % m and q % m
         ]
 
+    tables = {m: _Patterns(m, s, width + m) for m in primes}
     coprime: dict[int, int] = {}  # gcd(u, w) -> mask of its coprime v
     rows_w = []
     for w in range(1, H + 1):
         ws = w ** (s - 1)
         tests = [(k * ws, p_r, q_r, d * w) for k, p_r, q_r, d in exact]
         w_m = {m: pow(w, s - 1, m) for m in primes}
-        pats = [tables[m][c1 * w_m[m] % m] for m, _, c1 in sieves]
+        pats = [tables[m][tables[m].chi[c1 * w_m[m] % m]] for m, _, c1 in sieves]
         rows_w.append((w, tests, pats))
 
     def scan_u(u):
@@ -182,15 +184,12 @@ def _scan(config: Config, height: int, blocks):
         for u in range(u_lo, u_hi):
             if u == 0:
                 continue
-            if s % 2 == 0:
-                found, count, alive = scan_u(u)
-            else:
-                if abs(u) not in mirrored:
-                    mirrored[abs(u)] = scan_u(abs(u))
-                found, count, alive = mirrored[abs(u)]
-                if u < 0:
-                    found = [(u, -v, w, tuple(-t for t in roots))
-                             for _, v, w, roots in found]
+            if s % 2 and abs(u) not in mirrored:
+                mirrored[abs(u)] = scan_u(abs(u))
+            found, count, alive = mirrored[abs(u)] if s % 2 else scan_u(u)
+            if s % 2 and u < 0:
+                found = [(u, -v, w, tuple(-t for t in roots))
+                         for _, v, w, roots in found]
             hits += found
             candidates += count
             survivors += alive

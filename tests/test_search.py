@@ -247,11 +247,11 @@ class TestSignStageAndMirror:
         assert stats["sieve_survivors"] == sieve_survivor_count(config, height)
         assert stats["hits"] == len(hits)
 
-    def test_prime_s_uses_every_character(self):
-        # for s = 7 and 11 each sieve prime m has gcd(s, m - 1) = s, so the
-        # residue tables hold s distinct patterns
+    def test_prime_s_uses_many_characters(self):
+        # for prime s each sieve prime m has gcd(s, m - 1) = s characters,
+        # each with its own pattern (for s = 101, m runs up to 10303)
         found = 0
-        for s in (7, 11):
+        for s in (7, 11, 101):
             for alphas in ([F(1), F(1, 2)], [F(-1), F(2, 3), F(3)]):
                 found += len(assert_matches_fraction_scan(validate(1, s, alphas), 6))
         assert found > 0
