@@ -150,9 +150,9 @@ def _scan(config: Config, height: int, blocks):
         if s % 2 == 0:
             for k, p_r, q_r, _ in exact:
                 if k > 0:  # k has the sign of p; v >= -u p^r / q^r
-                    sign &= -1 << max(H - u * p_r // q_r, 0)
+                    sign &= -1 << min(max(H - u * p_r // q_r, 0), width)
                 else:  # v <= -u p^r / q^r
-                    sign &= (1 << max(H + 1 + -u * p_r // q_r, 0)) - 1
+                    sign &= (1 << min(max(H + 1 + -u * p_r // q_r, 0), width)) - 1
         shifts = [(u * e - H) % m for m, e, _ in sieves]
         hits: list = []
         candidates = survivors = 0

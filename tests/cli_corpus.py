@@ -164,6 +164,9 @@ def _search_argvs(rng: random.Random) -> list[list[str]]:
             ["search-ab", "--config", config, "--height", "5", "--workers", "2",
              "--stats"],
         ]
+    for alpha in ("1000000000000000000000", "-1/1000000000000000000000"):
+        config = json.dumps({"r": 3, "s": 2, "alphas": [alpha, "2", "3"]})
+        argvs.append(["search-ab", "--config", config, "--height", "3", "--stats"])
     return argvs
 
 

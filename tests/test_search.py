@@ -256,6 +256,15 @@ class TestSignStageAndMirror:
                 found += len(assert_matches_fraction_scan(validate(1, s, alphas), 6))
         assert found > 0
 
+    def test_half_lines_ending_far_outside_the_row(self):
+        # -u p^r / q^r far beyond H: each half-line keeps all or none of a row
+        for r, alpha in ((1, F(10**21)), (1, F(-10**21)), (3, F(-10**7, 3)),
+                         (3, F(1, 10**7)), (2, F(-1, 10**11))):
+            config = validate(r, 2, [alpha, F(2), F(3)])
+            assert_matches_fraction_scan(config, 3)
+            stats = search_ab(config, 3).stats
+            assert stats["sieve_survivors"] == sieve_survivor_count(config, 3)
+
     def test_survivors_with_one_sieve_prime(self, monkeypatch):
         # with one prime many candidates with M < 0 pass the sieve, so the
         # count shows a half-line that is one v too wide or too narrow
