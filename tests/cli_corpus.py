@@ -10,7 +10,12 @@ Regenerating the records is a deliberate act:
 
     python tests/cli_corpus.py --write
 
-A change that alters a record names each changed argv in CHANGES.md.
+A change that alters a record names each changed argv in CHANGES.md;
+
+    python tests/cli_corpus.py --diff
+
+prints every argv whose record differs from the file or is missing from
+it, and exits 1 if there is any.
 
 argparse words its own messages, and that wording can change between
 Python minor versions.  A record whose message went through
@@ -198,6 +203,11 @@ def argvs() -> list[list[str]]:
     out += [
         ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"3"},"points":[1,2]}'],
         ["push", "--input", '{"curve":[],"points":[]}'],
+        # inadmissible curves: a repeated x, and r out of range
+        ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"3"},"points":'
+         '[{"x":"1","y":"2"},{"x":"1","y":"2"},{"x":"3","y":"6"}]}'],
+        ["push", "--input", '{"curve":{"r":-2,"s":2,"a":"1","b":"1"},"points":'
+         '[{"x":"0","y":"0"},{"x":"2","y":"3"}]}'],
         ["fiber-verify", "--config", CFG123, "--point", '{"coords":["1","2"]}'],
         ["fiber-verify", "--config", CFG123, "--point", '{"coords":["0","0","0"]}'],
         ["lift", "--config", CFG123, "--point", '{"coords":["0","1","1"]}'],
@@ -245,7 +255,8 @@ def argvs() -> list[list[str]]:
         args = ["trivial-points", "--r", str(r), "--s", str(s), "--n", str(n)]
         out += [args, args + ["--full"]]
     out += [["trivial-points", "--r", "0", "--s", "2", "--n", "2"],
-            ["trivial-points", "--r", "2", "--s", "1", "--n", "2"]]
+            ["trivial-points", "--r", "2", "--s", "1", "--n", "2"],
+            ["trivial-points", "--r", "31", "--s", "2", "--n", "2"]]
     out += _solve_ab_argvs(rng)
     for s, n in ((2, 2), (2, 3), (3, 2), (3, 5), (7, 40), (2, 1), (1, 3)):
         out.append(["classify", "--s", str(s), "--n", str(n)])
@@ -256,12 +267,28 @@ def argvs() -> list[list[str]]:
             for r, s in ((1, 2), (2, 2), (3, 5), (0, 2))]
     for name in ("watkins14", "rogers7", "nope"):
         out += [["fixtures", name], ["fixtures", name, "--verify"]]
+    # every integer and rational flag, each the last argument of its argv
+    lift_head = ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}']
     for head in (["fiber-genus", "--s", "2", "--n"],
+                 ["fiber-genus", "--n", "3", "--s"],
+                 ["gonality-bound", "--n", "3", "--s"],
+                 ["gonality-bound", "--s", "2", "--n"],
                  ["classify", "--n", "3", "--s"],
+                 ["classify", "--s", "2", "--n"],
                  ["family-genus", "--s", "2", "--r"],
+                 ["family-genus", "--r", "2", "--s"],
+                 ["solve-ab", "--s", "2", "--p0", "1,2", "--p1", "2,3", "--r"],
+                 ["solve-ab", "--r", "1", "--p0", "1,2", "--p1", "2,3", "--s"],
+                 ["solve-ab", "--r", "1", "--s", "2", "--p1", "2,3", "--p0"],
+                 ["solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1"],
                  ["conic-enumerate", "--config", CFG123, "--count"],
+                 ["conic-enumerate", "--config", CFG123, "--count", "1", "--height"],
                  ["search-ab", "--config", CFG123, "--height"],
-                 ["trivial-points", "--r", "1", "--s", "2", "--n"]):
+                 ["search-ab", "--config", CFG123, "--height", "2", "--workers"],
+                 ["trivial-points", "--r", "1", "--s", "2", "--n"],
+                 ["trivial-points", "--s", "2", "--n", "2", "--r"],
+                 ["trivial-points", "--r", "1", "--n", "2", "--s"],
+                 lift_head + ["--scale"]):
         out += [head + [text] for text in BAD_TEXT]
     out += [[], ["nope"], ["validate"], ["push", "--input"],
             ["fiber-genus", "--s", "2", "--n", "3", "--extra"]]
@@ -313,6 +340,36 @@ def record(argv: list[str], workdir: Path) -> dict:
     }
 
 
+def load_golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def same_record(want: dict, got: dict, golden: dict) -> bool:
+    """Whether ``got`` matches the golden ``want``; on another Python minor
+    version than the file's, an argparse-worded stderr is not compared."""
+    if want["argparse"] and golden["python"] != python_version():
+        want = {**want, "stderr": got["stderr"]}
+    return got == want
+
+
+def diff(workdir: Path) -> list[str]:
+    """One line per argv whose record is missing from the golden file or
+    differs from it, in corpus order."""
+    golden = load_golden()
+    lines, seen = [], set()
+    for argv in argvs():
+        k = key(argv)
+        if k in seen:
+            continue
+        seen.add(k)
+        want = golden["cases"].get(k)
+        if want is None:
+            lines.append(f"missing: {k}")
+        elif not same_record(want, record(argv, workdir), golden):
+            lines.append(f"differs: {k}")
+    return lines
+
+
 def write(workdir: Path) -> int:
     cases = {}
     for argv in argvs():
@@ -327,7 +384,12 @@ def write(workdir: Path) -> int:
 if __name__ == "__main__":
     import tempfile
 
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/cli_corpus.py --write")
+    if sys.argv[1:] not in (["--write"], ["--diff"]):
+        sys.exit("usage: python tests/cli_corpus.py --write | --diff")
     with tempfile.TemporaryDirectory() as tmp:
-        print(f"wrote {write(Path(tmp))} records to {GOLDEN}")
+        if sys.argv[1] == "--write":
+            print(f"wrote {write(Path(tmp))} records to {GOLDEN}")
+        else:
+            changed = diff(Path(tmp))
+            print("\n".join(changed or ["no argv differs"]))
+            sys.exit(1 if changed else 0)

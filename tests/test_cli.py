@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -138,6 +139,17 @@ class TestValidateVerb:
     def test_unreadable_path(self, capsys):
         code, _, err = run(capsys, "validate", "--config", "/nonexistent.json")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("verb, flag, payload", [
+        ("validate", "--config", CFG123),
+        ("validate", "--config", '{"r":2,"s":2,"alphas":["1","-1"]}'),
+        ("push", "--input", json.dumps(jsonio.cwp_to_obj(CWP13))),
+    ])
+    def test_stdin_reads_as_the_literal(self, capsys, monkeypatch, verb, flag,
+                                        payload):
+        literal = run(capsys, verb, flag, payload)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        assert run(capsys, verb, flag, "-") == literal
 
     @pytest.mark.parametrize("verb", ["validate", "fiber-build"])
     def test_zero_denominator_is_usage_error(self, capsys, verb):
