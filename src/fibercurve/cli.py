@@ -209,7 +209,9 @@ def _cmd_push(args) -> int:
     cwp = jsonio.cwp_from_obj(_read_payload(args.input))
     try:
         point = birat.to_fiber_point(cwp)
-    except ValueError as exc:  # off the curve, all y = 0 or inadmissible x
+    except InvalidConfigError:
+        raise
+    except ValueError as exc:  # off the curve or all y = 0
         raise MathFailure(str(exc)) from exc
     _emit(jsonio.proj_point_to_obj(point))
     return EXIT_OK

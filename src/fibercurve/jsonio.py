@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import format_rational, parse_rational, shown
+from .arith import format_rational, parse_integer, parse_rational, shown
 from .birat import CurveWithPoints
 from .config import Config, validate
 from .family import AffinePoint, FamilyCurve
@@ -50,14 +50,11 @@ def _int_text_field(obj: dict, key: str) -> int:
     """An integer written, like every number the writers emit, as a string."""
     value = obj[key]
     try:
-        q = parse_rational(value)
+        return parse_integer(value)
     except ValueError:
-        q = None
-    if q is None or q.denominator != 1:
         raise ValueError(
             f"{key!r} must be an integer string, got {shown(value)}"
-        )
-    return q.numerator
+        ) from None
 
 
 def curve_to_obj(curve: FamilyCurve) -> dict:

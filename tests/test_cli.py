@@ -517,8 +517,11 @@ class TestCorrespondenceVerbs:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("curve, x0, message", [
-        ({"r": 2, "s": -1}, "1", "s must be >= 2, got -1"),
-        ({"r": -2, "s": 2}, "0", "r must be >= 1, got -2; alpha[0] is zero"),
+        ({"r": 2, "s": -1}, "1",
+         '{"valid": false, "violations": ["s must be >= 2, got -1"]}'),
+        ({"r": -2, "s": 2}, "0",
+         '{"valid": false, "violations": ["r must be >= 1, got -2", '
+         '"alpha[0] is zero"]}'),
     ], ids=["s=-1", "r=-2"])
     def test_push_out_of_range_curve_is_math_failure(self, capsys, curve, x0,
                                                      message):
@@ -527,6 +530,22 @@ class TestCorrespondenceVerbs:
         code, out, err = run(capsys, "push", "--input", json.dumps(cwp))
         assert code == EXIT_MATH and out == ""
         assert json.loads(err) == {"error": "math", "message": message}
+
+    @pytest.mark.parametrize("r, s, xs", [
+        (2, 2, ["1", "1", "3"]),
+        (2, 2, ["1", "-1", "3"]),
+        (-2, 2, ["0", "2"]),
+        (1, 1, ["1", "2", "3"]),
+    ], ids=["repeated x", "equal squares", "r=-2", "s=1"])
+    def test_push_inadmissible_curve_fails_as_lift_does(self, capsys, r, s, xs):
+        cwp = {"curve": {"r": r, "s": s, "a": "1", "b": "1"},
+               "points": [{"x": x, "y": "1"} for x in xs]}
+        cfg = json.dumps({"r": r, "s": s, "alphas": xs})
+        point = json.dumps({"coords": ["1"] * len(xs)})
+        code, out, err = run(capsys, "push", "--input", json.dumps(cwp))
+        assert code == EXIT_MATH and out == ""
+        assert (code, out, err) == run(capsys, "lift", "--config", cfg,
+                                       "--point", point)
 
     def test_lift_obstruction(self, capsys):
         cfg = '{"r":2,"s":2,"alphas":["1","4","9"]}'
@@ -729,6 +748,16 @@ class TestJsonRoundTrips:
         with pytest.raises(ValueError, match=f"'{key}'"):
             jsonio.fiber_system_from_obj(obj)
 
+    @pytest.mark.parametrize("key", ["A", "B", "C"])
+    def test_coefficients_read_as_integer_flags_read(self, key):
+        # "10/2" is 5 as a rational, but no integer flag reads it
+        system = build_fiber(validate(2, 2, [F(1), F(2), F(3), F(5)]))
+        obj = jsonio.fiber_system_to_obj(system)
+        obj["equations"][0][key] = "10/2"
+        message = f"'{key}' must be an integer string, got '10/2'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            jsonio.fiber_system_from_obj(obj)
+
     def test_long_coefficient_is_shortened_in_the_message(self):
         system = build_fiber(validate(2, 2, [F(1), F(2), F(3)]))
         obj = jsonio.fiber_system_to_obj(system)
@@ -822,3 +851,19 @@ def test_no_verb_starts_a_process():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert (proc.returncode, proc.stderr.strip()) == (0, "0 False False")
+
+
+def test_package_import_loads_no_module():
+    # each module is imported by name; the package holds only __version__
+    script = (
+        "import sys, fibercurve; "
+        "print(sorted(m for m in sys.modules if m.startswith('fibercurve.')), "
+        "[k for k in vars(fibercurve) if not k.startswith('_')], "
+        "fibercurve.__version__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "[] [] 0.1.0")
