@@ -10,12 +10,13 @@ Regenerating the records is a deliberate act:
 
     python tests/cli_corpus.py --write
 
-A change that alters a record names each changed argv in CHANGES.md;
+A change that alters a record names each changed argv in CHANGES.md.
+Before regenerating, list them with
 
     python tests/cli_corpus.py --diff
 
-prints every argv whose record differs from the file or is missing from
-it, and exits 1 if there is any.
+which prints every argv whose record differs from the file or is missing
+from it, and exits 1 if there is any.
 
 argparse words its own messages, and that wording can change between
 Python minor versions.  A record whose message went through
@@ -356,17 +357,13 @@ def diff(workdir: Path) -> list[str]:
     """One line per argv whose record is missing from the golden file or
     differs from it, in corpus order."""
     golden = load_golden()
-    lines, seen = [], set()
+    lines = []
     for argv in argvs():
-        k = key(argv)
-        if k in seen:
-            continue
-        seen.add(k)
-        want = golden["cases"].get(k)
+        want = golden["cases"].get(key(argv))
         if want is None:
-            lines.append(f"missing: {k}")
+            lines.append(f"missing: {key(argv)}")
         elif not same_record(want, record(argv, workdir), golden):
-            lines.append(f"differs: {k}")
+            lines.append(f"differs: {key(argv)}")
     return lines
 
 
