@@ -209,7 +209,13 @@ def argvs() -> list[list[str]]:
          '[{"x":"1","y":"2"},{"x":"1","y":"2"},{"x":"3","y":"6"}]}'],
         ["push", "--input", '{"curve":{"r":-2,"s":2,"a":"1","b":"1"},"points":'
          '[{"x":"0","y":"0"},{"x":"2","y":"3"}]}'],
+        # two points: no fiber system; a = b = 0 with every y zero: no fiber point
+        ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"3"},"points":'
+         '[{"x":"1","y":"2"},{"x":"3","y":"6"}]}'],
+        ["push", "--input", '{"curve":{"r":2,"s":2,"a":"0","b":"0"},"points":'
+         '[{"x":"1","y":"0"},{"x":"2","y":"0"},{"x":"3","y":"0"}]}'],
         ["fiber-verify", "--config", CFG123, "--point", '{"coords":["1","2"]}'],
+        ["lift", "--config", CFG123, "--point", '{"coords":["1","2"]}'],
         ["fiber-verify", "--config", CFG123, "--point", '{"coords":["0","0","0"]}'],
         ["lift", "--config", CFG123, "--point", '{"coords":["0","1","1"]}'],
         ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}',
