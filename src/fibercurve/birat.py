@@ -40,6 +40,11 @@ class SingularSystemError(ValueError):
     """x_0^r == x_1^r: the two-point linear system has no unique solution."""
 
 
+class NoFiberPoint(ValueError):
+    """A curve with points that gives no point of the fiber: a point off
+    the curve, or every y zero."""
+
+
 class LiftObstruction(ValueError):
     """A fiber point that does not lift to a smooth curve with the
     requested scale; ``index`` names the failing coordinate when one
@@ -69,7 +74,7 @@ class CurveWithPoints:
         cfg = self.config()
         for idx, p in enumerate(self.points):
             if not contains(self.curve, p):
-                raise ValueError(f"point {idx} is not on the curve")
+                raise NoFiberPoint(f"point {idx} is not on the curve")
         return cfg
 
 
@@ -99,10 +104,14 @@ def solve_ab(
 
 
 def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
-    """[y_0 : ... : y_n] in canonical normalization; always on the fiber."""
-    config = cwp.verify()
-    point = ProjPoint([p.y for p in cwp.points])
-    system = build_fiber(config)
+    """[y_0 : ... : y_n] in canonical normalization; always on the fiber.
+
+    Raises NoFiberPoint for a point off the curve or every y zero."""
+    system = build_fiber(cwp.verify())
+    try:
+        point = ProjPoint([p.y for p in cwp.points])
+    except ValueError as exc:  # every y is zero, so a = b = 0
+        raise NoFiberPoint(str(exc)) from None
     if not on_fiber(system, point):
         raise AssertionError("curve points did not land on the fiber")
     return point

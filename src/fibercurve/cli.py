@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -27,10 +28,6 @@ EXIT_USAGE = 2
 
 
 class UsageError(Exception):
-    pass
-
-
-class MathFailure(Exception):
     pass
 
 
@@ -156,8 +153,6 @@ def _cmd_fiber_verify(args) -> int:
     cfg = _load_config(args.config)
     system = fiber.build_fiber(cfg)
     point = jsonio.proj_point_from_obj(_read_payload(args.point))
-    if len(point) != cfg.n + 1:
-        raise UsageError("point length does not match configuration")
     report = fiber.on_fiber(system, point)
     result = {
         "on_fiber": report.ok,
@@ -167,7 +162,7 @@ def _cmd_fiber_verify(args) -> int:
         ],
     }
     if report.ok:
-        result["smooth"] = fiber.smooth_at(system, point)
+        result["smooth"] = fiber.jacobian_rank(system, point) == cfg.n - 1
     _emit(result)
     return EXIT_OK if report.ok and result.get("smooth", True) else EXIT_MATH
 
@@ -207,13 +202,7 @@ def _cmd_solve_ab(args) -> int:
 
 def _cmd_push(args) -> int:
     cwp = jsonio.cwp_from_obj(_read_payload(args.input))
-    try:
-        point = birat.to_fiber_point(cwp)
-    except InvalidConfigError:
-        raise
-    except ValueError as exc:  # off the curve or all y = 0
-        raise MathFailure(str(exc)) from exc
-    _emit(jsonio.proj_point_to_obj(point))
+    _emit(jsonio.proj_point_to_obj(birat.to_fiber_point(cwp)))
     return EXIT_OK
 
 
@@ -384,7 +373,7 @@ _FAILURES = (
      lambda exc: json.dumps({"valid": False, "violations": exc.problems})),
     (birat.LiftObstruction, EXIT_MATH,
      lambda exc: json.dumps({"obstruction": exc.reason, "index": exc.index})),
-    ((MathFailure, birat.SingularSystemError, conic.NoRationalPointError,
+    ((birat.NoFiberPoint, birat.SingularSystemError, conic.NoRationalPointError,
       fiber.OrderCapExceeded, fixtures.FixtureMismatchError), EXIT_MATH, str),
     (KeyError, EXIT_USAGE, lambda exc: f"missing field {exc}"),
     ((UsageError, ValueError, TypeError), EXIT_USAGE, str),
@@ -393,13 +382,21 @@ _FAILURES = (
 
 def main(argv=None) -> int:
     """Run one verb; every expected failure becomes an exit code and one
-    JSON object on stderr.  Any other exception is a bug and propagates."""
+    JSON object on stderr.  Any other exception is a bug and propagates.
+    A reader that closes stdout early (``| head``) ends the verb quietly
+    with exit code 1."""
     # exact answers such as fiber-genus at large n print more than 4300
     # digits; the setter is missing before Python 3.10.7
     getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout at exit: send what is left nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as exc:
         for types, code, message in _FAILURES:
             if isinstance(exc, types):

@@ -208,7 +208,7 @@ def det_form(
 def on_fiber(system: FiberSystem, point: ProjPoint) -> MembershipReport:
     """Exact membership of a projective point, with per-equation residues."""
     if len(point) != system.n + 1:
-        raise ValueError("point length does not match system")
+        raise ValueError("point length does not match configuration")
     s = system.config.s
     y0 = point[0] ** s
     y1 = point[1] ** s

@@ -25,15 +25,7 @@ from importlib import resources
 
 from .arith import parse_rational
 from .birat import CurveWithPoints, solve_ab
-from .config import validate
-from .family import contains
-from .fiber import (
-    ProjPoint,
-    build_fiber,
-    fiber_genus,
-    jacobian_rank,
-    on_fiber,
-)
+from .fiber import ProjPoint, build_fiber, fiber_genus, smooth_at
 from .jsonio import cwp_from_obj
 
 EXPECTED_SHA256 = {
@@ -146,33 +138,27 @@ def _match_printed(system, printed) -> tuple[str, list[Fraction]]:
 
 
 def verify(fixture: Fixture) -> FixtureReport:
-    """Recompute everything from the raw data; raise on the first mismatch."""
-    checks: list[tuple[str, str]] = []
+    """Recompute everything from the raw data; raise on the first mismatch.
+
+    The first five checks are the library's own (``CurveWithPoints.verify``,
+    ``build_fiber``, ``smooth_at``); a ValueError from them is a mismatch."""
     curve = fixture.cwp.curve
     points = fixture.cwp.points
-
-    for idx, p in enumerate(points):
-        if not contains(curve, p):
-            raise FixtureMismatchError(f"point {idx} is not on the curve")
-    checks.append(("membership", f"all {len(points)} points on the curve"))
-
-    cfg = validate(curve.r, curve.s, [p.x for p in points])
-    checks.append(("config", f"n = {cfg.n}, admissible"))
-
-    system = build_fiber(cfg)
-    checks.append(("fiber", f"{len(system.equations)} equations built"))
-
-    y_point = ProjPoint([p.y for p in points])
-    membership = on_fiber(system, y_point)
-    if not membership.ok:
-        bad = [i for i, res in membership.residues if res != 0]
-        raise FixtureMismatchError(f"fiber point fails equations {bad}")
-    checks.append(("on_fiber", "y-coordinate point satisfies every equation"))
-
-    rank = jacobian_rank(system, y_point)
-    if rank != cfg.n - 1:
+    try:
+        cfg = fixture.cwp.verify()
+        system = build_fiber(cfg)
+        smooth = smooth_at(system, ProjPoint([p.y for p in points]))
+    except ValueError as exc:
+        raise FixtureMismatchError(str(exc)) from exc
+    if not smooth:
         raise FixtureMismatchError("Jacobian rank deficient at the point")
-    checks.append(("smooth_at", f"Jacobian rank {rank} = n-1"))
+    checks = [
+        ("membership", f"all {len(points)} points on the curve"),
+        ("config", f"n = {cfg.n}, admissible"),
+        ("fiber", f"{len(system.equations)} equations built"),
+        ("on_fiber", "y-coordinate point satisfies every equation"),
+        ("smooth_at", f"Jacobian rank {cfg.n - 1} = n-1"),
+    ]
 
     genus = fiber_genus(curve.s, cfg.n)
     if genus != fixture.expected_genus_fiber:

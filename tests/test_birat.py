@@ -9,6 +9,7 @@ from fibercurve import fixtures
 from fibercurve.birat import (
     CurveWithPoints,
     LiftObstruction,
+    NoFiberPoint,
     SingularSystemError,
     from_fiber_point,
     solve_ab,
@@ -74,7 +75,13 @@ class TestToFiberPoint:
             AffinePoint(F(1), F(2)), AffinePoint(F(3), F(6)),
             AffinePoint(F(12), F(43)),
         ))
-        with pytest.raises(ValueError, match="point 2 is not on the curve"):
+        with pytest.raises(NoFiberPoint, match="point 2 is not on the curve"):
+            to_fiber_point(cwp)
+
+    def test_every_y_zero_has_no_fiber_point(self):
+        cwp = CurveWithPoints(FamilyCurve(2, 2, F(0), F(0)), tuple(
+            AffinePoint(F(x), F(0)) for x in (1, 2, 3)))
+        with pytest.raises(NoFiberPoint, match="needs a nonzero coordinate"):
             to_fiber_point(cwp)
 
     def test_sign_flip_keeps_verdict(self):

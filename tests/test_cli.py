@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from fibercurve import config, jsonio
+import fibercurve
+from fibercurve import cli, config, jsonio
 from fibercurve.birat import CurveWithPoints
 from fibercurve.cli import (
     EXIT_MATH,
@@ -547,6 +550,27 @@ class TestCorrespondenceVerbs:
         assert (code, out, err) == run(capsys, "lift", "--config", cfg,
                                        "--point", point)
 
+    def test_push_on_two_points_fails_as_fiber_build_does(self, capsys):
+        cwp = {"curve": {"r": 2, "s": 2, "a": "1", "b": "3"},
+               "points": [{"x": "1", "y": "2"}, {"x": "3", "y": "6"}]}
+        cfg = '{"r":2,"s":2,"alphas":["1","3"]}'
+        code, out, err = run(capsys, "push", "--input", json.dumps(cwp))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert json.loads(err) == {"error": "usage",
+                                   "message": "fiber systems need n >= 2"}
+        assert (code, out, err) == run(capsys, "fiber-build", "--config", cfg)
+
+    @pytest.mark.parametrize("coords", [["1", "2"], ["1", "2", "3", "4"]])
+    def test_wrong_length_point_has_one_message(self, capsys, coords):
+        point = json.dumps({"coords": coords})
+        code, out, err = run(capsys, "lift", "--config", CFG123,
+                             "--point", point)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert json.loads(err)["message"] == (
+            "point length does not match configuration")
+        assert (code, out, err) == run(capsys, "fiber-verify", "--config",
+                                       CFG123, "--point", point)
+
     def test_lift_obstruction(self, capsys):
         cfg = '{"r":2,"s":2,"alphas":["1","4","9"]}'
         point = '{"coords":["1","2","3"]}'
@@ -867,3 +891,62 @@ def test_package_import_loads_no_module():
         env={**os.environ, "PYTHONPATH": SRC},
     )
     assert (proc.returncode, proc.stdout.strip()) == (0, "[] [] 0.1.0")
+
+
+def test_closed_stdout_ends_the_verb_quietly():
+    # about 300 KB of curves, more than a pipe holds: the verb is still
+    # writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibercurve.cli", "conic-enumerate",
+         "--config", CFG123, "--count", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert json.loads(proc.stdout.readline())["curve"]["r"] == 2
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+def test_stdout_closed_before_a_buffered_answer_is_written():
+    # with buffered stdout a short answer is written when main flushes it
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibercurve.cli", "fiber-genus",
+             "--s", "2", "--n", "13"],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+            env={**env, "PYTHONPATH": SRC},
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# every exception class a fibercurve module defines, and the exit code
+# the failure table gives it
+FAILURE_EXIT_CODES = {
+    "fibercurve.birat.LiftObstruction": EXIT_MATH,
+    "fibercurve.birat.NoFiberPoint": EXIT_MATH,
+    "fibercurve.birat.SingularSystemError": EXIT_MATH,
+    "fibercurve.cli.UsageError": EXIT_USAGE,
+    "fibercurve.config.InvalidConfigError": EXIT_MATH,
+    "fibercurve.conic.NoRationalPointError": EXIT_MATH,
+    "fibercurve.fiber.OrderCapExceeded": EXIT_MATH,
+    "fibercurve.fixtures.FixtureMismatchError": EXIT_MATH,
+}
+
+
+def test_failure_table_has_one_row_per_exception_class():
+    found = {}
+    for info in pkgutil.iter_modules(fibercurve.__path__):
+        module = importlib.import_module(f"fibercurve.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = next(
+                    (code for types, code, _ in cli._FAILURES
+                     if issubclass(obj, types)), None)
+    assert found == FAILURE_EXIT_CODES
