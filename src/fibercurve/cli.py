@@ -10,7 +10,6 @@ input).  All numbers cross the boundary as exact "p/q" strings.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -225,7 +224,7 @@ def _cmd_conic_enumerate(args) -> int:
 def _cmd_search_ab(args) -> int:
     cfg = _load_config(args.config)
     report = search.search_ab(cfg, args.height, args.workers)
-    obj = jsonio.search_report_to_obj(dataclasses.replace(report, stats=None))
+    obj = jsonio.search_report_to_obj(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

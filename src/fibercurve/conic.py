@@ -40,8 +40,6 @@ class ConicModel:
 
 
 def _single_equation(system: FiberSystem) -> tuple[int, int, int]:
-    if system.n != 2 or system.config.s != 2:
-        raise ValueError("conic machinery needs s = 2 and n = 2")
     eq = system.equations[0]
     return eq.A, eq.B, eq.C
 

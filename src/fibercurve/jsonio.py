@@ -1,28 +1,23 @@
 """JSON codecs for every exchanged type.
 
 All numeric payloads are exact "p/q" strings (bare "p" for integers);
-floats never appear.  Parsing is the exact inverse of emission for the
-types the CLI exchanges.
+floats never appear.  A type has a reader only when a verb reads it:
+curves, configurations, points and curves with points.  Fiber systems,
+search reports and certificates are only written.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import format_rational, parse_integer, parse_rational, shown
+from .arith import format_rational, parse_rational, shown
 from .birat import CurveWithPoints
 from .config import Config, validate
 from .family import AffinePoint, FamilyCurve
-from .fiber import (
-    FiberEquation,
-    FiberSystem,
-    ProjPoint,
-    TrivialPointCertificate,
-)
-from .search import EVIDENCE_NOTE, SearchReport
+from .fiber import FiberSystem, ProjPoint, TrivialPointCertificate
 
 
-_JSON_TYPES = {int: "integer", bool: "bool", list: "list", dict: "object"}
+_JSON_TYPES = {int: "integer", list: "list", dict: "object"}
 
 
 def _typed(value, name: str, kind: type):
@@ -44,17 +39,6 @@ def _object_entries(obj: dict, key: str) -> list[dict]:
         _typed(entry, f"{key}[{k}]", dict)
         for k, entry in enumerate(_field(obj, key, list))
     ]
-
-
-def _int_text_field(obj: dict, key: str) -> int:
-    """An integer written, like every number the writers emit, as a string."""
-    value = obj[key]
-    try:
-        return parse_integer(value)
-    except ValueError:
-        raise ValueError(
-            f"{key!r} must be an integer string, got {shown(value)}"
-        ) from None
 
 
 def curve_to_obj(curve: FamilyCurve) -> dict:
@@ -128,21 +112,6 @@ def fiber_system_to_obj(system: FiberSystem) -> dict:
     }
 
 
-def fiber_system_from_obj(obj: dict) -> FiberSystem:
-    config = config_from_obj(_field(obj, "config", dict))
-    equations = tuple(
-        FiberEquation(
-            i=_field(e, "i", int),
-            A=_int_text_field(e, "A"),
-            B=_int_text_field(e, "B"),
-            C=_int_text_field(e, "C"),
-            scale=parse_rational(e.get("scale", "1")),
-        )
-        for e in _object_entries(obj, "equations")
-    )
-    return FiberSystem(config=config, equations=equations)
-
-
 def cwp_to_obj(cwp: CurveWithPoints) -> dict:
     return {
         "curve": curve_to_obj(cwp.curve),
@@ -157,8 +126,9 @@ def cwp_from_obj(obj: dict) -> CurveWithPoints:
     )
 
 
-def search_report_to_obj(report: SearchReport) -> dict:
-    obj = {
+def search_report_to_obj(report) -> dict:
+    """A ``search.SearchReport``; its ``stats`` go to stderr, not here."""
+    return {
         "config": config_to_obj(report.config),
         "height_bound": report.height_bound,
         "hits": [cwp_to_obj(h) for h in report.hits],
@@ -168,23 +138,6 @@ def search_report_to_obj(report: SearchReport) -> dict:
         "workers": report.workers,
         "note": report.note,
     }
-    if report.stats is not None:
-        obj["stats"] = report.stats
-    return obj
-
-
-def search_report_from_obj(obj: dict) -> SearchReport:
-    return SearchReport(
-        config=config_from_obj(_field(obj, "config", dict)),
-        height_bound=_field(obj, "height_bound", int),
-        hits=tuple(cwp_from_obj(h) for h in _object_entries(obj, "hits")),
-        search_space_size=_field(obj, "search_space_size", int),
-        elapsed_ms=_field(obj, "elapsed_ms", int),
-        complete=_field(obj, "complete", bool),
-        workers=_field(obj, "workers", int),
-        note=obj.get("note", EVIDENCE_NOTE),
-        stats=obj.get("stats"),
-    )
 
 
 def certificate_to_obj(

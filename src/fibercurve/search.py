@@ -68,11 +68,11 @@ class SearchReport:
     elapsed_ms: int
     complete: bool
     workers: int
-    note: str = EVIDENCE_NOTE
     # counters of the run: candidates, sieve_survivors (past the sign stage
     # and every prime: root-tested), root_rejections, hits, workers,
     # block_us (time of each u-block); a dict, so it stays out of the hash
-    stats: dict | None = field(default=None, hash=False)
+    stats: dict = field(hash=False)
+    note: str = EVIDENCE_NOTE
 
 
 def _sieve_primes(s: int) -> list[int]:

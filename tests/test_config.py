@@ -6,13 +6,14 @@ import pytest
 
 from fibercurve import fixtures
 from fibercurve.config import (
+    Config,
     InvalidConfigError,
     Regime,
     classify,
     validate,
     violations,
 )
-from fibercurve.fiber import fiber_genus
+from fibercurve.fiber import fiber_genus, raw_coefficients
 
 
 def pairwise_violations(r, s, alphas):
@@ -38,6 +39,19 @@ def pairwise_violations(r, s, alphas):
                         f"alpha[{i}]^{r} == alpha[{j}]^{r} with distinct bases"
                     )
     return problems
+
+
+def leibniz_det(rows):
+    """Exact determinant by the permutation expansion; shares no code with
+    ``linalg``."""
+    total = F(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = F(-1) ** inversions
+        for row, col in zip(rows, perm):
+            term *= row[col]
+        total += term
+    return total
 
 
 class TestValidate:
@@ -87,6 +101,36 @@ class TestValidate:
             s = rng.randint(1, 3)
             alphas = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
             assert violations(r, s, alphas) == pairwise_violations(r, s, alphas)
+
+    def test_admissible_exactly_when_every_maximal_minor_is_nonzero(self):
+        """Second oracle, from the fiber instead of the pairs of alphas.
+
+        For n >= 2 the fiber is cut out by the n - 1 diagonal forms
+        A_i Y_0^s + B_i Y_1^s + C_i Y_i^s, and it is smooth exactly when
+        every maximal minor of their (n-1) x (n+1) coefficient matrix is
+        nonzero.  Row i holds the ``raw_coefficients`` A_i, B_i and C_i in
+        columns 0, 1 and i.  The raw triple is the definition, so it is
+        read from an unchecked Config, whatever its alphas.
+        """
+        pool = [F(p, q) for p in range(-3, 4) for q in range(1, 4)]
+        rng = random.Random(16)
+        admissible = 0
+        for _ in range(3000):
+            r, n = rng.randint(1, 4), rng.randint(2, 4)
+            alphas = tuple(rng.choice(pool) for _ in range(n + 1))
+            config = Config(r=r, s=2, alphas=alphas)
+            rows = []
+            for i in range(2, n + 1):
+                row = [F(0)] * (n + 1)
+                row[0], row[1], row[i] = raw_coefficients(config, i)
+                rows.append(row)
+            smooth = all(
+                leibniz_det([[row[c] for c in cols] for row in rows])
+                for cols in itertools.combinations(range(n + 1), n - 1)
+            )
+            assert smooth == (violations(r, 2, alphas) == []), (r, alphas)
+            admissible += smooth
+        assert 500 < admissible < 2500  # both verdicts well represented
 
     @pytest.mark.parametrize("alphas, problem", [
         ([2, F(2)], "alpha[0] == alpha[1]"),
