@@ -771,6 +771,44 @@ class TestJsonRoundTrips:
         with pytest.raises(ValueError, match=re.escape(f"{name!r} must be a JSON object")):
             from_obj(obj)
 
+    @pytest.mark.parametrize("value", [True, 2.0, "2", None])
+    @pytest.mark.parametrize("key", ["r", "s"])
+    @pytest.mark.parametrize("to_obj, from_obj, data", [
+        (jsonio.curve_to_obj, jsonio.curve_from_obj, CWP13.curve),
+        (jsonio.config_to_obj, jsonio.config_from_obj, CWP13.config()),
+    ])
+    def test_integer_fields_must_be_json_integers(
+        self, to_obj, from_obj, data, key, value
+    ):
+        # True == 1 in Python; the exact type test keeps it out
+        obj = to_obj(data)
+        obj[key] = value
+        with pytest.raises(ValueError, match=f"'{key}' must be a JSON integer"):
+            from_obj(obj)
+
+    @pytest.mark.parametrize("value", [3, 0.5])
+    @pytest.mark.parametrize("to_obj, from_obj, data, path", [
+        (jsonio.curve_to_obj, jsonio.curve_from_obj, CWP13.curve, ["a"]),
+        (jsonio.curve_to_obj, jsonio.curve_from_obj, CWP13.curve, ["b"]),
+        (jsonio.cwp_to_obj, jsonio.cwp_from_obj, CWP13, ["points", 0, "x"]),
+        (jsonio.cwp_to_obj, jsonio.cwp_from_obj, CWP13, ["points", 1, "y"]),
+        (jsonio.config_to_obj, jsonio.config_from_obj, CWP13.config(),
+         ["alphas", 2]),
+        (jsonio.proj_point_to_obj, jsonio.proj_point_from_obj,
+         ProjPoint([0, 1, 2]), ["coords", 1]),
+    ])
+    def test_rationals_must_be_strings(self, to_obj, from_obj, data, path, value):
+        # a JSON number is never read as a rational, not even a whole one
+        obj = to_obj(data)
+        node = obj
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(
+            f'expected a rational string "p/q", got {value!r}'
+        )):
+            from_obj(obj)
+
     def test_no_floats_anywhere(self):
         cfg = validate(2, 2, [F(1, 3), F(2, 7), F(3)])
         system = build_fiber(cfg)
