@@ -173,6 +173,12 @@ def _search_argvs(rng: random.Random) -> list[list[str]]:
     for alpha in ("1000000000000000000000", "-1/1000000000000000000000"):
         config = json.dumps({"r": 3, "s": 2, "alphas": [alpha, "2", "3"]})
         argvs.append(["search-ab", "--config", config, "--height", "3", "--stats"])
+    # prime s: the sieve primes are the m = 1 mod s, so they grow with s;
+    # the alphas 1, 1/2 have hits for every s
+    for alphas in (["1", "1/2"], ["-1", "2/3", "3"]):
+        for s, height in ((7, "6"), (101, "6"), (1009, "2")):
+            config = json.dumps({"r": 1, "s": s, "alphas": alphas})
+            argvs.append(["search-ab", "--config", config, "--height", height, "--stats"])
     return argvs
 
 
