@@ -1,9 +1,11 @@
 """Rational parametrization of the genus-zero fiber (s = 2, n = 2).
 
 For three prescribed x-coordinates the fiber is a single conic
-A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 in P^2.  Given one rational point, the
-pencil of lines through it parametrizes all the others, and each conic
-point lifts to a family member through the three x-coordinates.  Not
+A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 in P^2, the one equation of the system
+``build_fiber`` returns.  Given one rational point, the pencil of lines
+through it parametrizes all the others on that equation, each checked
+with ``on_fiber``, and each conic point lifts to a family member through
+the three x-coordinates.  Not
 every configuration yields a solvable conic (the form can be definite);
 absence within the search bound is reported honestly.
 """
@@ -11,37 +13,16 @@ absence within the search bound is reported honestly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .birat import CurveWithPoints, LiftObstruction, from_fiber_point
 from .config import Config
-from .fiber import FiberSystem, ProjPoint, build_fiber
+from .fiber import FiberSystem, ProjPoint, build_fiber, on_fiber
 
 
 class NoRationalPointError(RuntimeError):
     """No conic point of height within the requested search bound."""
-
-
-@dataclass(frozen=True)
-class ConicModel:
-    A: int
-    B: int
-    C: int
-    base_point: ProjPoint
-
-    def value(self, v) -> int:
-        return self.A * v[0] ** 2 + self.B * v[1] ** 2 + self.C * v[2] ** 2
-
-    def polar(self, u, v) -> int:
-        # polar bilinear form of the diagonal quadratic
-        return self.A * u[0] * v[0] + self.B * u[1] * v[1] + self.C * u[2] * v[2]
-
-
-def _single_equation(system: FiberSystem) -> tuple[int, int, int]:
-    eq = system.equations[0]
-    return eq.A, eq.B, eq.C
 
 
 def _half_shell(k: int):
@@ -67,13 +48,13 @@ def find_base_point(
     triples of height <= search_height.  The first hit is primitive: a
     multiple g P of a conic point P lies g shells further out than P.
     """
-    A, B, C = _single_equation(system)
+    eq = system.equations[0]
     if search_height < 1:
         raise ValueError("search height must be positive")
     for shell in range(1, search_height + 1):
         for y0, y1 in _half_shell(shell):
             # exact: rem == 0 iff C | t; C > 0 is build_fiber's normalization
-            t, rem = divmod(-(A * y0 * y0 + B * y1 * y1), C)
+            t, rem = divmod(-(eq.A * y0 * y0 + eq.B * y1 * y1), eq.C)
             if rem or t < 0:
                 continue
             root = isqrt(t)
@@ -82,44 +63,27 @@ def find_base_point(
     return None
 
 
-def _direction(model: ConicModel, t: tuple[int, int]) -> list[int]:
-    t0, t1 = t
-    if (t0, t1) == (0, 0):
-        raise ValueError("direction (0, 0) is not allowed")
-    if gcd(abs(t0), abs(t1)) != 1:
-        raise ValueError("direction must be a coprime pair")
-    pivot = next(
-        i for i, c in enumerate(model.base_point.coords) if c != 0
-    )
-    basis = [i for i in range(3) if i != pivot]
-    d = [0, 0, 0]
-    d[basis[0]] = t0
-    d[basis[1]] = t1
-    return d
-
-
 def parametrize(
-    model: ConicModel, t: tuple[int, int]
-) -> tuple[ProjPoint, bool]:
-    """Second intersection of the conic with the line through the base
-    point in direction t.
+    system: FiberSystem, base: ProjPoint, t: tuple[int, int]
+) -> ProjPoint:
+    """Second intersection of the conic with the line through ``base`` in
+    direction t, a coprime pair with a nonzero entry: t fills the two
+    coordinates other than the first nonzero one of ``base``.
 
-    Returns (point, tangent_flag); the tangent direction collapses back to
-    the base point and is flagged.  Distinct directions give distinct
-    points apart from that single degenerate case.
+    The tangent direction meets the conic only at ``base`` and returns it;
+    distinct directions give distinct points apart from that one.
     """
-    p = model.base_point.coords
-    d = _direction(model, t)
-    q_d = model.value(d)
-    polar = model.polar(p, d)
-    if polar == 0:
-        # line tangent at the base point
-        return model.base_point, True
-    coords = [q_d * pc - 2 * polar * dc for pc, dc in zip(p, d)]
-    point = ProjPoint(coords)
-    if model.value(point.coords) != 0:
+    eq = system.equations[0]
+    weights = (eq.A, eq.B, eq.C)
+    p = base.coords
+    d = list(t)
+    d.insert(next(i for i, c in enumerate(p) if c != 0), 0)
+    q_d = sum(k * x * x for k, x in zip(weights, d))
+    polar = sum(k * x * y for k, x, y in zip(weights, p, d))
+    point = ProjPoint([q_d * x - 2 * polar * y for x, y in zip(p, d)])
+    if not on_fiber(system, point):
         raise AssertionError("parametrized point left the conic")
-    return point, False
+    return point
 
 
 def _directions():
@@ -151,19 +115,18 @@ def enumerate_curves(
     system = build_fiber(config)
     base = find_base_point(system, search_height)
     if base is None:
-        A, B, C = _single_equation(system)
+        eq = system.equations[0]
         raise NoRationalPointError(
             f"no rational point of height <= {search_height} on "
-            f"{A} Y0^2 + {B} Y1^2 + {C} Y2^2 = 0"
+            f"{eq.A} Y0^2 + {eq.B} Y1^2 + {eq.C} Y2^2 = 0"
         )
-    model = ConicModel(*_single_equation(system), base_point=base)
 
     # Each (a, b) absorbs at most four sign-flipped conic points and lift
     # failures are finite, so this budget is never the binding constraint
     # for a solvable conic; it only guards against looping forever.
     budget = 16 * (count + 2) + 64
     pencil = (
-        parametrize(model, t)[0]
+        parametrize(system, base, t)
         for t in itertools.islice(_directions(), budget)
     )
     results: list[CurveWithPoints] = []

@@ -8,7 +8,6 @@ import pytest
 from fibercurve.birat import LiftObstruction, from_fiber_point
 from fibercurve.config import InvalidConfigError, validate
 from fibercurve.conic import (
-    ConicModel,
     NoRationalPointError,
     _directions,
     _half_shell,
@@ -17,7 +16,7 @@ from fibercurve.conic import (
     parametrize,
 )
 from fibercurve.family import contains
-from fibercurve.fiber import FiberEquation, FiberSystem, ProjPoint, build_fiber
+from fibercurve.fiber import FiberEquation, FiberSystem, ProjPoint, build_fiber, on_fiber
 
 CFG123 = validate(2, 2, [F(1), F(2), F(3)])
 CFG124 = validate(2, 2, [F(1), F(2), F(4)])
@@ -29,10 +28,9 @@ CFG125 = validate(1, 2, [F(1), F(2), F(5)])
 
 def model_for(cfg, height=20):
     system = build_fiber(cfg)
-    eq = system.equations[0]
     base = find_base_point(system, height)
     assert base is not None
-    return ConicModel(eq.A, eq.B, eq.C, base_point=base)
+    return system, base
 
 
 def filtered_shell(k):
@@ -153,56 +151,44 @@ class TestFindBasePoint:
 
 class TestParametrize:
     def test_second_intersection(self):
-        model = model_for(CFG123)
-        point, tangent = parametrize(model, (0, 1))
-        assert not tangent
+        system, base = model_for(CFG123)
+        point = parametrize(system, base, (0, 1))
+        assert point != base
         assert point == ProjPoint([0, 1, -2])
-        assert model.value(point.coords) == 0
+        assert on_fiber(system, point)
 
-    def test_tangent_direction_flagged(self):
-        model = model_for(CFG123)
-        point, tangent = parametrize(model, (1, 0))
-        assert tangent
-        assert point == model.base_point
+    def test_tangent_direction_returns_the_base_point(self):
+        system, base = model_for(CFG123)
+        assert parametrize(system, base, (1, 0)) == base
 
     def test_many_directions_stay_on_conic(self):
-        model = model_for(CFG123)
+        system, base = model_for(CFG123)
         seen = set()
         count = 0
         for t0 in range(-32, 33):
             for t1 in range(0, 33):
-                from math import gcd
-
                 if (t0, t1) == (0, 0) or gcd(abs(t0), t1) != 1:
                     continue
                 if t1 == 0 and t0 < 0:
                     continue
-                point, tangent = parametrize(model, (t0, t1))
-                assert model.value(point.coords) == 0
+                point = parametrize(system, base, (t0, t1))
+                assert on_fiber(system, point)
                 count += 1
-                if not tangent:
+                if point != base:
                     seen.add(point)
         assert count >= 1000
         # distinct directions give distinct points, tangent aside
         assert len(seen) == count - 1
 
-    def test_direction_validation(self):
-        model = model_for(CFG123)
-        with pytest.raises(ValueError):
-            parametrize(model, (0, 0))
-        with pytest.raises(ValueError):
-            parametrize(model, (2, 4))
-
 
 def lift_every_point(cfg, count, height):
     """Lift the base point and every non-tangent pencil point, and drop
     repeated (a, b) after the lift; also count the obstructed lifts."""
-    system = build_fiber(cfg)
-    model = model_for(cfg, height)
-    pencil = (parametrize(model, t) for t in _directions())
+    system, base = model_for(cfg, height)
+    pencil = (parametrize(system, base, t) for t in _directions())
     results, seen, obstructed = [], set(), 0
-    for point, tangent in itertools.chain([(model.base_point, False)], pencil):
-        if tangent:
+    for k, point in enumerate(itertools.chain([base], pencil)):
+        if k and point == base:
             continue
         if len(results) >= count:
             break
