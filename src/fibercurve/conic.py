@@ -1,13 +1,11 @@
 """Rational parametrization of the genus-zero fiber (s = 2, n = 2).
 
-For three prescribed x-coordinates the fiber is a single conic
-A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 in P^2, the one equation of the system
-``build_fiber`` returns.  Given one rational point, the pencil of lines
-through it parametrizes all the others on that equation, each checked
-with ``on_fiber``, and each conic point lifts to a family member through
-the three x-coordinates.  Not
-every configuration yields a solvable conic (the form can be definite);
-absence within the search bound is reported honestly.
+For three prescribed x-coordinates the fiber is one conic, the equation
+A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 of ``build_fiber``.  Given one rational
+point, the pencil of lines through it parametrizes all the others on that
+equation, and each conic point lifts to a family member through the three
+x-coordinates.  Not every configuration yields a solvable conic (the form
+can be definite); absence within the search bound is reported honestly.
 """
 
 from __future__ import annotations
@@ -80,6 +78,8 @@ def parametrize(
     d.insert(next(i for i, c in enumerate(p) if c != 0), 0)
     q_d = sum(k * x * x for k, x in zip(weights, d))
     polar = sum(k * x * y for k, x, y in zip(weights, p, d))
+    if polar == 0:  # the tangent at base
+        return base
     point = ProjPoint([q_d * x - 2 * polar * y for x, y in zip(p, d)])
     if not on_fiber(system, point):
         raise AssertionError("parametrized point left the conic")
