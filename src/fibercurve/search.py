@@ -38,8 +38,8 @@ and mirrored to -u; every counter still covers the whole box.
 
 from __future__ import annotations
 
+import itertools
 import time
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
@@ -76,36 +76,45 @@ class SearchReport:
 
 
 def _sieve_primes(s: int) -> list[int]:
-    """The first SIEVE_PRIMES primes modulo which not every residue is an
-    s-th power, i.e. with gcd(s, m - 1) > 1."""
-    primes: list[int] = []
-    m = 2
-    while len(primes) < SIEVE_PRIMES:
-        m += 1
-        if gcd(s, m - 1) > 1 and all(m % k for k in range(2, isqrt(m) + 1)):
-            primes.append(m)
-    return primes
+    """The first SIEVE_PRIMES primes m modulo which not every residue is an
+    s-th power, i.e. with gcd(s, m - 1) > 1: the smallest of the first
+    SIEVE_PRIMES primes m = 1 mod d, over the divisors d > 1 of s."""
+    primes: set[int] = set()
+    for d in range(2, s + 1):
+        if s % d == 0:
+            stream = (m for m in itertools.count(d + 1, d)
+                      if all(m % k for k in range(2, isqrt(m) + 1)))
+            primes.update(itertools.islice(stream, SIEVE_PRIMES))
+    return sorted(primes)[:SIEVE_PRIMES]
 
 
 class _Patterns(dict):
-    """Sieve patterns of one prime m, keyed by character value (``chi``
-    holds c^((m-1)/g) per residue c, g = gcd(s, m - 1)) and built on first
-    use, since each of the g takes bits + m bits.  The pattern of c1 has
-    bit i set iff c1 i is an s-th power mod m, for i < bits: the s-th
-    powers (0 included; character 0 or 1) times 1/c1."""
+    """Sieve patterns of one prime m, keyed by the residue c1 the search
+    meets and shared per character c1^k, k = (m-1)/g, g = gcd(s, m - 1).
+    The pattern of c1 has bit i set iff c1 i is an s-th power mod m, for
+    i < bits: the s-th powers, 0 and the k powers of h = x^g for the first
+    x whose h has order k, times 1/c1."""
 
     def __init__(self, m: int, s: int, bits: int):
         super().__init__({0: (1 << bits) - 1})  # c1 = 0 rejects nothing
-        self.m = m
-        self.chi = array("Q", [pow(c, (m - 1) // gcd(s, m - 1), m) for c in range(m)])
-        self.powers = [d for d in range(m) if self.chi[d] < 2]
-        reps = (bits + m - 1) // m
-        self.repeat = ((1 << m * reps) - 1) // ((1 << m) - 1)  # reps ones, m apart
+        g = gcd(s, m - 1)
+        self.m, self.k, self.shared = m, (m - 1) // g, {}
+        for x in itertools.count(1):
+            h, self.powers = pow(x, g, m), [0, 1]
+            while (y := self.powers[-1] * h % m) != 1:
+                self.powers.append(y)
+            if len(self.powers) == self.k + 1:
+                break
+        self.repeat = sum(1 << m * j for j in range((bits + m - 1) // m))
 
-    def __missing__(self, chi: int) -> int:
-        inverse = pow(self.chi.index(chi), -1, self.m)
-        self[chi] = self.repeat * sum(1 << inverse * d % self.m for d in self.powers)
-        return self[chi]
+    def __missing__(self, c1: int) -> int:
+        chi = pow(c1, self.k, self.m)
+        if chi not in self.shared:
+            inverse = pow(c1, -1, self.m)
+            self.shared[chi] = self.repeat * sum(
+                1 << inverse * d % self.m for d in self.powers)
+        self[c1] = self.shared[chi]
+        return self[c1]
 
 
 def _scan(config: Config, height: int, blocks):
@@ -141,7 +150,7 @@ def _scan(config: Config, height: int, blocks):
         ws = w ** (s - 1)
         tests = [(k * ws, p_r, q_r, d * w) for k, p_r, q_r, d in exact]
         w_m = {m: pow(w, s - 1, m) for m in primes}
-        pats = [tables[m][tables[m].chi[c1 * w_m[m] % m]] for m, _, c1 in sieves]
+        pats = [tables[m][c1 * w_m[m] % m] for m, _, c1 in sieves]
         rows_w.append((w, tests, pats))
 
     def scan_u(u):
