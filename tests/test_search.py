@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from planting import brute_force_points, plant_search_instances
 
 from fibercurve.arith import is_sth_power
+from fibercurve.birat import solve_ab
 from fibercurve.config import validate, violations
 from fibercurve.family import AffinePoint, FamilyCurve, contains
+from fibercurve.fiber import build_fiber
 from fibercurve import search
 from fibercurve.search import search_ab
 
@@ -97,6 +100,65 @@ def assert_matches_fraction_scan(config, height):
     assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == hits
     assert report.search_space_size == space
     return hits
+
+
+def root_floor(m, s):
+    """The largest t >= 0 with t^s <= m."""
+    t = 0
+    while (t + 1) ** s <= m:
+        t += 1
+    return t
+
+
+def fiber_oracle(config, height):
+    """The set of (a, b) of height <= H with a point at every alpha, found
+    on the fiber instead of in the box: the oracle for the hit set.
+
+    A hit (u/w, v/w) has y_j = t_j / (q_j^(r+1) w) with t_j^s = M_j =
+    p_j q_j^((r+1)(s-1)) w^(s-1) (u p_j^r + v q_j^r), as in
+    ``fibercurve.search``, so |t_j|^s <= |p_j| q_j^((r+1)(s-1)) H^s
+    (|p_j|^r + q_j^r).  Its fiber point [y_0 : y_1 : ...] has (y_0, y_1)
+    proportional to (t_0 q_1^(r+1), t_1 q_0^(r+1)), so its primitive
+    (Y_0, Y_1) has |Y_0| <= |t_0| q_1^(r+1) and |Y_1| <= |t_1| q_0^(r+1).
+    Each coprime (Y_0, Y_1) within these bounds whose every
+    -(A_i Y_0^s + B_i Y_1^s) / C_i is a rational s-th power lifts through
+    ``solve_ab`` to (a_1, b_1), and the hits are its twists
+    lambda^s (a_1, b_1), lambda = c/d in lowest terms, d > 0; so
+    (-Y_0, -Y_1), the same point, is left out.  With (a_1, b_1) = (U/W, V/W)
+    in lowest terms, a twist's height is at least |c|^s / W and
+    d^s / gcd(U, V), which bounds c and d.
+    """
+    r, s, H = config.r, config.s, height
+    (p0, q0), (p1, q1) = [(x.numerator, x.denominator) for x in config.alphas[:2]]
+
+    def t_bound(p, q):
+        return root_floor(abs(p) * q ** ((r + 1) * (s - 1)) * H**s * (abs(p) ** r + q**r), s)
+
+    bound0, bound1 = t_bound(p0, q0) * q1 ** (r + 1), t_bound(p1, q1) * q0 ** (r + 1)
+    equations = build_fiber(config).equations
+    found = set()
+    for y0 in range(bound0 + 1):
+        for y1 in range(-bound1, bound1 + 1):
+            if gcd(y0, y1) != 1 or any(
+                is_sth_power(F(-(eq.A * y0**s + eq.B * y1**s), eq.C), s) is None
+                for eq in equations
+            ):
+                continue
+            a1, b1 = solve_ab(r, s, AffinePoint(config.alphas[0], y0),
+                              AffinePoint(config.alphas[1], y1))
+            if a1 == 0 or b1 == 0:
+                continue
+            W = lcm(a1.denominator, b1.denominator)
+            G = gcd((a1 * W).numerator, (b1 * W).numerator)
+            c_max = root_floor(H * W, s)
+            for c in range(-c_max, c_max + 1):
+                for d in range(1, root_floor(H * G, s) + 1):
+                    a, b = F(c, d) ** s * a1, F(c, d) ** s * b1
+                    if c and gcd(c, d) == 1 and max(abs(a), abs(b), 1) * lcm(
+                        a.denominator, b.denominator
+                    ) <= H:
+                        found.add((a, b))
+    return found
 
 
 class TestSearchAb:
@@ -304,3 +366,61 @@ class TestSignStageAndMirror:
             assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == full
             assert rows and min(u for u, _ in rows) > 0
             assert len(rows) == len(set(rows))
+
+
+class TestSieveTables:
+    """Each prime's patterns, built from the s-th powers listed through the
+    subgroup they form, against the powers listed one residue at a time."""
+
+    @staticmethod
+    def assert_pattern(tables, c1, powers, bits):
+        m = tables.m
+        want = "".join("1" if c1 * i % m in powers else "0" for i in range(bits))
+        assert format(tables[c1], "b")[::-1][:bits].ljust(bits, "0") == want, (m, c1)
+
+    @pytest.mark.parametrize("s", range(2, 8))
+    def test_every_residue_of_every_prime(self, s):
+        for m in search._sieve_primes(s):
+            powers = {pow(x, s, m) for x in range(m)}
+            tables = search._Patterns(m, s, m + 9)
+            for c1 in range(m):
+                self.assert_pattern(tables, c1, powers, m + 9)
+
+    def test_seeded_residues_for_a_prime_s(self):
+        rng = random.Random(101)
+        for m in search._sieve_primes(101):
+            powers = {pow(x, 101, m) for x in range(m)}
+            tables = search._Patterns(m, 101, m + 9)
+            for c1 in rng.sample(range(m), 20):
+                self.assert_pattern(tables, c1, powers, m + 9)
+
+    def test_large_prime_s_holds_little(self):
+        # the sieve primes of s = 1009 run up to 173549; the tables hold the
+        # patterns the search meets, not a character per residue
+        config = validate(1, 1009, [F(1), F(2), F(-3)])
+        tracemalloc.start()
+        try:
+            search_ab(config, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestFiberOracle:
+    """The hit set against ``fiber_oracle``, at heights where the sign
+    stage, the mirror and the sieve all reject candidates."""
+
+    @pytest.mark.parametrize("r, s, alphas", [
+        (2, 2, [F(2), F(1), F(3)]),
+        (1, 3, [F(1), F(-2), F(4)]),
+        (1, 2, [F(1), F(-1, 2), F(-4, 3)]),
+        (1, 3, [F(-1), F(-1, 2), F(3), F(-3, 2)]),
+        (3, 2, [F(-1), F(2), F(3), F(-8, 11)]),
+    ])
+    def test_hits_are_the_fiber_points_of_bounded_height(self, r, s, alphas):
+        config = validate(r, s, alphas)
+        for height in (12, 48):
+            hits = {(h.curve.a, h.curve.b) for h in search_ab(config, height).hits}
+            assert hits == fiber_oracle(config, height)
+            assert len(hits) >= 5
