@@ -47,12 +47,13 @@ def find_base_point(
     multiple g P of a conic point P lies g shells further out than P.
     """
     eq = system.equations[0]
+    A, B, C = eq.A, eq.B, eq.C
     if search_height < 1:
         raise ValueError("search height must be positive")
     for shell in range(1, search_height + 1):
         for y0, y1 in _half_shell(shell):
             # exact: rem == 0 iff C | t; C > 0 is build_fiber's normalization
-            t, rem = divmod(-(eq.A * y0 * y0 + eq.B * y1 * y1), eq.C)
+            t, rem = divmod(-(A * y0 * y0 + B * y1 * y1), C)
             if rem or t < 0:
                 continue
             root = isqrt(t)
@@ -72,12 +73,11 @@ def parametrize(
     distinct directions give distinct points apart from that one.
     """
     eq = system.equations[0]
-    weights = (eq.A, eq.B, eq.C)
     p = base.coords
     d = list(t)
     d.insert(next(i for i, c in enumerate(p) if c != 0), 0)
-    q_d = sum(k * x * x for k, x in zip(weights, d))
-    polar = sum(k * x * y for k, x, y in zip(weights, p, d))
+    q_d = eq.A * d[0] ** 2 + eq.B * d[1] ** 2 + eq.C * d[2] ** 2
+    polar = eq.A * p[0] * d[0] + eq.B * p[1] * d[1] + eq.C * p[2] * d[2]
     if polar == 0:  # the tangent at base
         return base
     point = ProjPoint([q_d * x - 2 * polar * y for x, y in zip(p, d)])
