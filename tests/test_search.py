@@ -123,10 +123,10 @@ def fiber_oracle(config, height):
     Each coprime (Y_0, Y_1) within these bounds whose every
     -(A_i Y_0^s + B_i Y_1^s) / C_i is a rational s-th power lifts through
     ``solve_ab`` to (a_1, b_1), and the hits are its twists
-    lambda^s (a_1, b_1), lambda = c/d in lowest terms, d > 0; so
-    (-Y_0, -Y_1), the same point, is left out.  With (a_1, b_1) = (U/W, V/W)
-    in lowest terms, a twist's height is at least |c|^s / W and
-    d^s / gcd(U, V), which bounds c and d.
+    lambda^s (a_1, b_1), lambda = c/d in lowest terms, c != 0 < d.  Only
+    Y_0 >= 0 is listed: (-Y_0, -Y_1) lifts to the twist by lambda = -1.
+    With (a_1, b_1) = (U/W, V/W) in lowest terms, a twist's height is at
+    least |c|^s / W and d^s / gcd(U, V), which bounds c and d.
     """
     r, s, H = config.r, config.s, height
     (p0, q0), (p1, q1) = [(x.numerator, x.denominator) for x in config.alphas[:2]]
