@@ -179,6 +179,16 @@ def _search_argvs(rng: random.Random) -> list[list[str]]:
         for s, height in ((7, "6"), (101, "6"), (1009, "2")):
             config = json.dumps({"r": 1, "s": s, "alphas": alphas})
             argvs.append(["search-ab", "--config", config, "--height", height, "--stats"])
+    # boxes of many rows: the rows (u, w) of one u are sieved together in
+    # slabs, several slabs per u at H = 48 and 96, the last one ragged
+    large = [(config, height) for config in (SEARCH_ODD[0], SEARCH_EVEN[0])
+             for height in ("24", "48", "96")]
+    large += [(json.dumps({"r": 1, "s": s, "alphas": ["1", "2", "-3"]}), "24")
+              for s in (5, 7)]
+    for config, height in large:
+        for workers in ("1", "3"):
+            argvs.append(["search-ab", "--config", config, "--height", height,
+                          "--workers", workers, "--stats"])
     return argvs
 
 
