@@ -31,6 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .arith import CyclotomicElement
 from .config import Config
@@ -108,8 +109,7 @@ class FiberSystem:
         return self.config.n
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     ok: bool
     residues: tuple[tuple[int, int], ...]
 
@@ -219,7 +219,7 @@ def on_fiber(system: FiberSystem, point: ProjPoint) -> MembershipReport:
         residues.append((eq.i, value))
         if value != 0:
             ok = False
-    return MembershipReport(ok=ok, residues=tuple(residues))
+    return MembershipReport(ok, tuple(residues))
 
 
 def fiber_genus(s: int, n: int) -> int:
