@@ -17,18 +17,23 @@ so that alpha (a alpha^r + b) D^s = M.  The value is a rational s-th power
 exactly when M is an integer s-th power t^s (for even s, M >= 0 and
 t >= 0), and then its root is y = t/D.
 
-The box is scanned one row (u, w) at a time, with the v of the row as the
-bits of an int: bit j stands for v = j - H.  Modulo a prime m with
-gcd(s, m - 1) > 1 not every residue is an s-th power, and
+The box is scanned one u at a time, with the v of a row (u, w) as the
+bits of an int (bit j stands for v = j - H) and the rows of a u side by
+side in slabs: one int, row w at bit (w - w_lo) stride.  Modulo a prime m
+with gcd(s, m - 1) > 1 not every residue is an s-th power, and
 M mod m = c0 + c1 v is affine in v.  When m divides p q w, both c0 and c1
 vanish and m rejects nothing.  Otherwise M = c1 (v - v0) mod m with
 v0 = -u (p/q)^r, so the allowed v are the bit pattern of the residues d
-with c1 d an s-th power, shifted by v0: one shift and one AND per
-(alpha, prime) sieve the whole row.  A row starts from the mask of v
-coprime to gcd(u, w).  For even s a sign stage first keeps, per alpha,
+with c1 d an s-th power, shifted by v0.  For one alpha and m the pattern
+depends on w only, through the character of w^(s-1) mod m, and the shift
+on u only, so each (alpha, prime) is one precomputed int per slab, and
+one shift and one AND sieve all its rows.  The stride is the row width plus the largest sieve
+prime, so that no shift moves a bit into the next row; a slab holds
+SLAB_BITS // stride rows, at least one.  A row starts from the mask of v
+with gcd(u, v, w) = 1.  For even s a sign stage first keeps, per alpha,
 the half-line of v with M >= 0 (M has the sign of p (u p^r + v q^r);
-M = 0, the witness y = 0, stays).  Only the survivors reach the exact
-root test.
+M = 0, the witness y = 0, stays).  Each row with survivors goes once to
+the exact root test.
 
 For odd s, M(-u, -v, w) = -M(u, v, w) and (-t)^s = -t^s, so (u, v, w) is
 a hit exactly when (-u, -v, w) is, roots negated, and the sieve passes c
@@ -57,6 +62,9 @@ EVIDENCE_NOTE = (
 # rare rows still alive, and each one passes about 1/gcd(s, m - 1) of the
 # non-powers.
 SIEVE_PRIMES = 15
+# Bits of one slab: the rows (u, w) of a u are sieved SLAB_BITS // stride
+# at a time, in one int (see ``_scan``).
+SLAB_BITS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -92,34 +100,37 @@ class _Patterns(dict):
     """Sieve patterns of one prime m, keyed by the residue c1 the search
     meets and shared per character c1^k, k = (m-1)/g, g = gcd(s, m - 1).
     The pattern of c1 has bit i set iff c1 i is an s-th power mod m, for
-    i < bits: the s-th powers, 0 and the k powers of h = x^g for the first
-    x whose h has order k, times 1/c1."""
+    i < bits, and no bit from bits on: the s-th powers, 0 and the k powers
+    of h = x^g for the first x whose h has order k, times 1/c1, set one
+    byte at a time."""
 
     def __init__(self, m: int, s: int, bits: int):
         super().__init__({0: (1 << bits) - 1})  # c1 = 0 rejects nothing
         g = gcd(s, m - 1)
-        self.m, self.k, self.shared = m, (m - 1) // g, {}
+        self.m, self.k, self.bits, self.shared = m, (m - 1) // g, bits, {}
         for x in itertools.count(1):
             h, self.powers = pow(x, g, m), [0, 1]
             while (y := self.powers[-1] * h % m) != 1:
                 self.powers.append(y)
             if len(self.powers) == self.k + 1:
                 break
-        self.repeat = sum(1 << m * j for j in range((bits + m - 1) // m))
 
     def __missing__(self, c1: int) -> int:
-        chi = pow(c1, self.k, self.m)
+        chi, m = pow(c1, self.k, self.m), self.m
         if chi not in self.shared:
-            inverse = pow(c1, -1, self.m)
-            self.shared[chi] = self.repeat * sum(
-                1 << inverse * d % self.m for d in self.powers)
+            inverse, period = pow(c1, -1, m), bytearray(m // 8 + 1)
+            for d in self.powers:
+                x = inverse * d % m
+                period[x >> 3] |= 1 << (x & 7)
+            base = int.from_bytes(period, "little")
+            self.shared[chi] = sum(base << m * j for j in range(self.bits // m + 1)) & self[0]
         self[c1] = self.shared[chi]
         return self[c1]
 
 
 def _scan(config: Config, height: int, blocks):
     """Sieve and root-test the rows (u, w) of each block [u_lo, u_hi) of
-    u in turn, all blocks sharing the per-alpha and per-w tables.
+    u in turn, all blocks sharing the per-alpha tables and the slabs.
 
     A candidate survives when it passes the sign stage (even s) and the
     sieve of every alpha, and is a hit when every alpha's value is an s-th
@@ -129,59 +140,80 @@ def _scan(config: Config, height: int, blocks):
     r, s, H = config.r, config.s, height
     primes = _sieve_primes(s)
     width = 2 * H + 1
-    # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)) and, per prime m
-    # not dividing p q, (m, (p/q)^r mod m, c1 at w = 1).
+    row_bits = (1 << width) - 1
+    # Row w of a slab of rows w_lo <= w < w_hi sits at bit (w - w_lo) stride,
+    # in whole bytes.  A pattern of m holds width + m bits, so a shift by
+    # less than m moves no bit of a row into the next one.
+    stride = (width + primes[-1] + 7) // 8 * 8
+    rows = max(1, SLAB_BITS // stride)
+    small = [l for l in range(2, H + 1) if all(l % d for d in range(2, isqrt(l) + 1))]
+    # Per slab: its w, the v != 0 of its rows, a one per row, per prime
+    # l <= H dividing some w the mask with the (v, w) of l | gcd(v, w)
+    # cleared, and one pattern per sieve.
+    slabs = []
+    for lo in range(1, H + 1, rows):
+        span = range(lo, min(lo + rows, H + 1))
+        ones = sum(1 << (w - lo) * stride for w in span)
+        keep = {}
+        for l in small:
+            if drop := sum(1 << (w - lo) * stride for w in span if w % l == 0):
+                keep[l] = ~(drop * sum(1 << j for j in range(H % l, width, l)))
+        slabs.append((span, ones * (row_bits ^ 1 << H), ones, keep, []))
+    # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)); per prime m not
+    # dividing p q, (m, (p/q)^r mod m) and a pattern per slab.  Row w's
+    # pattern depends only on the class of w^(s-1) mod m, its character or
+    # 0, so a slab is one pattern per class, copied as bytes to the rows of
+    # the class.  Each prime's tables are dropped once its slabs exist.
     exact, sieves = [], []
     for alpha in config.alphas:
         p, q = alpha.numerator, alpha.denominator
-        p_r, q_r = p**r, q**r
-        k = p * q ** ((r + 1) * (s - 1))
-        exact.append((k, p_r, q_r, q ** (r + 1)))
-        sieves += [
-            (m, p_r * pow(q_r, -1, m) % m, k * q_r % m)
-            for m in primes
-            if p % m and q % m
-        ]
-
-    tables = {m: _Patterns(m, s, width + m) for m in primes}
-    coprime: dict[int, int] = {}  # gcd(u, w) -> mask of its coprime v
-    rows_w = []
-    for w in range(1, H + 1):
-        ws = w ** (s - 1)
-        tests = [(k * ws, p_r, q_r, d * w) for k, p_r, q_r, d in exact]
-        w_m = {m: pow(w, s - 1, m) for m in primes}
-        pats = [tables[m][c1 * w_m[m] % m] for m, _, c1 in sieves]
-        rows_w.append((w, tests, pats))
+        exact.append((p * q ** ((r + 1) * (s - 1)), p**r, q**r, q ** (r + 1)))
+    for m in primes:
+        tables = _Patterns(m, s, width + m)
+        classes = []  # per slab: each row's character, a w^(s-1) per character
+        for span, *_ in slabs:
+            ws = [pow(w, s - 1, m) for w in span]
+            chis = [pow(x, tables.k, m) for x in ws]
+            classes.append((chis, dict(zip(chis, ws))))
+        for k, p_r, q_r, _ in exact:
+            if k % m:
+                sieves.append((m, p_r * pow(q_r, -1, m) % m))
+                c1 = k * q_r % m  # c1 at w = 1
+                for slab, (chis, reps) in zip(slabs, classes):
+                    piece = {chi: tables[c1 * x % m].to_bytes(stride // 8, "little")
+                             for chi, x in reps.items()}
+                    slab[-1].append(int.from_bytes(
+                        b"".join([piece[chi] for chi in chis]), "little"))
 
     def scan_u(u):
         """(hits, candidates, survivors) of the rows (u, w), 1 <= w <= H."""
-        sign = -1  # even s: the v with M >= 0 for every alpha
+        sign = row_bits  # even s: the v with M >= 0 for every alpha
         if s % 2 == 0:
             for k, p_r, q_r, _ in exact:
                 if k > 0:  # k has the sign of p; v >= -u p^r / q^r
                     sign &= -1 << min(max(H - u * p_r // q_r, 0), width)
                 else:  # v <= -u p^r / q^r
                     sign &= (1 << min(max(H + 1 + -u * p_r // q_r, 0), width)) - 1
-        shifts = [(u * e - H) % m for m, e, _ in sieves]
+        shifts = [(u * e - H) % m for m, e in sieves]
+        factors = [l for l in small if u % l == 0]
         hits: list = []
         candidates = survivors = 0
-        for w, tests, pats in rows_w:
-            g = gcd(u, w)
-            row = coprime.get(g)
-            if row is None:
-                row = coprime[g] = sum(
-                    1 << j for j in range(width)
-                    if j != H and gcd(g, j - H) == 1
-                )
-            candidates += row.bit_count()
-            mask = row & sign
+        for span, mask, ones, keep, pats in slabs:
+            for l in factors:
+                mask &= keep.get(l, -1)
+            candidates += mask.bit_count()
+            mask &= sign * ones
             for pat, shift in zip(pats, shifts):
                 mask &= pat >> shift
                 if not mask:
                     break
             else:
                 survivors += mask.bit_count()
-                _root_test(u, w, mask, H, s, tests, hits)
+                while mask:
+                    i = ((mask & -mask).bit_length() - 1) // stride
+                    row = mask >> i * stride & row_bits
+                    mask ^= row << i * stride
+                    _root_test(u, span[i], row, H, s, exact, hits)
         return hits, candidates, survivors
 
     # odd s: the rows of |u|, scanned once per call and mirrored to -u
@@ -206,19 +238,20 @@ def _scan(config: Config, height: int, blocks):
         yield hits, candidates, survivors, block_us
 
 
-def _root_test(u, w, mask, H, s, tests, out) -> None:
-    """Append (u, v, w, roots) for each v in mask whose values for every
-    alpha are s-th powers."""
+def _root_test(u, w, mask, H, s, exact, out) -> None:
+    """Append (u, v, w, roots) for each v in the row mask of (u, w) whose
+    values for every alpha are s-th powers."""
+    ws = w ** (s - 1)
     while mask:
         low = mask & -mask
         mask ^= low
         v = low.bit_length() - 1 - H
         roots = []
-        for k, p_r, q_r, d in tests:
-            t = arith.is_sth_power(k * (u * p_r + v * q_r), s)
+        for k, p_r, q_r, d in exact:
+            t = arith.is_sth_power(k * ws * (u * p_r + v * q_r), s)
             if t is None:
                 break
-            roots.append(t / d)
+            roots.append(t / (d * w))
         else:
             out.append((u, v, w, tuple(roots)))
 

@@ -352,20 +352,85 @@ class TestSignStageAndMirror:
         config = validate(1, 3, [F(-1), F(-1, 2), F(3), F(-3, 2)])
         full = fraction_scan(config, 6)[0]
         assert any(a < 0 for a, _, _ in full) and any(a > 0 for a, _, _ in full)
-        rows = []
-        root_test = search._root_test
+        for rows in root_tested_rows(monkeypatch, config, 6, full):
+            assert min(u for u, _ in rows) > 0
 
-        def noted(u, w, *args):
-            rows.append((u, w))
-            root_test(u, w, *args)
+    def test_even_s_root_tests_each_row_once(self, monkeypatch):
+        # with one sieve prime many rows of one slab survive, and with no
+        # mirror the rows of u < 0 reach the root test too
+        monkeypatch.setattr(search, "SIEVE_PRIMES", 1)
+        config = validate(1, 2, [F(1, 2), F(1), F(3, 2)])
+        full = fraction_scan(config, 8)[0]
+        assert full
+        for rows in root_tested_rows(monkeypatch, config, 8, full):
+            assert len({w for u, w in rows if u == 1}) > 3
+            assert min(u for u, _ in rows) < 0 < max(u for u, _ in rows)
 
-        monkeypatch.setattr(search, "_root_test", noted)
+
+def slab_bits(config, height, rows):
+    """A ``SLAB_BITS`` that makes slabs of ``rows`` rows (the last one
+    ragged when ``rows`` does not divide H): the stride is 2H + 1 plus the
+    largest sieve prime, rounded up to whole bytes."""
+    return rows * (2 * height + 1 + search._sieve_primes(config.s)[-1] + 7)
+
+
+def root_tested_rows(monkeypatch, config, height, full):
+    """For slabs of one row, three rows and the whole box and for 1, 2 and
+    3 workers: check the hits against ``full`` and that each row (u, w)
+    reaches ``_root_test`` at most once, and yield the rows that did."""
+    rows = []
+    root_test = search._root_test
+
+    def noted(u, w, *args):
+        rows.append((u, w))
+        root_test(u, w, *args)
+
+    monkeypatch.setattr(search, "_root_test", noted)
+    for slab_rows in (1, 3, height):
+        monkeypatch.setattr(search, "SLAB_BITS", slab_bits(config, height, slab_rows))
         for workers in (1, 2, 3):
             rows.clear()
-            report = search_ab(config, 6, workers)
+            report = search_ab(config, height, workers)
             assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == full
-            assert rows and min(u for u, _ in rows) > 0
-            assert len(rows) == len(set(rows))
+            assert rows and len(rows) == len(set(rows))
+            yield rows
+
+
+class TestSlabs:
+    """The rows (u, w) of one u are sieved together in slabs: one row, three
+    rows (the last slab ragged at H = 7, 8 and 10) and the whole box must
+    give the same hits and counters."""
+
+    @pytest.mark.parametrize("k", range(len(TestSignStageAndMirror.CASES)))
+    def test_slab_sizes_match_the_oracles(self, monkeypatch, k):
+        config, height = TestSignStageAndMirror.CASES[k]
+        hits, space = fraction_scan(config, height)
+        survivors = sieve_survivor_count(config, height)
+        for rows in (1, 3, height):
+            monkeypatch.setattr(search, "SLAB_BITS", slab_bits(config, height, rows))
+            report = search_ab(config, height)
+            assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == hits
+            assert report.stats == {
+                "candidates": space,
+                "sieve_survivors": survivors,
+                "root_rejections": survivors - len(hits),
+                "hits": len(hits),
+                "workers": 1,
+                "block_us": report.stats["block_us"],
+            }
+
+    def test_prime_s_slabs_hold_little(self):
+        # s = 101: the sieve primes run up to 10303, so a slab holds one row;
+        # slabs of all 24 rows would hold every pattern at the largest
+        # prime's stride
+        config = validate(1, 101, [F(1), F(2), F(-3), F(5)])
+        tracemalloc.start()
+        try:
+            search_ab(config, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestSieveTables:
