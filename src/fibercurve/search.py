@@ -17,23 +17,22 @@ so that alpha (a alpha^r + b) D^s = M.  The value is a rational s-th power
 exactly when M is an integer s-th power t^s (for even s, M >= 0 and
 t >= 0), and then its root is y = t/D.
 
-The box is scanned one u at a time, with the v of a row (u, w) as the
-bits of an int (bit j stands for v = j - H) and the rows of a u side by
-side in slabs: one int, row w at bit (w - w_lo) stride.  Modulo a prime m
-with gcd(s, m - 1) > 1 not every residue is an s-th power, and
+The box is scanned one u at a time, the v of a row (u, w) as the bits of
+an int (bit j stands for v = j - H), the rows of a u side by side in
+slabs (row w at bit (w - w_lo) stride).  Modulo a prime m with
+gcd(s, m - 1) > 1 not every residue is an s-th power, and
 M mod m = c0 + c1 v is affine in v.  When m divides p q w, both c0 and c1
 vanish and m rejects nothing.  Otherwise M = c1 (v - v0) mod m with
 v0 = -u (p/q)^r, so the allowed v are the bit pattern of the residues d
 with c1 d an s-th power, shifted by v0.  For one alpha and m the pattern
 depends on w only, through the character of w^(s-1) mod m, and the shift
-on u only, so each (alpha, prime) is one precomputed int per slab, and
-one shift and one AND sieve all its rows.  The stride is the row width plus the largest sieve
-prime, so that no shift moves a bit into the next row; a slab holds
-SLAB_BITS // stride rows, at least one.  A row starts from the mask of v
-with gcd(u, v, w) = 1.  For even s a sign stage first keeps, per alpha,
-the half-line of v with M >= 0 (M has the sign of p (u p^r + v q^r);
-M = 0, the witness y = 0, stays).  Each row with survivors goes once to
-the exact root test.
+on u only: each (alpha, prime) is one int per slab, and one shift and one
+AND sieve all its rows.  The stride is the row width plus the largest
+sieve prime, so that no shift moves a bit into the next row.  A row
+starts from the mask of v with gcd(u, v, w) = 1.  For even s a sign stage
+first keeps, per alpha, the half-line of v with M >= 0 (M has the sign of
+p (u p^r + v q^r); M = 0, the witness y = 0, stays).  Each row with
+survivors goes once to the exact root test.
 
 For odd s, M(-u, -v, w) = -M(u, v, w) and (-t)^s = -t^s, so (u, v, w) is
 a hit exactly when (-u, -v, w) is, roots negated, and the sieve passes c
@@ -122,8 +121,8 @@ class _Patterns(dict):
             for d in self.powers:
                 x = inverse * d % m
                 period[x >> 3] |= 1 << (x & 7)
-            base = int.from_bytes(period, "little")
-            self.shared[chi] = sum(base << m * j for j in range(self.bits // m + 1)) & self[0]
+            base, copies = int.from_bytes(period, "little"), range(self.bits // m + 1)
+            self.shared[chi] = sum(base << m * j for j in copies) & self[0]
         self[c1] = self.shared[chi]
         return self[c1]
 
@@ -146,7 +145,9 @@ def _scan(config: Config, height: int, blocks):
     # less than m moves no bit of a row into the next one.
     stride = (width + primes[-1] + 7) // 8 * 8
     rows = max(1, SLAB_BITS // stride)
-    small = [l for l in range(2, H + 1) if all(l % d for d in range(2, isqrt(l) + 1))]
+    columns = {  # per prime l <= H, the v of a row with l | v
+        l: sum(1 << j for j in range(H % l, width, l)) for l in range(2, H + 1)
+        if all(l % d for d in range(2, isqrt(l) + 1))}
     # Per slab: its w, the v != 0 of its rows, a one per row, per prime
     # l <= H dividing some w the mask with the (v, w) of l | gcd(v, w)
     # cleared, and one pattern per sieve.
@@ -155,9 +156,9 @@ def _scan(config: Config, height: int, blocks):
         span = range(lo, min(lo + rows, H + 1))
         ones = sum(1 << (w - lo) * stride for w in span)
         keep = {}
-        for l in small:
+        for l, column in columns.items():
             if drop := sum(1 << (w - lo) * stride for w in span if w % l == 0):
-                keep[l] = ~(drop * sum(1 << j for j in range(H % l, width, l)))
+                keep[l] = ~(drop * column)
         slabs.append((span, ones * (row_bits ^ 1 << H), ones, keep, []))
     # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)); per prime m not
     # dividing p q, (m, (p/q)^r mod m) and a pattern per slab.  Row w's
@@ -195,7 +196,7 @@ def _scan(config: Config, height: int, blocks):
                 else:  # v <= -u p^r / q^r
                     sign &= (1 << min(max(H + 1 + -u * p_r // q_r, 0), width)) - 1
         shifts = [(u * e - H) % m for m, e in sieves]
-        factors = [l for l in small if u % l == 0]
+        factors = [l for l in columns if u % l == 0]
         hits: list = []
         candidates = survivors = 0
         for span, mask, ones, keep, pats in slabs:
