@@ -27,8 +27,8 @@ integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import config as config_mod
 from .config import Config
@@ -56,8 +56,7 @@ class LiftObstruction(ValueError):
         super().__init__(reason if index is None else f"Y_{index}: {reason}")
 
 
-@dataclass(frozen=True)
-class CurveWithPoints:
+class CurveWithPoints(NamedTuple):
     curve: FamilyCurve
     points: tuple[AffinePoint, ...]
 

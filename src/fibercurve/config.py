@@ -9,9 +9,9 @@ conditions make the specialized fiber equations nondegenerate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 
 class InvalidConfigError(ValueError):
@@ -22,8 +22,7 @@ class InvalidConfigError(ValueError):
         super().__init__("; ".join(problems))
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     r: int
     s: int
     alphas: tuple[Fraction, ...]

@@ -6,21 +6,19 @@ Coefficients and coordinates are exact rationals, ints or Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FamilyCurve:
+class FamilyCurve(NamedTuple):
     r: int
     s: int
     a: Fraction
     b: Fraction
 
 
-@dataclass(frozen=True)
-class AffinePoint:
+class AffinePoint(NamedTuple):
     x: Fraction
     y: Fraction
 

@@ -28,7 +28,6 @@ of the unspecialized ambient variety.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -80,8 +79,7 @@ class ProjPoint:
         return f"ProjPoint[{inner}]"
 
 
-@dataclass(frozen=True)
-class FiberEquation:
+class FiberEquation(NamedTuple):
     """Normalized equation A Y_0^s + B Y_1^s + C Y_i^s = 0.
 
     (A, B, C) is the primitive integer vector of the raw cofactor triple
@@ -99,8 +97,7 @@ class FiberEquation:
         return (self.A * self.scale, self.B * self.scale, self.C * self.scale)
 
 
-@dataclass(frozen=True)
-class FiberSystem:
+class FiberSystem(NamedTuple):
     config: Config
     equations: tuple[FiberEquation, ...]
 
@@ -286,8 +283,7 @@ def smooth_at(system: FiberSystem, point: ProjPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrivialPointCertificate:
+class TrivialPointCertificate(NamedTuple):
     """Record of verified root-of-unity points.
 
     Each tuple pairs X-exponents (j_0..j_n, powers of zeta_r) with

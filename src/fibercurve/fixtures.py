@@ -17,11 +17,10 @@ system is recorded in the report.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from typing import NamedTuple
 
 from .arith import parse_rational
 from .birat import CurveWithPoints, solve_ab
@@ -40,16 +39,14 @@ class FixtureMismatchError(AssertionError):
     pass
 
 
-@dataclass(frozen=True)
-class PrintedEquation:
+class PrintedEquation(NamedTuple):
     i: int
     lhs: Fraction
     rhs0: Fraction
     rhs1: Fraction
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     cwp: CurveWithPoints
     expected_genus_fiber: int
@@ -57,8 +54,7 @@ class Fixture:
     printed_equations: tuple[PrintedEquation, ...]
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     name: str
     checks: tuple[tuple[str, str], ...]  # (label, detail), all passed
     printed_reading: str
@@ -71,6 +67,7 @@ def load(name: str) -> Fixture:
     text = (
         resources.files("fibercurve") / "data" / f"{name}.json"
     ).read_text(encoding="utf-8")
+    import hashlib  # only here, so that no other verb loads it
     digest = hashlib.sha256(text.encode()).hexdigest()
     if digest != EXPECTED_SHA256[name]:
         raise FixtureMismatchError(

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from . import arith
 from .birat import CurveWithPoints
@@ -66,8 +66,7 @@ SIEVE_PRIMES = 15
 SLAB_BITS = 1 << 13
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     config: Config
     height_bound: int
     hits: tuple[CurveWithPoints, ...]
@@ -78,8 +77,11 @@ class SearchReport:
     # counters of the run: candidates, sieve_survivors (past the sign stage
     # and every prime: root-tested), root_rejections, hits, workers,
     # block_us (time of each u-block); a dict, so it stays out of the hash
-    stats: dict = field(hash=False)
+    stats: dict
     note: str = EVIDENCE_NOTE
+
+    def __hash__(self) -> int:
+        return hash(self[:7] + self[8:])  # every field but stats
 
 
 def _sieve_primes(s: int) -> list[int]:

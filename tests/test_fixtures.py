@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -59,8 +58,8 @@ class TestVerify:
         from fibercurve.family import contains
 
         assert all(not contains(bad_curve, p) for p in fx.cwp.points)
-        corrupted = dataclasses.replace(
-            fx, cwp=CurveWithPoints(curve=bad_curve, points=fx.cwp.points)
+        corrupted = fx._replace(
+            cwp=CurveWithPoints(curve=bad_curve, points=fx.cwp.points)
         )
         with pytest.raises(fixtures.FixtureMismatchError, match="point 0"):
             fixtures.verify(corrupted)
@@ -68,8 +67,8 @@ class TestVerify:
     def test_corrupted_printed_equation_names_index(self):
         fx = fixtures.load("watkins14")
         printed = list(fx.printed_equations)
-        printed[3] = dataclasses.replace(printed[3], rhs0=printed[3].rhs0 + 1)
-        corrupted = dataclasses.replace(fx, printed_equations=tuple(printed))
+        printed[3] = printed[3]._replace(rhs0=printed[3].rhs0 + 1)
+        corrupted = fx._replace(printed_equations=tuple(printed))
         with pytest.raises(
             fixtures.FixtureMismatchError, match="equation 5"
         ):
