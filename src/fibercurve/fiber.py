@@ -303,22 +303,21 @@ class TrivialPointCertificate(NamedTuple):
     sampled: bool
 
 
+# the caps of trivial_points: a cyclotomic order, a number of tuples
+ORDER_CAP = 30
+TUPLE_CAP = 100_000
+
+
 class OrderCapExceeded(ValueError):
     pass
 
 
-def trivial_points(
-    r: int,
-    s: int,
-    n: int,
-    order_cap: int = 30,
-    tuple_cap: int = 100_000,
-) -> TrivialPointCertificate:
+def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
     """Certify that root-of-unity coordinate tuples satisfy every form.
 
     Candidate points set X_j = zeta_r^{j_j} and Y_j = zeta_s^{i_j}; the
     forms are evaluated symbolically in Q(zeta_d), d = lcm(r, s).  Orders
-    beyond order_cap are refused outright.  Tuple spaces beyond tuple_cap
+    beyond ORDER_CAP are refused outright.  Tuple spaces beyond TUPLE_CAP
     are sampled by lexicographic prefix and the certificate says so.
     """
     if r < 1 or s < 2:
@@ -326,9 +325,9 @@ def trivial_points(
     if n < 2:
         raise ValueError("need n >= 2")
     d = lcm(r, s)
-    if d > order_cap:
+    if d > ORDER_CAP:
         raise OrderCapExceeded(
-            f"cyclotomic order {d} exceeds the cap {order_cap}; refusing"
+            f"cyclotomic order {d} exceeds the cap {ORDER_CAP}; refusing"
         )
     one = CyclotomicElement.one(d)
     zeta = CyclotomicElement.zeta(d)
@@ -344,35 +343,31 @@ def trivial_points(
     y_pow_s = [v**s for v in y_root]
 
     total_space = r ** (n + 1) * s ** (n + 1)
-    sampled = total_space > tuple_cap
-    budget = min(total_space, tuple_cap)
-
+    # lazily: a product of the two products would first list both in full
+    tuples = ((jt, it) for jt in itertools.product(range(r), repeat=n + 1)
+              for it in itertools.product(range(s), repeat=n + 1))
     verified = []
-    count = 0
-    for jt in itertools.product(range(r), repeat=n + 1):
-        if count >= budget:
-            break
-        X = [x_root[j] for j in jt]
-        Xr = [x_pow_r[j] for j in jt]
-        coeffs = []
-        for i in range(2, n + 1):
-            A = X[1] * X[i] * (Xr[i] - Xr[1])
-            B = X[0] * X[i] * (Xr[0] - Xr[i])
-            C = X[0] * X[1] * (Xr[1] - Xr[0])
-            coeffs.append((i, A, B, C))
-        for it in itertools.product(range(s), repeat=n + 1):
-            if count >= budget:
-                break
-            count += 1
-            ys = [y_pow_s[i2] for i2 in it]
-            for i, A, B, C in coeffs:
-                value = A * ys[0] + B * ys[1] + C * ys[i]
-                if not value.is_zero():
-                    raise AssertionError(
-                        f"form {i} does not vanish at X-exponents {jt}, "
-                        f"Y-exponents {it}"
-                    )
-            verified.append((jt, it))
+    coeffs_of = None
+    for jt, it in itertools.islice(tuples, TUPLE_CAP):
+        if jt != coeffs_of:  # the coefficient triples of a new X-tuple
+            X = [x_root[j] for j in jt]
+            Xr = [x_pow_r[j] for j in jt]
+            coeffs = []
+            for i in range(2, n + 1):
+                A = X[1] * X[i] * (Xr[i] - Xr[1])
+                B = X[0] * X[i] * (Xr[0] - Xr[i])
+                C = X[0] * X[1] * (Xr[1] - Xr[0])
+                coeffs.append((i, A, B, C))
+            coeffs_of = jt
+        ys = [y_pow_s[i2] for i2 in it]
+        for i, A, B, C in coeffs:
+            value = A * ys[0] + B * ys[1] + C * ys[i]
+            if not value.is_zero():
+                raise AssertionError(
+                    f"form {i} does not vanish at X-exponents {jt}, "
+                    f"Y-exponents {it}"
+                )
+        verified.append((jt, it))
     return TrivialPointCertificate(
         r=r,
         s=s,
@@ -380,5 +375,5 @@ def trivial_points(
         order=d,
         total_space=total_space,
         verified=tuple(verified),
-        sampled=sampled,
+        sampled=total_space > TUPLE_CAP,
     )

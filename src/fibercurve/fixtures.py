@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from typing import NamedTuple
 
 from .arith import parse_rational
@@ -64,10 +63,11 @@ class FixtureReport(NamedTuple):
 def load(name: str) -> Fixture:
     if name not in EXPECTED_SHA256:
         raise KeyError(f"unknown fixture {name!r}; have {FIXTURE_NAMES}")
+    import hashlib  # these two only here, so that no other verb loads them
+    from importlib import resources
     text = (
         resources.files("fibercurve") / "data" / f"{name}.json"
     ).read_text(encoding="utf-8")
-    import hashlib  # only here, so that no other verb loads it
     digest = hashlib.sha256(text.encode()).hexdigest()
     if digest != EXPECTED_SHA256[name]:
         raise FixtureMismatchError(

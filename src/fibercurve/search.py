@@ -84,15 +84,19 @@ class SearchReport(NamedTuple):
         return hash(self[:7] + self[8:])  # every field but stats
 
 
+def _is_prime(m: int) -> bool:
+    return m > 1 and all(m % k for k in range(2, isqrt(m) + 1))
+
+
 def _sieve_primes(s: int) -> list[int]:
     """The first SIEVE_PRIMES primes m modulo which not every residue is an
     s-th power, i.e. with gcd(s, m - 1) > 1: the smallest of the first
-    SIEVE_PRIMES primes m = 1 mod d, over the divisors d > 1 of s."""
+    SIEVE_PRIMES primes m = 1 mod p, over the primes p dividing s (m = 1
+    mod a divisor d of s is 1 mod every prime dividing d)."""
     primes: set[int] = set()
-    for d in range(2, s + 1):
-        if s % d == 0:
-            stream = (m for m in itertools.count(d + 1, d)
-                      if all(m % k for k in range(2, isqrt(m) + 1)))
+    for p in range(2, s + 1):
+        if s % p == 0 and _is_prime(p):
+            stream = filter(_is_prime, itertools.count(p + 1, p))
             primes.update(itertools.islice(stream, SIEVE_PRIMES))
     return sorted(primes)[:SIEVE_PRIMES]
 
@@ -148,8 +152,8 @@ def _scan(config: Config, height: int, blocks):
     stride = (width + primes[-1] + 7) // 8 * 8
     rows = max(1, SLAB_BITS // stride)
     columns = {  # per prime l <= H, the v of a row with l | v
-        l: sum(1 << j for j in range(H % l, width, l)) for l in range(2, H + 1)
-        if all(l % d for d in range(2, isqrt(l) + 1))}
+        l: sum(1 << j for j in range(H % l, width, l))
+        for l in filter(_is_prime, range(2, H + 1))}
     # Per slab: its w, the v != 0 of its rows, a one per row, per prime
     # l <= H dividing some w the mask with the (v, w) of l | gcd(v, w)
     # cleared, and one pattern per sieve.

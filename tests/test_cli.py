@@ -880,8 +880,8 @@ def test_jsonio_import_loads_no_search():
 
 
 def test_cli_import_loads_no_dataclasses_or_hashlib():
-    # the value types are NamedTuples and only fixtures.load hashes; the
-    # difference of sys.modules ignores what the host's site preloads
+    # the value types are NamedTuples and only fixtures.load hashes and
+    # reads package data; -S keeps site from preloading any of these
     script = "\n".join([
         "import contextlib, io, json, sys",
         "before = set(sys.modules)",
@@ -889,11 +889,13 @@ def test_cli_import_loads_no_dataclasses_or_hashlib():
         "loaded = set(sys.modules) - before",
         "with contextlib.redirect_stdout(io.StringIO()) as out:",
         "    code = cli.main(['fixtures', 'rogers7', '--verify'])",
-        "print(sorted(loaded & {'dataclasses', 'inspect', 'hashlib'}), code,",
-        "      json.loads(out.getvalue())['name'])",
+        "print(sorted(loaded & {'dataclasses', 'inspect', 'hashlib',",
+        "                       'importlib.resources', 'pathlib', 'tempfile',",
+        "                       'shutil'}),",
+        "      code, json.loads(out.getvalue())['name'])",
     ])
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": SRC},
     )

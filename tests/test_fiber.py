@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from fibercurve import fixtures, jsonio
+from fibercurve import fiber, fixtures, jsonio
 from fibercurve.config import validate, violations
 from fibercurve.fiber import (
     OrderCapExceeded,
@@ -325,8 +326,24 @@ class TestTrivialPoints:
         with pytest.raises(OrderCapExceeded):
             trivial_points(31, 2, 2)
 
-    def test_tuple_cap_sampling_is_flagged(self):
-        cert = trivial_points(2, 2, 4, tuple_cap=10)
+    def test_tuple_cap_sampling_is_flagged(self, monkeypatch):
+        monkeypatch.setattr(fiber, "TUPLE_CAP", 10)
+        cert = trivial_points(2, 2, 4)
         assert cert.sampled
         assert len(cert.verified) == 10
         assert cert.total_space == 2**5 * 2**5
+
+    def test_capped_listing_does_not_build_the_tuple_space(self, monkeypatch):
+        # 2^18 X-tuples and as many Y-tuples, about 100 MB if all were
+        # built: only the first 10 pairs are
+        monkeypatch.setattr(fiber, "TUPLE_CAP", 10)
+        tracemalloc.start()
+        try:
+            cert = trivial_points(2, 2, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert cert.sampled and cert.total_space == 2**36
+        first = [tuple(map(int, format(k, "018b"))) for k in range(10)]
+        assert cert.verified == tuple(((0,) * 18, it) for it in first)

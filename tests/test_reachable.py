@@ -1,9 +1,13 @@
-"""Every top-level name of the package is used by the package itself.
+"""Every top-level name of the package is used by the package itself,
+and every parameter default is overridden by it somewhere.
 
 A function, class or constant that only a test calls is code that exists
 for itself.  A name counts as used when another top-level statement of
 ``src/fibercurve`` loads it, bare or as an attribute; a definition that
 only refers to itself does not count.
+
+Likewise a parameter with a default that no call in the package passes is
+a knob only a test turns; a single value in use is a constant.
 """
 
 import ast
@@ -19,6 +23,12 @@ UNUSED_ON_PURPOSE = {
     ("fiber", "raw_coefficients"),
     ("fiber", "det_form"),
     ("fiber", "jacobian_matrix"),
+}
+
+# parameters with a default that the package never passes
+DEFAULTS_ON_PURPOSE = {
+    ("cli", "main", "argv"),  # the entry point; None reads sys.argv
+    ("fiber", "det_form", "row_power"),  # the oracle's lower-degree variant
 }
 
 
@@ -62,3 +72,64 @@ def unused_names():
 def test_every_top_level_name_is_used_in_the_package():
     assert unused_names() == UNUSED_ON_PURPOSE
 
+
+def _callables(tree):
+    """(name it is called by, whether a call binds the first parameter,
+    definition) of each function and method: a method's self or cls is
+    bound, and ``__init__`` is called by its class name."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = node.name if item.name == "__init__" else item.name
+                    methods[item] = (name, True)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield (*methods.get(node, (node.name, False)), node)
+
+
+def _passes(call, name, position):
+    """Whether a call passes parameter name, at the given position if it
+    may be given by position (None otherwise)."""
+    keywords = {k.arg for k in call.keywords}
+    if name in keywords or None in keywords:  # None: a **mapping
+        return True
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > position
+
+
+def unset_defaults():
+    """(module, function, parameter) of each parameter with a default that
+    no call in the package passes, by position or by keyword."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    calls = {}  # name called -> calls
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for module, tree in trees.items():
+        for called_as, binds_first, node in _callables(tree):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - binds_first) for i, a in enumerate(positional)
+                      if i >= first]
+            params += [(a.arg, None) for a, default in
+                       zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            for name, position in params:
+                if not any(_passes(call, name, position)
+                           for call in calls.get(called_as, [])):
+                    unset.add((module, called_as, name))
+    return unset
+
+
+def test_every_default_parameter_is_passed_in_the_package():
+    assert unset_defaults() == DEFAULTS_ON_PURPOSE

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -459,6 +459,19 @@ class TestSieveTables:
             tables = search._Patterns(m, 101, m + 9)
             for c1 in rng.sample(range(m), 20):
                 self.assert_pattern(tables, c1, powers, m + 9)
+
+    def test_sieve_primes_are_the_first_non_power_primes(self):
+        # brute force: the primes m, in order, with gcd(s, m - 1) > 1,
+        # primes from a sieve of Eratosthenes
+        bound = 20_000
+        composite = bytearray(bound)
+        for k in range(2, isqrt(bound) + 1):
+            composite[k * k::k] = b"\x01" * len(range(k * k, bound, k))
+        primes = [m for m in range(2, bound) if not composite[m]]
+        for s in [*range(2, 65), 210, 1001, 1024, 2187, 30030]:
+            want = [m for m in primes if gcd(s, m - 1) > 1][:search.SIEVE_PRIMES]
+            assert len(want) == search.SIEVE_PRIMES, s
+            assert search._sieve_primes(s) == want, s
 
     def test_large_prime_s_holds_little(self):
         # the sieve primes of s = 1009 run up to 173549; the tables hold the
