@@ -94,6 +94,20 @@ def _load_config(value: str):
     return jsonio.config_from_obj(_read_payload(value))
 
 
+def _int_text(value: int) -> str:
+    """``str(value)`` in subquadratic time, where ``str`` is quadratic: past
+    8192 bits, the halves of the binary expansion join exactly in decimal."""
+    bits = value.bit_length()
+    if bits <= 8192:
+        return str(value)
+    from decimal import Context, Decimal, Inexact, Overflow
+    digits = bits * 30103 // 100000 + 1  # at least the digits of value
+    ctx = Context(prec=digits, Emax=digits, traps=[Inexact, Overflow])
+    h = bits // 2
+    hi, lo = (Decimal(_int_text(v)) for v in (value >> h, value & ~(-1 << h)))
+    return str(ctx.fma(hi, ctx.power(2, h), lo))
+
+
 def _json(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for str (also as keys), int, bool, None,
     dict, and list or tuple; other types raise TypeError, as in ``json``."""
@@ -102,7 +116,7 @@ def _json(obj, newline: str = "\n") -> str:
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return _int_text(obj)
     inner = newline + "  "
     if isinstance(obj, dict):
         ends, body = "{}", [f"{_quote(k)}: {_json(v, inner)}"
@@ -164,20 +178,6 @@ def _cmd_fiber_verify(args) -> int:
         result["smooth"] = fiber.jacobian_rank(system, point) == cfg.n - 1
     _emit(result)
     return EXIT_OK if report.ok and result.get("smooth", True) else EXIT_MATH
-
-
-def _int_text(value: int) -> str:
-    """``str(value)`` in subquadratic time, where ``str`` is quadratic: past
-    8192 bits, the halves of the binary expansion join exactly in decimal."""
-    bits = value.bit_length()
-    if bits <= 8192:
-        return str(value)
-    from decimal import Context, Decimal, Inexact, Overflow
-    digits = bits * 30103 // 100000 + 1  # at least the digits of value
-    ctx = Context(prec=digits, Emax=digits, traps=[Inexact, Overflow])
-    h = bits // 2
-    hi, lo = (Decimal(_int_text(v)) for v in (value >> h, value & ~(-1 << h)))
-    return str(ctx.fma(hi, ctx.power(2, h), lo))
 
 
 def _cmd_integer(args) -> int:

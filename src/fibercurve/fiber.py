@@ -289,9 +289,10 @@ class TrivialPointCertificate(NamedTuple):
     Each tuple pairs X-exponents (j_0..j_n, powers of zeta_r) with
     Y-exponents (i_0..i_n, powers of zeta_s); for every listed pair all
     n-1 unspecialized forms were evaluated in the cyclotomic ring of order
-    lcm(r, s) and found to be exactly zero.  ``sampled`` marks runs where
-    the tuple space exceeded the cap and only the lexicographic prefix was
-    enumerated.
+    lcm(r, s) and found to be exactly zero, as they must be: each A_i, B_i
+    and C_i has a factor X_a^r - X_b^r, 0 at r-th roots of unity, so every
+    form vanishes there for every Y.  ``sampled`` marks runs where only a
+    lexicographic prefix of the tuple space was listed.
     """
 
     r: int
@@ -303,9 +304,11 @@ class TrivialPointCertificate(NamedTuple):
     sampled: bool
 
 
-# the caps of trivial_points: a cyclotomic order, a number of tuples
+# the caps of trivial_points: a cyclotomic order, a number of tuples and
+# a number of coordinates, n + 1 per tuple (every n <= 4 meets TUPLE_CAP)
 ORDER_CAP = 30
 TUPLE_CAP = 100_000
+COORD_CAP = 500_000
 
 
 class OrderCapExceeded(ValueError):
@@ -316,9 +319,11 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
     """Certify that root-of-unity coordinate tuples satisfy every form.
 
     Candidate points set X_j = zeta_r^{j_j} and Y_j = zeta_s^{i_j}; the
-    forms are evaluated symbolically in Q(zeta_d), d = lcm(r, s).  Orders
-    beyond ORDER_CAP are refused outright.  Tuple spaces beyond TUPLE_CAP
-    are sampled by lexicographic prefix and the certificate says so.
+    forms are evaluated symbolically in Q(zeta_d), d = lcm(r, s), which
+    re-checks that each vanishes (see TrivialPointCertificate).  Orders
+    beyond ORDER_CAP are refused outright.  At most min(TUPLE_CAP,
+    COORD_CAP // (n + 1)) tuples, a lexicographic prefix, are listed, and
+    the certificate says when the space is larger.
     """
     if r < 1 or s < 2:
         raise ValueError("need r >= 1 and s >= 2")
@@ -343,12 +348,13 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
     y_pow_s = [v**s for v in y_root]
 
     total_space = r ** (n + 1) * s ** (n + 1)
+    listed = min(TUPLE_CAP, COORD_CAP // (n + 1))
     # lazily: a product of the two products would first list both in full
     tuples = ((jt, it) for jt in itertools.product(range(r), repeat=n + 1)
               for it in itertools.product(range(s), repeat=n + 1))
     verified = []
     coeffs_of = None
-    for jt, it in itertools.islice(tuples, TUPLE_CAP):
+    for jt, it in itertools.islice(tuples, listed):
         if jt != coeffs_of:  # the coefficient triples of a new X-tuple
             X = [x_root[j] for j in jt]
             Xr = [x_pow_r[j] for j in jt]
@@ -375,5 +381,5 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
         order=d,
         total_space=total_space,
         verified=tuple(verified),
-        sampled=total_space > TUPLE_CAP,
+        sampled=total_space > listed,
     )

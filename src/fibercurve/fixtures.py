@@ -102,36 +102,22 @@ def _match_printed(system, printed) -> tuple[str, list[Fraction]]:
     transcribed display, trying both readings of the display."""
     if not printed:
         raise FixtureMismatchError("no printed equations to match")
-    by_index = {eq.i: eq for eq in system.equations}
+    raws = {eq.i: eq.raw() for eq in system.equations}
     failures = []
     for reading, eps in (("algebraic-lhs", -1), ("verbatim-lhs", +1)):
         scalars: list[Fraction] = []
-        failed_at = None
-        attempted = None
         for pe in printed:
-            eq = by_index[pe.i]
             target = (pe.rhs0, pe.rhs1, eps * pe.lhs)
-            if any(t == 0 for t in target):
-                failed_at = pe.i
-                break
-            lam = eq.raw()[0] / target[0]
-            if (
-                lam == 0
-                or eq.raw()[1] != lam * target[1]
-                or eq.raw()[2] != lam * target[2]
-            ):
-                failed_at = pe.i
-                attempted = lam
+            lam = None if 0 in target else raws[pe.i][0] / target[0]
+            if lam is None or raws[pe.i] != tuple(lam * t for t in target):
+                failures.append(f"reading {reading}: equation {pe.i} "
+                                f"(attempted scalar {lam})")
                 break
             scalars.append(lam)
-        if failed_at is None:
+        else:
             return reading, scalars
-        failures.append((reading, failed_at, attempted))
-    details = "; ".join(
-        f"reading {reading}: equation {index} (attempted scalar {lam})"
-        for reading, index, lam in failures
-    )
-    raise FixtureMismatchError(f"printed-system match failed: {details}")
+    raise FixtureMismatchError(
+        f"printed-system match failed: {'; '.join(failures)}")
 
 
 def verify(fixture: Fixture) -> FixtureReport:

@@ -19,6 +19,10 @@ from .fiber import FiberSystem, ProjPoint, TrivialPointCertificate
 
 _JSON_TYPES = {int: "integer", list: "list", dict: "object"}
 
+EVIDENCE_NOTE = (
+    "height-bounded evidence only; no finiteness or emptiness claim"
+)
+
 
 def _typed(value, name: str, kind: type):
     """``value`` when its JSON type is ``kind``, else a ValueError naming
@@ -127,7 +131,7 @@ def cwp_from_obj(obj: dict) -> CurveWithPoints:
 
 
 def search_report_to_obj(report) -> dict:
-    """A ``search.SearchReport``; its ``stats`` go to stderr, not here."""
+    """A ``search.SearchReport`` and its note; ``stats`` go to stderr."""
     return {
         "config": config_to_obj(report.config),
         "height_bound": report.height_bound,
@@ -136,7 +140,7 @@ def search_report_to_obj(report) -> dict:
         "elapsed_ms": report.elapsed_ms,
         "complete": report.complete,
         "workers": report.workers,
-        "note": report.note,
+        "note": EVIDENCE_NOTE,
     }
 
 

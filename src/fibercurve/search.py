@@ -36,8 +36,8 @@ survivors goes once to the exact root test.
 
 For odd s, M(-u, -v, w) = -M(u, v, w) and (-t)^s = -t^s, so (u, v, w) is
 a hit exactly when (-u, -v, w) is, roots negated, and the sieve passes c
-exactly when it passes -c.  The rows of |u| are scanned once per search
-and mirrored to -u; every counter still covers the whole box.
+exactly when it passes -c.  So only u > 0 is scanned, each row mirrored
+to -u in the same block; every counter still covers the whole box.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ from . import arith
 from .birat import CurveWithPoints
 from .config import Config
 from .family import AffinePoint, FamilyCurve, contains
-
-EVIDENCE_NOTE = (
-    "height-bounded evidence only; no finiteness or emptiness claim"
-)
 
 # Primes per search.  Past the first few, a prime only costs work on the
 # rare rows still alive, and each one passes about 1/gcd(s, m - 1) of the
@@ -78,10 +74,9 @@ class SearchReport(NamedTuple):
     # and every prime: root-tested), root_rejections, hits, workers,
     # block_us (time of each u-block); a dict, so it stays out of the hash
     stats: dict
-    note: str = EVIDENCE_NOTE
 
     def __hash__(self) -> int:
-        return hash(self[:7] + self[8:])  # every field but stats
+        return hash(self[:7])  # every field but stats
 
 
 def _is_prime(m: int) -> bool:
@@ -133,9 +128,11 @@ class _Patterns(dict):
         return self[c1]
 
 
-def _scan(config: Config, height: int, blocks):
-    """Sieve and root-test the rows (u, w) of each block [u_lo, u_hi) of
-    u in turn, all blocks sharing the per-alpha tables and the slabs.
+def _scan(config: Config, height: int, workers: int):
+    """Sieve and root-test the rows (u, w) of at most ``workers`` blocks of
+    contiguous u in turn, all blocks sharing the per-alpha tables and the
+    slabs.  For even s the blocks split -H <= u <= H; for odd s they split
+    1 <= u <= H, and a block adds the mirrors of its rows at -u.
 
     A candidate survives when it passes the sign stage (even s) and the
     sieve of every alpha, and is a hit when every alpha's value is an s-th
@@ -223,24 +220,23 @@ def _scan(config: Config, height: int, blocks):
                     _root_test(u, span[i], row, H, s, exact, hits)
         return hits, candidates, survivors
 
-    # odd s: the rows of |u|, scanned once per call and mirrored to -u
-    mirrored: dict[int, tuple] = {}
-    for u_lo, u_hi in blocks:
+    odd = s % 2
+    first = 1 if odd else -H
+    per = (H + 1 - first + workers - 1) // workers
+    for u_lo in range(first, H + 1, per):
         start = time.perf_counter()
         candidates = survivors = 0
         hits: list = []
-        for u in range(u_lo, u_hi):
+        for u in range(u_lo, min(u_lo + per, H + 1)):
             if u == 0:
                 continue
-            if s % 2 and abs(u) not in mirrored:
-                mirrored[abs(u)] = scan_u(abs(u))
-            found, count, alive = mirrored[abs(u)] if s % 2 else scan_u(u)
-            if s % 2 and u < 0:
-                found = [(u, -v, w, tuple(-t for t in roots))
-                         for _, v, w, roots in found]
+            found, count, alive = scan_u(u)
             hits += found
-            candidates += count
-            survivors += alive
+            if odd:  # the rows of -u
+                hits += [(-u, -v, w, tuple(-t for t in roots))
+                         for _, v, w, roots in found]
+            candidates += count * (1 + odd)
+            survivors += alive * (1 + odd)
         block_us = int((time.perf_counter() - start) * 1e6)
         yield hits, candidates, survivors, block_us
 
@@ -270,11 +266,11 @@ def _canonical_key(hit: CurveWithPoints):
 def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
     """Every hit in the height-H box, fully verified, canonically ordered.
 
-    The u-range is split into at most ``workers`` contiguous blocks, run
-    one after another in this process; the merged hit list is sorted by
-    (|numerator of a|, b, a), so the result does not depend on the
-    partition.  Interruption returns a partial report, holding the blocks
-    that finished, marked incomplete.
+    The u-range is split into at most ``workers`` contiguous blocks (for
+    odd s of u > 0, see ``_scan``), run one after another in this process;
+    the merged hit list is sorted by (|numerator of a|, b, a), so the
+    result does not depend on the partition.  Interruption returns a
+    partial report, holding the blocks that finished, marked incomplete.
     """
     if height < 1:
         raise ValueError("height must be >= 1")
@@ -285,14 +281,8 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
     space = survivors = 0
     block_us: list[int] = []
     complete = True
-    span = 2 * height + 1
-    per = (span + workers - 1) // workers
-    blocks = [
-        (lo, min(lo + per, height + 1))
-        for lo in range(-height, height + 1, per)
-    ]
     try:
-        for hits, count, alive, micros in _scan(config, height, blocks):
+        for hits, count, alive, micros in _scan(config, height, workers):
             raw_hits.extend(hits)
             space += count
             survivors += alive

@@ -714,6 +714,18 @@ class TestBatchVerbs:
         assert payload["verified_count"] == 64
         assert payload["sampled"] is False
 
+    def test_trivial_points_at_a_huge_n_lists_no_tuple(self, capsys):
+        # 600,001 coordinates per tuple exceed the coordinate cap, and the
+        # 180,619-digit total_space is written in subquadratic time
+        code, out, _ = run(
+            capsys, "trivial-points", "--r", "1", "--s", "2", "--n", "600000"
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["verified_count"] == 0
+        assert payload["sampled"] is True
+        assert payload["total_space"] == 2**600001
+
     def test_trivial_points_cap(self, capsys):
         code, _, err = run(
             capsys, "trivial-points", "--r", "31", "--s", "2", "--n", "2"

@@ -32,10 +32,11 @@ VALUES = st.recursive(
 
 
 @contextlib.contextmanager
-def unlimited_int_digits():
+def int_digit_limit(digits):
+    """CPython's limit on the digits of an int written as text (0: none)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     setter = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-    setter(0)
+    setter(digits)
     try:
         yield
     finally:
@@ -46,7 +47,7 @@ def unlimited_int_digits():
                      deadline=None)
 @hypothesis.given(obj=VALUES)
 def test_writes_the_bytes_of_json_dumps(obj):
-    with unlimited_int_digits():
+    with int_digit_limit(0):
         expected = json.dumps(obj, indent=2)
         assert _json(obj) == expected
         out = io.StringIO()
@@ -66,3 +67,14 @@ def test_other_types_raise_type_error(obj):
     # the program writes no float: a float is a bug, as a set is for json
     with pytest.raises(TypeError):
         _json(obj)
+
+
+@pytest.mark.parametrize("bits", [8191, 8192, 8193, 40_000])
+def test_ints_are_written_as_str_writes_them(bits):
+    # even under CPython's default 4300-digit limit, which int.__repr__
+    # obeys: past 8192 bits the writer takes the decimal path
+    values = [(1 << bits) - 1, -((1 << bits) - 1), 1 << bits, -(1 << bits)]
+    with int_digit_limit(0):
+        expected = [str(value) for value in values]
+    with int_digit_limit(4300):
+        assert [_json(value) for value in values] == expected

@@ -333,6 +333,20 @@ class TestTrivialPoints:
         assert len(cert.verified) == 10
         assert cert.total_space == 2**5 * 2**5
 
+    def test_listing_is_cut_by_tuples_or_by_coordinates(self, monkeypatch):
+        # at most min(TUPLE_CAP, COORD_CAP // (n + 1)) tuples: every n <= 4
+        # meets TUPLE_CAP first, and with the caps lowered 10 at n = 4 and
+        # 100 // 20 = 5 at n = 19
+        assert all(fiber.COORD_CAP // (n + 1) >= fiber.TUPLE_CAP
+                   for n in range(2, 5))
+        monkeypatch.setattr(fiber, "TUPLE_CAP", 10)
+        monkeypatch.setattr(fiber, "COORD_CAP", 100)
+        for n, listed in ((4, 10), (19, 5)):
+            cert = trivial_points(2, 2, n)
+            assert cert.sampled and cert.total_space == 4 ** (n + 1)
+            first = [tuple(map(int, format(k, f"0{n + 1}b"))) for k in range(listed)]
+            assert cert.verified == tuple(((0,) * (n + 1), it) for it in first)
+
     def test_capped_listing_does_not_build_the_tuple_space(self, monkeypatch):
         # 2^18 X-tuples and as many Y-tuples, about 100 MB if all were
         # built: only the first 10 pairs are

@@ -74,6 +74,19 @@ class TestVerify:
         ):
             fixtures.verify(corrupted)
 
+    def test_printed_triple_with_a_zero_entry_has_no_scalar(self):
+        # no scalar maps a nonzero raw triple onto a triple holding a 0
+        fx = fixtures.load("rogers7")
+        printed = list(fx.printed_equations)
+        printed[0] = printed[0]._replace(lhs=F(0))
+        corrupted = fx._replace(printed_equations=tuple(printed))
+        with pytest.raises(fixtures.FixtureMismatchError) as caught:
+            fixtures.verify(corrupted)
+        assert str(caught.value) == (
+            "printed-system match failed: "
+            "reading algebraic-lhs: equation 2 (attempted scalar None); "
+            "reading verbatim-lhs: equation 2 (attempted scalar None)")
+
     def test_hash_pinning(self, tmp_path, monkeypatch):
         monkeypatch.setitem(fixtures.EXPECTED_SHA256, "watkins14", "0" * 64)
         with pytest.raises(fixtures.FixtureMismatchError, match="hash"):

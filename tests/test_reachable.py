@@ -7,7 +7,8 @@ for itself.  A name counts as used when another top-level statement of
 only refers to itself does not count.
 
 Likewise a parameter with a default that no call in the package passes is
-a knob only a test turns; a single value in use is a constant.
+a knob only a test turns, and so is a ``NamedTuple`` field with a default
+that no construction passes; a single value in use is a constant.
 """
 
 import ast
@@ -73,20 +74,35 @@ def test_every_top_level_name_is_used_in_the_package():
     assert unused_names() == UNUSED_ON_PURPOSE
 
 
-def _callables(tree):
-    """(name it is called by, whether a call binds the first parameter,
-    definition) of each function and method: a method's self or cls is
-    bound, and ``__init__`` is called by its class name."""
+def _defaults(tree):
+    """(name it is called by, [(parameter, position)] of its parameters with
+    a default) of each function, method and ``NamedTuple``: a method's self
+    or cls is bound, ``__init__`` is called by its class name, and a field
+    with a default is a parameter of its class at the field's position.
+    The position of a keyword-only parameter is None."""
     methods = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
+            if any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+                   for b in node.bases):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                yield node.name, [(f.target.id, k) for k, f in enumerate(fields)
+                                  if f.value is not None]
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     name = node.name if item.name == "__init__" else item.name
                     methods[item] = (name, True)
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef):
-            yield (*methods.get(node, (node.name, False)), node)
+            called_as, binds_first = methods.get(node, (node.name, False))
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - binds_first) for i, a in enumerate(positional)
+                      if i >= first]
+            params += [(a.arg, None) for a, default in
+                       zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            yield called_as, params
 
 
 def _passes(call, name, position):
@@ -116,14 +132,7 @@ def unset_defaults():
                 calls.setdefault(name, []).append(node)
     unset = set()
     for module, tree in trees.items():
-        for called_as, binds_first, node in _callables(tree):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            params = [(a.arg, i - binds_first) for i, a in enumerate(positional)
-                      if i >= first]
-            params += [(a.arg, None) for a, default in
-                       zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        for called_as, params in _defaults(tree):
             for name, position in params:
                 if not any(_passes(call, name, position)
                            for call in calls.get(called_as, [])):

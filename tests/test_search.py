@@ -235,6 +235,35 @@ class TestSearchAb:
         assert report.search_space_size == report.stats["candidates"]
         assert len(report.stats["block_us"]) == 1
 
+    def test_odd_s_interrupt_keeps_the_finished_block_and_its_mirror(
+            self, monkeypatch):
+        # workers=2 at H = 6 makes the odd-s blocks u in [1, 4) and [4, 7),
+        # each with the mirrored rows at -u; x = -1, -1/3, 2 are on
+        # y^3 = x(x/6 - 5/6) (u = 1) and y^3 = x(4x/3 + 4/3) (u = 4)
+        config = validate(1, 3, [F(-1), F(-1, 3), F(2)])
+        full = search_ab(config, 6)
+        assert {h.curve.a for h in full.hits} >= {F(1, 6), F(4, 3)}
+        root_test = search._root_test
+
+        def interrupted(u, *args):
+            if u > 3:
+                raise KeyboardInterrupt
+            root_test(u, *args)
+
+        monkeypatch.setattr(search, "_root_test", interrupted)
+        report = search_ab(config, 6, workers=2)
+        assert report.complete is False
+        assert len(report.stats["block_us"]) == 1
+        pairs = {(h.curve.a, h.curve.b) for h in report.hits}
+        assert pairs and pairs == {(-a, -b) for a, b in pairs}
+        # u = a w with w the common denominator of a and b
+        assert report.hits == tuple(h for h in full.hits if abs(h.curve.a * lcm(
+            h.curve.a.denominator, h.curve.b.denominator)) <= 3)
+        assert report.hits != full.hits
+        assert report.search_space_size == sum(
+            1 for u in range(-3, 4) for v in range(-6, 7) for w in range(1, 7)
+            if u * v != 0 and gcd(u, v, w) == 1)
+
     def test_planted_instances_complete(self):
         rng = random.Random(71)
         for cwp, u, v, w in plant_search_instances(rng, 10):
@@ -345,7 +374,9 @@ class TestSignStageAndMirror:
                 reports[0].stats[key] for key in keys
             ]
             assert report.hits == reports[0].hits
-        assert len(reports[-1].stats["block_us"]) == 2 * height + 1
+        # one block per u: -H <= u <= H for even s, u > 0 for odd s
+        blocks = height if config.s % 2 else 2 * height + 1
+        assert len(reports[-1].stats["block_us"]) == blocks
 
     def test_odd_s_root_tests_each_positive_row_once(self, monkeypatch):
         # x-coordinates of points of y^3 = x(-5/2 x - 3/2)

@@ -11,7 +11,7 @@ from fibercurve.config import Config
 from fibercurve.family import AffinePoint, FamilyCurve
 from fibercurve.fiber import FiberEquation, FiberSystem, TrivialPointCertificate
 from fibercurve.fixtures import Fixture, FixtureReport, PrintedEquation
-from fibercurve.search import EVIDENCE_NOTE, SearchReport
+from fibercurve.search import SearchReport
 
 
 def config():
@@ -50,7 +50,7 @@ CASES = [
     (lambda: report({"hits": 1}),
      f"SearchReport(config={CONFIG}, height_bound=2, hits=({CWP},), "
      f"search_space_size=40, elapsed_ms=0, complete=True, workers=1, "
-     f"stats={{'hits': 1}}, note={EVIDENCE_NOTE!r})"),
+     f"stats={{'hits': 1}})"),
     (lambda: PrintedEquation(2, F(-1), F(5), F(-4)),
      "PrintedEquation(i=2, lhs=Fraction(-1, 1), rhs0=Fraction(5, 1), "
      "rhs1=Fraction(-4, 1))"),
