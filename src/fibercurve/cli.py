@@ -373,7 +373,7 @@ _FAILURES = (
     (birat.LiftObstruction, EXIT_MATH,
      lambda exc: json.dumps({"obstruction": exc.reason, "index": exc.index})),
     ((birat.NoFiberPoint, birat.SingularSystemError, conic.NoRationalPointError,
-      fiber.OrderCapExceeded, fixtures.FixtureMismatchError), EXIT_MATH, str),
+      fiber.CapExceeded, fixtures.FixtureMismatchError), EXIT_MATH, str),
     (KeyError, EXIT_USAGE, lambda exc: f"missing field {exc}"),
     ((UsageError, ValueError, TypeError), EXIT_USAGE, str),
 )

@@ -311,7 +311,7 @@ TUPLE_CAP = 100_000
 COORD_CAP = 500_000
 
 
-class OrderCapExceeded(ValueError):
+class CapExceeded(ValueError):
     pass
 
 
@@ -321,9 +321,10 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
     Candidate points set X_j = zeta_r^{j_j} and Y_j = zeta_s^{i_j}; the
     forms are evaluated symbolically in Q(zeta_d), d = lcm(r, s), which
     re-checks that each vanishes (see TrivialPointCertificate).  Orders
-    beyond ORDER_CAP are refused outright.  At most min(TUPLE_CAP,
-    COORD_CAP // (n + 1)) tuples, a lexicographic prefix, are listed, and
-    the certificate says when the space is larger.
+    beyond ORDER_CAP and tuples of more than COORD_CAP coordinates are
+    refused outright.  At most min(TUPLE_CAP, COORD_CAP // (n + 1))
+    tuples, a lexicographic prefix, are listed, and the certificate says
+    when the space is larger.
     """
     if r < 1 or s < 2:
         raise ValueError("need r >= 1 and s >= 2")
@@ -331,9 +332,12 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
         raise ValueError("need n >= 2")
     d = lcm(r, s)
     if d > ORDER_CAP:
-        raise OrderCapExceeded(
+        raise CapExceeded(
             f"cyclotomic order {d} exceeds the cap {ORDER_CAP}; refusing"
         )
+    if n + 1 > COORD_CAP:
+        raise CapExceeded(f"{n + 1} coordinates per tuple exceed the cap "
+                          f"{COORD_CAP}; refusing")
     one = CyclotomicElement.one(d)
     zeta = CyclotomicElement.zeta(d)
     powers = [one]

@@ -131,8 +131,9 @@ class _Patterns(dict):
 def _scan(config: Config, height: int, workers: int):
     """Sieve and root-test the rows (u, w) of at most ``workers`` blocks of
     contiguous u in turn, all blocks sharing the per-alpha tables and the
-    slabs.  For even s the blocks split -H <= u <= H; for odd s they split
-    1 <= u <= H, and a block adds the mirrors of its rows at -u.
+    slabs.  For even s the blocks split the u != 0 of -H <= u <= H; for
+    odd s they split 1 <= u <= H, and a block adds the mirrors of its rows
+    at -u.
 
     A candidate survives when it passes the sign stage (even s) and the
     sieve of every alpha, and is a hit when every alpha's value is an s-th
@@ -221,15 +222,13 @@ def _scan(config: Config, height: int, workers: int):
         return hits, candidates, survivors
 
     odd = s % 2
-    first = 1 if odd else -H
-    per = (H + 1 - first + workers - 1) // workers
-    for u_lo in range(first, H + 1, per):
+    us = [u for u in range(1 if odd else -H, H + 1) if u]
+    per = -(-len(us) // workers)
+    for lo in range(0, len(us), per):
         start = time.perf_counter()
         candidates = survivors = 0
         hits: list = []
-        for u in range(u_lo, min(u_lo + per, H + 1)):
-            if u == 0:
-                continue
+        for u in us[lo:lo + per]:
             found, count, alive = scan_u(u)
             hits += found
             if odd:  # the rows of -u

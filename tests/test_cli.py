@@ -5,6 +5,7 @@ import os
 import pkgutil
 import random
 import re
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fibercurve
-from fibercurve import cli, config, jsonio
+from fibercurve import cli, config, fiber, jsonio
 from fibercurve.birat import CurveWithPoints
 from fibercurve.cli import (
     EXIT_MATH,
@@ -714,17 +715,19 @@ class TestBatchVerbs:
         assert payload["verified_count"] == 64
         assert payload["sampled"] is False
 
-    def test_trivial_points_at_a_huge_n_lists_no_tuple(self, capsys):
-        # 600,001 coordinates per tuple exceed the coordinate cap, and the
-        # 180,619-digit total_space is written in subquadratic time
+    def test_trivial_points_writes_a_huge_total_space(self, capsys,
+                                                       monkeypatch):
+        # with no tuple listed, the 120,413-digit total_space is all the
+        # work, written in subquadratic time past CPython's digit limit
+        monkeypatch.setattr(fiber, "TUPLE_CAP", 0)
         code, out, _ = run(
-            capsys, "trivial-points", "--r", "1", "--s", "2", "--n", "600000"
+            capsys, "trivial-points", "--r", "1", "--s", "2", "--n", "400000"
         )
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["verified_count"] == 0
         assert payload["sampled"] is True
-        assert payload["total_space"] == 2**600001
+        assert payload["total_space"] == 2**400001
 
     def test_trivial_points_cap(self, capsys):
         code, _, err = run(
@@ -946,6 +949,21 @@ def test_stdout_closed_before_a_buffered_answer_is_written():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def test_trivial_points_refuses_n_past_the_coordinate_cap():
+    # refused before anything of size n is made: under a 1 GiB address
+    # space limit, where the tuple stream alone would ask for 16 GB
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibercurve.cli", "trivial-points",
+         "--r", "1", "--s", "2", "--n", "1000000000"],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_MATH, b"")
+    assert json.loads(proc.stderr)["message"] == (
+        "1000000001 coordinates per tuple exceed the cap 500000; refusing")
+
+
 # every exception class a fibercurve module defines, and the exit code
 # the failure table gives it
 FAILURE_EXIT_CODES = {
@@ -955,7 +973,7 @@ FAILURE_EXIT_CODES = {
     "fibercurve.cli.UsageError": EXIT_USAGE,
     "fibercurve.config.InvalidConfigError": EXIT_MATH,
     "fibercurve.conic.NoRationalPointError": EXIT_MATH,
-    "fibercurve.fiber.OrderCapExceeded": EXIT_MATH,
+    "fibercurve.fiber.CapExceeded": EXIT_MATH,
     "fibercurve.fixtures.FixtureMismatchError": EXIT_MATH,
 }
 

@@ -7,7 +7,7 @@ import pytest
 from fibercurve import fiber, fixtures, jsonio
 from fibercurve.config import validate, violations
 from fibercurve.fiber import (
-    OrderCapExceeded,
+    CapExceeded,
     ProjPoint,
     build_fiber,
     det_form,
@@ -323,8 +323,15 @@ class TestTrivialPoints:
                 trivial_points(2, s, 2)
 
     def test_order_cap_refusal(self):
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(CapExceeded):
             trivial_points(31, 2, 2)
+
+    def test_coordinate_cap_refusal(self, monkeypatch):
+        # a tuple of COORD_CAP coordinates is still listed, one more is not
+        monkeypatch.setattr(fiber, "COORD_CAP", 100)
+        assert len(trivial_points(1, 2, 99).verified) == 1
+        with pytest.raises(CapExceeded, match="101 coordinates per tuple"):
+            trivial_points(1, 2, 100)
 
     def test_tuple_cap_sampling_is_flagged(self, monkeypatch):
         monkeypatch.setattr(fiber, "TUPLE_CAP", 10)

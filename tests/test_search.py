@@ -203,9 +203,9 @@ class TestSearchAb:
             ] == [(h.curve.a, h.curve.b, h.points) for h in serial.hits]
 
     @pytest.mark.parametrize("workers, height, blocks", [
-        (4096, 1, 3),  # more workers than rows of u
-        (4096, 3, 7),
-        (8, 3, 7),
+        (4096, 1, 2),  # more workers than rows of u: one block per u != 0
+        (4096, 3, 6),
+        (8, 3, 6),
     ])
     def test_workers_partition_the_u_range(self, workers, height, blocks):
         report = search_ab(PLANT13, height, workers)
@@ -216,7 +216,7 @@ class TestSearchAb:
         assert report.search_space_size == serial.search_space_size
 
     def test_interrupt_keeps_the_finished_blocks(self, monkeypatch):
-        # workers=2 at H = 6 makes the blocks u in [-6, 1) and [1, 7)
+        # workers=2 at H = 6 makes the blocks -6 <= u <= -1 and 1 <= u <= 6
         full = search_ab(PLANT13, 6)
         root_test = search._root_test
 
@@ -374,8 +374,8 @@ class TestSignStageAndMirror:
                 reports[0].stats[key] for key in keys
             ]
             assert report.hits == reports[0].hits
-        # one block per u: -H <= u <= H for even s, u > 0 for odd s
-        blocks = height if config.s % 2 else 2 * height + 1
+        # one block per u: u != 0 for even s, u > 0 for odd s
+        blocks = height if config.s % 2 else 2 * height
         assert len(reports[-1].stats["block_us"]) == blocks
 
     def test_odd_s_root_tests_each_positive_row_once(self, monkeypatch):
