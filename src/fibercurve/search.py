@@ -28,11 +28,21 @@ with c1 d an s-th power, shifted by v0.  For one alpha and m the pattern
 depends on w only, through the character of w^(s-1) mod m, and the shift
 on u only: each (alpha, prime) is one int per slab, and one shift and one
 AND sieve all its rows.  The stride is the row width plus the largest
-sieve prime, so that no shift moves a bit into the next row.  A row
-starts from the mask of v with gcd(u, v, w) = 1.  For even s a sign stage
-first keeps, per alpha, the half-line of v with M >= 0 (M has the sign of
-p (u p^r + v q^r); M = 0, the witness y = 0, stays).  Each row with
-survivors goes once to the exact root test.
+sieve prime that may get slab tables, so that no shift moves a bit into
+the next row.  A row starts from the mask of v with gcd(u, v, w) = 1.
+For even s a sign stage first keeps, per alpha, the half-line of v with
+M >= 0 (M has the sign of p (u p^r + v q^r); M = 0, the witness y = 0,
+stays).  Each row with survivors goes once to the exact root test.
+
+A prime's slab tables cost about one piece per row of the box, and most
+candidates die at the first few primes, so the primes get tables in
+order, each only once more than H candidates of the search have reached
+it; the slab at hand is then sieved with them.  Until then the
+candidates that reach a prime are tested one at a time, with the
+predicate of a pattern bit: M mod m, from w^(s-1) mod m, is 0 or has
+M^((m-1)/gcd(s, m-1)) = 1.  A prime m > SLAB_BITS never gets tables,
+since they would make every row piece at least m bits long.  Which
+primes get tables changes no hit and no counter.
 
 For odd s, M(-u, -v, w) = -M(u, v, w) and (-t)^s = -t^s, so (u, v, w) is
 a hit exactly when (-u, -v, w) is, roots negated, and the sieve passes c
@@ -58,7 +68,8 @@ from .family import AffinePoint, FamilyCurve, contains
 # non-powers.
 SIEVE_PRIMES = 15
 # Bits of one slab: the rows (u, w) of a u are sieved SLAB_BITS // stride
-# at a time, in one int (see ``_scan``).
+# at a time, in one int (see ``_scan``); no sieve prime above SLAB_BITS
+# gets slab tables.
 SLAB_BITS = 1 << 13
 
 
@@ -137,8 +148,9 @@ def _scan(config: Config, height: int, workers: int):
 
     A candidate survives when it passes the sign stage (even s) and the
     sieve of every alpha, and is a hit when every alpha's value is an s-th
-    power.  Yields (hits, candidates, survivors, block_us) per block; a hit
-    is (u, v, w, roots).
+    power; a prime gets slab tables only once candidates reach it (see the
+    module docstring).  Yields (hits, candidates, survivors, block_us) per
+    block; a hit is (u, v, w, roots).
     """
     r, s, H = config.r, config.s, height
     primes = _sieve_primes(s)
@@ -146,8 +158,11 @@ def _scan(config: Config, height: int, workers: int):
     row_bits = (1 << width) - 1
     # Row w of a slab of rows w_lo <= w < w_hi sits at bit (w - w_lo) stride,
     # in whole bytes.  A pattern of m holds width + m bits, so a shift by
-    # less than m moves no bit of a row into the next one.
-    stride = (width + primes[-1] + 7) // 8 * 8
+    # less than m moves no bit of a row into the next one.  Only the primes
+    # m <= SLAB_BITS may get slab tables, so a row costs at most SLAB_BITS
+    # more than its width.
+    tabled = [m for m in primes if m <= SLAB_BITS]
+    stride = (width + max(tabled, default=0) + 7) // 8 * 8
     rows = max(1, SLAB_BITS // stride)
     columns = {  # per prime l <= H, the v of a row with l | v
         l: sum(1 << j for j in range(H % l, width, l))
@@ -164,16 +179,26 @@ def _scan(config: Config, height: int, workers: int):
             if drop := sum(1 << (w - lo) * stride for w in span if w % l == 0):
                 keep[l] = ~(drop * column)
         slabs.append((span, ones * (row_bits ^ 1 << H), ones, keep, []))
-    # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)); per prime m not
-    # dividing p q, (m, (p/q)^r mod m) and a pattern per slab.  Row w's
-    # pattern depends only on the class of w^(s-1) mod m, its character or
-    # 0, so a slab is one pattern per class, copied as bytes to the rows of
-    # the class.  Each prime's tables are dropped once its slabs exist.
+    # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)).  Per prime m with no
+    # slab tables yet, in order: (m, k = (m - 1) / gcd(s, m - 1), per alpha
+    # with m not dividing p q the first three of these mod m), and the
+    # count of candidates that have reached m.  Per (prime, alpha) with
+    # slab tables: (m, (p/q)^r mod m), and a pattern per slab.
     exact, sieves = [], []
     for alpha in config.alphas:
         p, q = alpha.numerator, alpha.denominator
         exact.append((p * q ** ((r + 1) * (s - 1)), p**r, q**r, q ** (r + 1)))
-    for m in primes:
+    pending = [(m, (m - 1) // gcd(s, m - 1),
+                [(k % m, p_r % m, q_r % m) for k, p_r, q_r, _ in exact if k % m])
+               for m in primes]
+    reached = dict.fromkeys(primes, 0)
+
+    def build():
+        """Move the first pending prime m to the sieves, with a pattern per
+        slab.  Row w's pattern depends only on the class of w^(s-1) mod m,
+        its character or 0, so a slab is one pattern per class, copied as
+        bytes to the rows of the class; the tables are dropped after."""
+        m = pending.pop(0)[0]
         tables = _Patterns(m, s, width + m)
         classes = []  # per slab: each row's character, a w^(s-1) per character
         for span, *_ in slabs:
@@ -213,12 +238,23 @@ def _scan(config: Config, height: int, workers: int):
                 if not mask:
                     break
             else:
-                survivors += mask.bit_count()
+                # the first pending prime m gets its tables once more than
+                # H candidates have reached it, and this slab is sieved
+                # with them
+                while (mask and pending and (m := pending[0][0]) <= SLAB_BITS
+                       and reached[m] + mask.bit_count() > H):
+                    built = len(sieves)
+                    build()
+                    shifts += [(u * e - H) % m for m, e in sieves[built:]]
+                    for pat, shift in zip(pats[built:], shifts[built:]):
+                        mask &= pat >> shift
                 while mask:
                     i = ((mask & -mask).bit_length() - 1) // stride
                     row = mask >> i * stride & row_bits
                     mask ^= row << i * stride
-                    _root_test(u, span[i], row, H, s, exact, hits)
+                    if row := _residue_test(u, span[i], row, H, s, pending, reached):
+                        survivors += row.bit_count()
+                        _root_test(u, span[i], row, H, s, exact, hits)
         return hits, candidates, survivors
 
     odd = s % 2
@@ -238,6 +274,30 @@ def _scan(config: Config, height: int, workers: int):
             survivors += alive * (1 + odd)
         block_us = int((time.perf_counter() - start) * 1e6)
         yield hits, candidates, survivors, block_us
+
+
+def _residue_test(u, w, row, H, s, pending, reached) -> int:
+    """The v of the row mask of (u, w) that pass every prime of ``pending``,
+    tested one candidate at a time; ``reached`` counts the candidates that
+    reach each prime.  For (m, k, coefficients) in ``pending``, each
+    (c, p^r, q^r) mod m of ``coefficients`` gives M = c w^(s-1)
+    (u p^r + v q^r) mod m, which must be 0 or an s-th power: M^k = 1."""
+    for m, k, coefficients in pending:
+        if not row:
+            break
+        reached[m] += row.bit_count()
+        ws, rest = pow(w, s - 1, m), row
+        lines = [(c * ws * u * p_r % m, c * ws * q_r % m)
+                 for c, p_r, q_r in coefficients]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1 - H
+            for a, b in lines:  # M = a + b v mod m
+                if (x := (a + b * v) % m) and pow(x, k, m) != 1:
+                    row ^= low
+                    break
+    return row
 
 
 def _root_test(u, w, mask, H, s, exact, out) -> None:

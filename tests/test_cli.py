@@ -964,6 +964,24 @@ def test_trivial_points_refuses_n_past_the_coordinate_cap():
         "1000000001 coordinates per tuple exceed the cap 500000; refusing")
 
 
+@pytest.mark.parametrize("s", [100003, 1000003])
+def test_search_ab_with_a_large_prime_s_holds_little(s):
+    # every sieve prime of s is above SLAB_BITS, so none gets slab tables:
+    # rows as long as the largest prime would ask for gigabytes at H = 24
+    config = json.dumps({"r": 1, "s": s, "alphas": ["1", "2", "-3"]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "fibercurve.cli", "search-ab", "--config", config,
+         "--height", "24", "--stats"],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert proc.returncode == 0, proc.stderr[-500:]
+    report = json.loads(proc.stdout)
+    assert (report["complete"], report["search_space_size"]) == (True, 46228)
+    assert json.loads(proc.stderr)["candidates"] == 46228
+
+
 # every exception class a fibercurve module defines, and the exit code
 # the failure table gives it
 FAILURE_EXIT_CODES = {

@@ -364,6 +364,32 @@ class TestSignStageAndMirror:
             stats = search_ab(config, height).stats
             assert stats["sieve_survivors"] == sieve_survivor_count(config, height)
 
+    def test_tables_only_for_the_primes_candidates_reach(self, monkeypatch):
+        # a prime gets slab tables once more than H candidates reach it;
+        # the primes that few candidates reach test them one by one, with
+        # the same hits and counters
+        built = []
+
+        class Counted(search._Patterns):
+            def __init__(self, m, s, bits):
+                built.append(m)
+                super().__init__(m, s, bits)
+
+        monkeypatch.setattr(search, "_Patterns", Counted)
+        fewer = 0
+        for config, height in self.CASES:
+            built.clear()
+            report = search_ab(config, height)
+            primes = search._sieve_primes(config.s)
+            assert built == primes[:len(built)]
+            if len(built) < len(primes):
+                fewer += 1
+                hits = fraction_scan(config, height)[0]
+                assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == hits
+                assert report.stats["sieve_survivors"] == sieve_survivor_count(
+                    config, height)
+        assert fewer
+
     @pytest.mark.parametrize("k", range(len(CASES)))
     def test_counters_do_not_depend_on_workers(self, k):
         config, height = self.CASES[k]
@@ -453,8 +479,8 @@ class TestSlabs:
 
     def test_prime_s_slabs_hold_little(self):
         # s = 101: the sieve primes run up to 10303, so a slab holds one row;
-        # slabs of all 24 rows hold every pattern at the largest prime's
-        # stride and peak at 2.4 MiB here, against 1.3 MiB
+        # only the primes that more than H candidates reach get tables (one
+        # here, 0.05 MiB), where tables for all 15 would take 1.3 MiB
         config = validate(1, 101, [F(1), F(2), F(-3), F(5)])
         tracemalloc.start()
         try:
@@ -462,7 +488,7 @@ class TestSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2**20 // 2
 
 
 class TestSieveTables:
@@ -491,6 +517,28 @@ class TestSieveTables:
             for c1 in rng.sample(range(m), 20):
                 self.assert_pattern(tables, c1, powers, m + 9)
 
+    @pytest.mark.parametrize("s", range(2, 8))
+    def test_residue_test_matches_the_patterns(self, s):
+        # a candidate (u, v, w) of an alpha with residues (c, p^r, q^r) mod m
+        # is pattern bit i = v + u p^r / q^r of c1 = c q^r w^(s-1); a prime
+        # with no slab tables must pass it exactly when that bit is set
+        rng = random.Random(s)
+        for m in search._sieve_primes(s):
+            tables = search._Patterns(m, s, m)
+            k = (m - 1) // gcd(s, m - 1)
+            for _ in range(40):
+                c1, i = rng.randrange(m), rng.randrange(m)
+                p_r, q_r = rng.randrange(m), rng.randrange(1, m)
+                w = rng.randrange(1, m) + m * rng.randrange(3)
+                u = rng.randint(-3 * m, 3 * m)
+                c = c1 * pow(q_r * w ** (s - 1), -1, m) % m
+                v = (i - u * p_r * pow(q_r, -1, m)) % m - m * rng.randrange(2)
+                reached = {m: 0}
+                row = search._residue_test(u, w, 1 << v + m, m, s,
+                                           [(m, k, [(c, p_r, q_r)])], reached)
+                assert row == (tables[c1] >> i & 1) << v + m, (m, c1, i)
+                assert reached == {m: 1}
+
     def test_sieve_primes_are_the_first_non_power_primes(self):
         # brute force: the primes m, in order, with gcd(s, m - 1) > 1,
         # primes from a sieve of Eratosthenes
@@ -505,8 +553,9 @@ class TestSieveTables:
             assert search._sieve_primes(s) == want, s
 
     def test_large_prime_s_holds_little(self):
-        # the sieve primes of s = 1009 run up to 173549; the tables hold the
-        # patterns the search meets, not a character per residue
+        # the sieve primes of s = 1009 run from 10091 to 173549, all above
+        # SLAB_BITS: no prime gets slab tables, each tests the candidates
+        # that reach it one by one
         config = validate(1, 1009, [F(1), F(2), F(-3)])
         tracemalloc.start()
         try:
@@ -514,7 +563,7 @@ class TestSieveTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert peak < 2**20
 
 
 class TestFiberOracle:
