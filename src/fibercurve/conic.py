@@ -3,9 +3,11 @@
 For three prescribed x-coordinates the fiber is one conic, the equation
 A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 of ``build_fiber``.  Given one rational
 point, the pencil of lines through it parametrizes all the others on that
-equation, and each conic point lifts to a family member through the three
-x-coordinates.  Not every configuration yields a solvable conic (the form
-can be definite); absence within the search bound is reported honestly.
+equation; each pencil vector is checked on the conic equation, in integers,
+before it is normalized.  Each conic point lifts to a family member through
+the three x-coordinates.  Not every configuration yields a solvable conic
+(the form can be definite); absence within the search bound is reported
+honestly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import gcd, isqrt
 
 from .birat import CurveWithPoints, LiftObstruction, from_fiber_point
 from .config import Config
-from .fiber import FiberSystem, ProjPoint, build_fiber, on_fiber
+from .fiber import FiberSystem, ProjPoint, build_fiber
 
 
 class NoRationalPointError(RuntimeError):
@@ -70,20 +72,27 @@ def parametrize(
     coordinates other than the first nonzero one of ``base``.
 
     The tangent direction meets the conic only at ``base`` and returns it;
-    distinct directions give distinct points apart from that one.
+    distinct directions give distinct points apart from that one.  The
+    intersection is checked on the conic equation before it is normalized.
     """
     eq = system.equations[0]
-    p = base.coords
-    d = list(t)
-    d.insert(next(i for i, c in enumerate(p) if c != 0), 0)
-    q_d = eq.A * d[0] ** 2 + eq.B * d[1] ** 2 + eq.C * d[2] ** 2
-    polar = eq.A * p[0] * d[0] + eq.B * p[1] * d[1] + eq.C * p[2] * d[2]
+    A, B, C = eq.A, eq.B, eq.C
+    p0, p1, p2 = base.coords
+    t0, t1 = t
+    if p0:
+        d0, d1, d2 = 0, t0, t1
+    elif p1:
+        d0, d1, d2 = t0, 0, t1
+    else:
+        d0, d1, d2 = t0, t1, 0
+    polar = A * p0 * d0 + B * p1 * d1 + C * p2 * d2
     if polar == 0:  # the tangent at base
         return base
-    point = ProjPoint([q_d * x - 2 * polar * y for x, y in zip(p, d)])
-    if not on_fiber(system, point):
+    q_d, polar = A * d0 * d0 + B * d1 * d1 + C * d2 * d2, 2 * polar
+    x0, x1, x2 = q_d * p0 - polar * d0, q_d * p1 - polar * d1, q_d * p2 - polar * d2
+    if A * x0 * x0 + B * x1 * x1 + C * x2 * x2:
         raise AssertionError("parametrized point left the conic")
-    return point
+    return ProjPoint((x0, x1, x2))
 
 
 def _directions():

@@ -22,8 +22,9 @@ def clear_denominators(row: Sequence[Fraction]) -> list[int]:
 
 def primitive_vector(row: Sequence[Fraction], positive: int) -> list[int]:
     """The integer vector proportional to row with content 1 whose entry
-    at index ``positive`` is > 0; row[positive] must be nonzero."""
-    ints = clear_denominators(row)
+    at index ``positive`` is > 0; row[positive] must be nonzero.  A row of
+    ints needs no denominators cleared."""
+    ints = row if all(type(x) is int for x in row) else clear_denominators(row)
     g = gcd(*ints)
     if ints[positive] < 0:
         g = -g

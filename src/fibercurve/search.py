@@ -32,7 +32,9 @@ sieve prime that may get slab tables, so that no shift moves a bit into
 the next row.  A row starts from the mask of v with gcd(u, v, w) = 1.
 For even s a sign stage first keeps, per alpha, the half-line of v with
 M >= 0 (M has the sign of p (u p^r + v q^r); M = 0, the witness y = 0,
-stays).  Each row with survivors goes once to the exact root test.
+stays).  Each row with survivors goes once to the exact root test.  The
+sieve needs p q^((r+1)(s-1)) only modulo its primes; the exact power, of
+(r+1)(s-1) log q bits, is made only when a row first reaches the root test.
 
 A prime's slab tables cost about one piece per row of the box, and most
 candidates die at the first few primes, so the primes get tables in
@@ -99,11 +101,19 @@ def _sieve_primes(s: int) -> list[int]:
     s-th power, i.e. with gcd(s, m - 1) > 1: the smallest of the first
     SIEVE_PRIMES primes m = 1 mod p, over the primes p dividing s (m = 1
     mod a divisor d of s is 1 mod every prime dividing d)."""
+    divisors, rest, p = [], s, 2
+    while p * p <= rest:  # trial division; what is left above 1 is prime
+        if rest % p == 0:
+            divisors.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        divisors.append(rest)
     primes: set[int] = set()
-    for p in range(2, s + 1):
-        if s % p == 0 and _is_prime(p):
-            stream = filter(_is_prime, itertools.count(p + 1, p))
-            primes.update(itertools.islice(stream, SIEVE_PRIMES))
+    for p in divisors:
+        stream = filter(_is_prime, itertools.count(p + 1, p))
+        primes.update(itertools.islice(stream, SIEVE_PRIMES))
     return sorted(primes)[:SIEVE_PRIMES]
 
 
@@ -179,17 +189,18 @@ def _scan(config: Config, height: int, workers: int):
             if drop := sum(1 << (w - lo) * stride for w in span if w % l == 0):
                 keep[l] = ~(drop * column)
         slabs.append((span, ones * (row_bits ^ 1 << H), ones, keep, []))
-    # Per alpha: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)).  Per prime m with no
-    # slab tables yet, in order: (m, k = (m - 1) / gcd(s, m - 1), per alpha
-    # with m not dividing p q the first three of these mod m), and the
-    # count of candidates that have reached m.  Per (prime, alpha) with
-    # slab tables: (m, (p/q)^r mod m), and a pattern per slab.
-    exact, sieves = [], []
-    for alpha in config.alphas:
-        p, q = alpha.numerator, alpha.denominator
-        exact.append((p * q ** ((r + 1) * (s - 1)), p**r, q**r, q ** (r + 1)))
+    # Per alpha: (p, q, p^r, q^r).  Per prime m with no slab tables yet, in
+    # order: (m, k = (m - 1) / gcd(s, m - 1), per alpha with m not dividing
+    # p q the residues of (p q^((r+1)(s-1)), p^r, q^r) mod m), and the count
+    # of candidates that have reached m.  Per (prime, alpha) with slab
+    # tables: (m, (p/q)^r mod m), and a pattern per slab.  Per alpha, once a
+    # row reaches the root test: (p q^((r+1)(s-1)), p^r, q^r, q^(r+1)).
+    alphas = [(a.numerator, a.denominator, a.numerator**r, a.denominator**r)
+              for a in config.alphas]
+    exact, sieves, exponent = [], [], (r + 1) * (s - 1)
     pending = [(m, (m - 1) // gcd(s, m - 1),
-                [(k % m, p_r % m, q_r % m) for k, p_r, q_r, _ in exact if k % m])
+                [(c, p_r % m, q_r % m) for p, q, p_r, q_r in alphas
+                 if (c := p * pow(q, exponent, m) % m)])
                for m in primes]
     reached = dict.fromkeys(primes, 0)
 
@@ -198,29 +209,28 @@ def _scan(config: Config, height: int, workers: int):
         slab.  Row w's pattern depends only on the class of w^(s-1) mod m,
         its character or 0, so a slab is one pattern per class, copied as
         bytes to the rows of the class; the tables are dropped after."""
-        m = pending.pop(0)[0]
+        m, _, coefficients = pending.pop(0)
         tables = _Patterns(m, s, width + m)
         classes = []  # per slab: each row's character, a w^(s-1) per character
         for span, *_ in slabs:
             ws = [pow(w, s - 1, m) for w in span]
             chis = [pow(x, tables.k, m) for x in ws]
             classes.append((chis, dict(zip(chis, ws))))
-        for k, p_r, q_r, _ in exact:
-            if k % m:
-                sieves.append((m, p_r * pow(q_r, -1, m) % m))
-                c1 = k * q_r % m  # c1 at w = 1
-                for slab, (chis, reps) in zip(slabs, classes):
-                    piece = {chi: tables[c1 * x % m].to_bytes(stride // 8, "little")
-                             for chi, x in reps.items()}
-                    slab[-1].append(int.from_bytes(
-                        b"".join([piece[chi] for chi in chis]), "little"))
+        for c, p_r, q_r in coefficients:
+            sieves.append((m, p_r * pow(q_r, -1, m) % m))
+            c1 = c * q_r % m  # c1 at w = 1
+            for slab, (chis, reps) in zip(slabs, classes):
+                piece = {chi: tables[c1 * x % m].to_bytes(stride // 8, "little")
+                         for chi, x in reps.items()}
+                slab[-1].append(int.from_bytes(
+                    b"".join([piece[chi] for chi in chis]), "little"))
 
     def scan_u(u):
         """(hits, candidates, survivors) of the rows (u, w), 1 <= w <= H."""
         sign = row_bits  # even s: the v with M >= 0 for every alpha
         if s % 2 == 0:
-            for k, p_r, q_r, _ in exact:
-                if k > 0:  # k has the sign of p; v >= -u p^r / q^r
+            for p, _, p_r, q_r in alphas:
+                if p > 0:  # M >= 0 for v >= -u p^r / q^r
                     sign &= -1 << min(max(H - u * p_r // q_r, 0), width)
                 else:  # v <= -u p^r / q^r
                     sign &= (1 << min(max(H + 1 + -u * p_r // q_r, 0), width)) - 1
@@ -254,6 +264,9 @@ def _scan(config: Config, height: int, workers: int):
                     mask ^= row << i * stride
                     if row := _residue_test(u, span[i], row, H, s, pending, reached):
                         survivors += row.bit_count()
+                        if not exact:
+                            exact.extend((p * q**exponent, p_r, q_r, q * q_r)
+                                         for p, q, p_r, q_r in alphas)
                         _root_test(u, span[i], row, H, s, exact, hits)
         return hits, candidates, survivors
 

@@ -8,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -980,6 +981,24 @@ def test_search_ab_with_a_large_prime_s_holds_little(s):
     report = json.loads(proc.stdout)
     assert (report["complete"], report["search_space_size"]) == (True, 46228)
     assert json.loads(proc.stderr)["candidates"] == 46228
+
+
+def test_search_ab_large_prime_s_and_a_fractional_alpha(capsys):
+    # s = 10^7 + 19 is prime and -1/3 puts 3^(2 (s - 1)) in M: the sieve
+    # needs that power only mod its primes, the box has no survivor and
+    # the prime divisors of s come from trial division up to isqrt(s)
+    start = time.monotonic()
+    code, out, err = run(
+        capsys, "search-ab",
+        "--config", '{"r":1,"s":10000019,"alphas":["1","2","-1/3"]}',
+        "--height", "2", "--stats",
+    )
+    elapsed = time.monotonic() - start
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["search_space_size"] == 28 and report["hits"] == []
+    assert json.loads(err)["sieve_survivors"] == 0
+    assert elapsed < 3
 
 
 # every exception class a fibercurve module defines, and the exit code

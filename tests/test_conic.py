@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,6 +6,8 @@ from math import gcd
 
 import pytest
 
+from fibercurve import conic
+from fibercurve.arith import format_rational
 from fibercurve.birat import LiftObstruction, from_fiber_point
 from fibercurve.config import InvalidConfigError, validate
 from fibercurve.conic import (
@@ -180,6 +183,20 @@ class TestParametrize:
         # distinct directions give distinct points, tangent aside
         assert len(seen) == count - 1
 
+    def test_point_off_the_conic_fails_the_check(self):
+        # the base point of CFG123 on a conic whose C is perturbed: the
+        # second intersection of every non-tangent line is off that conic
+        system, base = model_for(CFG123)
+        eq = system.equations[0]
+        perturbed = system._replace(equations=(eq._replace(C=eq.C + 1),))
+        for t in itertools.islice(_directions(), 40):
+            if t[1] == 0:  # the tangent direction gives the base point back
+                assert parametrize(perturbed, base, t) == base
+                continue
+            with pytest.raises(AssertionError,
+                               match="^parametrized point left the conic$"):
+                parametrize(perturbed, base, t)
+
 
 def lift_every_point(cfg, count, height):
     """Lift the base point and every non-tangent pencil point, and drop
@@ -213,6 +230,37 @@ class TestEnumerateCurves:
         assert enumerate_curves(cfg, 150, 20) == expected
 
 
+    @pytest.mark.parametrize("cfg, count", [
+        (CFG123, 0), (CFG123, 1), (CFG123, 300), (CFG125, 300),
+    ], ids=["cfg123-0", "cfg123-1", "cfg123-300", "cfg125-300"])
+    def test_one_parametrize_call_per_direction(self, monkeypatch, cfg, count):
+        # replay: the base point, then the directions in order, skipping a
+        # repeated (Y_0^2, Y_1^2) and an obstructed lift; the point after
+        # the last curve is made and then dropped
+        system, base = model_for(cfg)
+        seen, emitted = set(), 0
+        for consumed, t in enumerate(itertools.chain([None], _directions())):
+            if emitted == count:
+                break
+            point = base if t is None else parametrize(system, base, t)
+            if (point[0] ** 2, point[1] ** 2) in seen:
+                continue
+            seen.add((point[0] ** 2, point[1] ** 2))
+            try:
+                from_fiber_point(system, point, scale=F(1))
+                emitted += 1
+            except LiftObstruction:
+                pass
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return parametrize(*args)
+
+        monkeypatch.setattr(conic, "parametrize", counted)
+        assert len(enumerate_curves(cfg, count, 20)) == count
+        assert calls == list(itertools.islice(_directions(), consumed))
+
     def test_five_distinct_verified_curves(self):
         curves = enumerate_curves(CFG123, 5, 20)
         assert len(curves) == 5
@@ -224,6 +272,20 @@ class TestEnumerateCurves:
             for p in cwp.points:
                 assert contains(cwp.curve, p)
         assert len(seen) == 5
+
+    @pytest.mark.parametrize("cfg, digest", [
+        (CFG123,
+         "19cc3eb31aabe32a2feaedb15fa4942fe86d4241175a281273b7816b2e546629"),
+        (CFG125,
+         "4fb6bd165447e6597c186895df974156751f87ca4f91ed41a684421411d12f2d"),
+    ], ids=["r2-alphas-1-2-3", "r1-alphas-1-2-5"])
+    def test_benchmark_sequence_at_count_2000(self, cfg, digest):
+        # the SHA-256 of the "a b" lines recorded for the benchmark's conic
+        # workload (conic-enumerate --count 2000 --height 64)
+        curves = enumerate_curves(cfg, 2000, 64)
+        seq = "\n".join(f"{format_rational(c.curve.a)} {format_rational(c.curve.b)}"
+                        for c in curves)
+        assert hashlib.sha256(seq.encode()).hexdigest() == digest
 
     def test_count_zero(self):
         assert enumerate_curves(CFG123, 0, 20) == []

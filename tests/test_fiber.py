@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -48,6 +49,31 @@ class TestProjPoint:
                 continue
             lam = F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
             assert ProjPoint(coords) == ProjPoint([lam * c for c in coords])
+
+    def test_int_multiple_and_fraction_forms_agree(self):
+        # int vectors with zeros, a negative lead and entries past 2^64: the
+        # vector, a nonzero multiple and the vector as Fractions over a
+        # common denominator give one point, the primitive vector with a
+        # positive lead
+        rng = random.Random(23)
+        big = 2**64
+        for _ in range(400):
+            v = [rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-big * big, big * big)])
+                 for _ in range(rng.randint(1, 5))]
+            lead = next((i for i, c in enumerate(v) if c), None)
+            if lead is None:
+                continue
+            if rng.random() < 0.5:
+                v[lead] = -abs(v[lead])
+            k = rng.choice([-1, 1]) * rng.randint(1, 3 * big)
+            d = rng.randint(1, big)
+            point = ProjPoint(v)
+            assert point == ProjPoint([k * c for c in v])
+            assert point == ProjPoint([F(c, d) for c in v])
+            assert list(point.coords) == primitive_vector(v, lead)
+            assert point[lead] > 0 and gcd(*point.coords) == 1
+            assert all(c * v[lead] == x * point[lead]
+                       for c, x in zip(point.coords, v))
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError):

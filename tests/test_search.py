@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -541,14 +542,18 @@ class TestSieveTables:
 
     def test_sieve_primes_are_the_first_non_power_primes(self):
         # brute force: the primes m, in order, with gcd(s, m - 1) > 1,
-        # primes from a sieve of Eratosthenes
-        bound = 20_000
+        # primes from a sieve of Eratosthenes.  Past s = 3000 the cases have
+        # a prime factor above the square root of what trial division left:
+        # 5003 * 5009, 1009^2 and 1009 * 99991
+        bound = 1_000_000
         composite = bytearray(bound)
         for k in range(2, isqrt(bound) + 1):
-            composite[k * k::k] = b"\x01" * len(range(k * k, bound, k))
+            if not composite[k]:
+                composite[k * k::k] = b"\x01" * len(range(k * k, bound, k))
         primes = [m for m in range(2, bound) if not composite[m]]
-        for s in [*range(2, 65), 210, 1001, 1024, 2187, 30030]:
-            want = [m for m in primes if gcd(s, m - 1) > 1][:search.SIEVE_PRIMES]
+        for s in [*range(2, 3001), 30030, 5003 * 5009, 1009**2, 1009 * 99991]:
+            stream = (m for m in primes if gcd(s, m - 1) > 1)
+            want = list(itertools.islice(stream, search.SIEVE_PRIMES))
             assert len(want) == search.SIEVE_PRIMES, s
             assert search._sieve_primes(s) == want, s
 
