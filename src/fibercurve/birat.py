@@ -60,17 +60,14 @@ class CurveWithPoints(NamedTuple):
     curve: FamilyCurve
     points: tuple[AffinePoint, ...]
 
-    def config(self) -> Config:
-        return config_mod.validate(
-            self.curve.r, self.curve.s, [p.x for p in self.points]
-        )
-
     def verify(self) -> Config:
         """Check every point is on the curve; return the validated Config.
 
         The configuration is validated first: ``contains`` needs r and s
         in range (s = -1 would divide by zero)."""
-        cfg = self.config()
+        cfg = config_mod.validate(
+            self.curve.r, self.curve.s, [p.x for p in self.points]
+        )
         for idx, p in enumerate(self.points):
             if not contains(self.curve, p):
                 raise NoFiberPoint(f"point {idx} is not on the curve")

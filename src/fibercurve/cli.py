@@ -374,6 +374,8 @@ _FAILURES = (
      lambda exc: json.dumps({"obstruction": exc.reason, "index": exc.index})),
     ((birat.NoFiberPoint, birat.SingularSystemError, conic.NoRationalPointError,
       fiber.CapExceeded, fixtures.FixtureMismatchError), EXIT_MATH, str),
+    (MemoryError, EXIT_MATH,
+     lambda exc: "out of memory: the input needs more than is available"),
     (KeyError, EXIT_USAGE, lambda exc: f"missing field {exc}"),
     ((UsageError, ValueError, TypeError), EXIT_USAGE, str),
 )

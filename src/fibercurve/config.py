@@ -49,11 +49,12 @@ def violations(r: int, s: int, alphas) -> list[str]:
         if a == 0:
             problems.append(f"alpha[{i}] is zero")
     if r >= 1:
-        # equal bases have equal r-th powers (lowest-terms integer pairs), so
+        # in lowest terms x^r == y^r iff x == y, or |x| == |y| with r even:
         # colliding pairs share a group; sorting restores the (i, j) order
         groups: dict[tuple[int, int], list[int]] = {}
         for j, a in enumerate(alphas):
-            groups.setdefault((a.numerator**r, a.denominator**r), []).append(j)
+            num = abs(a.numerator) if r % 2 == 0 else a.numerator
+            groups.setdefault((num, a.denominator), []).append(j)
         pairs = sorted(p for g in groups.values() for p in combinations(g, 2))
         for i, j in pairs:
             if alphas[i] == alphas[j]:

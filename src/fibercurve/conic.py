@@ -79,12 +79,8 @@ def parametrize(
     A, B, C = eq.A, eq.B, eq.C
     p0, p1, p2 = base.coords
     t0, t1 = t
-    if p0:
-        d0, d1, d2 = 0, t0, t1
-    elif p1:
-        d0, d1, d2 = t0, 0, t1
-    else:
-        d0, d1, d2 = t0, t1, 0
+    # no conic point has Y_0 = Y_1 = 0: it would need C Y_2^2 = 0, C != 0
+    d0, d1, d2 = (0, t0, t1) if p0 else (t0, 0, t1)
     polar = A * p0 * d0 + B * p1 * d1 + C * p2 * d2
     if polar == 0:  # the tangent at base
         return base

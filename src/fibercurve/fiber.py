@@ -101,10 +101,6 @@ class FiberSystem(NamedTuple):
     config: Config
     equations: tuple[FiberEquation, ...]
 
-    @property
-    def n(self) -> int:
-        return self.config.n
-
 
 class MembershipReport(NamedTuple):
     ok: bool
@@ -204,7 +200,7 @@ def det_form(
 
 def on_fiber(system: FiberSystem, point: ProjPoint) -> MembershipReport:
     """Exact membership of a projective point, with per-equation residues."""
-    if len(point) != system.n + 1:
+    if len(point) != system.config.n + 1:
         raise ValueError("point length does not match configuration")
     s = system.config.s
     y0 = point[0] ** s
@@ -244,7 +240,7 @@ def jacobian_matrix(
 ) -> list[list[int]]:
     """Rows of partial derivatives of the n-1 forms at the point."""
     s = system.config.s
-    n = system.n
+    n = system.config.n
     rows = []
     for eq in system.equations:
         row = [0] * (n + 1)
@@ -275,7 +271,7 @@ def smooth_at(system: FiberSystem, point: ProjPoint) -> bool:
     report = on_fiber(system, point)
     if not report.ok:
         raise ValueError("point is not on the fiber")
-    return jacobian_rank(system, point) == system.n - 1
+    return jacobian_rank(system, point) == system.config.n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,9 @@ def argvs() -> list[list[str]]:
         ["lift", "--config", CFG123, "--point", '{"coords":["0","1","1"]}'],
         ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}',
          "--scale", "0"],
+        # [0:1:2] is on the fiber, so the lift reaches its scale check
+        ["lift", "--config", CFG123, "--point", '{"coords":["0","1","2"]}',
+         "--scale", "0"],
         ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}',
          "--scale", "x"],
     ]

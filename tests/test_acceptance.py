@@ -145,7 +145,7 @@ def test_criterion_5_birational_round_trip():
         for cwp in plants:
             assert len(cwp.points) >= 3
             point = to_fiber_point(cwp)
-            system = build_fiber(cwp.config())
+            system = build_fiber(cwp.verify())
             assert on_fiber(system, point).ok
 
             k = next(i for i, p in enumerate(cwp.points) if p.y != 0)
@@ -204,7 +204,7 @@ def test_criterion_8_search_soundness_completeness():
         instances = plant_search_instances(rng, 50)
         reports = {}
         for idx, (cwp, u, v, w) in enumerate(instances):
-            cfg = cwp.config()
+            cfg = cwp.verify()
             height = max(abs(u), abs(v), w)
             report = search_ab(cfg, height, workers=1)
             # completeness: the planted pair is found at its own height
@@ -222,7 +222,7 @@ def test_criterion_8_search_soundness_completeness():
             reports[idx] = report
         for workers in (2, 8):
             for idx, (cwp, u, v, w) in enumerate(instances):
-                cfg = cwp.config()
+                cfg = cwp.verify()
                 height = max(abs(u), abs(v), w)
                 report = search_ab(cfg, height, workers=workers)
                 base = reports[idx]

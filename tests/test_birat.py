@@ -67,7 +67,7 @@ class TestToFiberPoint:
             fx = fixtures.load(name)
             point = to_fiber_point(fx.cwp)
             assert point == ProjPoint([p.y for p in fx.cwp.points])
-            system = build_fiber(fx.cwp.config())
+            system = build_fiber(fx.cwp.verify())
             assert on_fiber(system, point).ok
 
     def test_off_curve_point_rejected(self):
@@ -87,7 +87,7 @@ class TestToFiberPoint:
     def test_sign_flip_keeps_verdict(self):
         rng = random.Random(47)
         for cwp in plant_curves(rng, 5, r_s_choices=((2, 2),)):
-            system = build_fiber(cwp.config())
+            system = build_fiber(cwp.verify())
             ys = [p.y for p in cwp.points]
             for _ in range(5):
                 flips = [rng.choice((1, -1)) for _ in ys]
@@ -125,7 +125,7 @@ class TestFromFiberPoint:
         for name in fixtures.FIXTURE_NAMES:
             cwp = fixtures.load(name).cwp
             curve, (x0, y0) = cwp.curve, (cwp.points[0].x, cwp.points[0].y)
-            lifted = from_fiber_point(build_fiber(cwp.config()), to_fiber_point(cwp))
+            lifted = from_fiber_point(build_fiber(cwp.verify()), to_fiber_point(cwp))
             assert lifted.points == (AffinePoint(x0, F(1)),) + tuple(
                 AffinePoint(p.x, p.y / y0) for p in cwp.points[1:]
             )
@@ -149,7 +149,7 @@ class TestFromFiberPoint:
         coords = list(to_fiber_point(cwp).coords)
         coords[5] += 1
         with pytest.raises(LiftObstruction, match="not on the fiber") as info:
-            from_fiber_point(build_fiber(cwp.config()), ProjPoint(coords))
+            from_fiber_point(build_fiber(cwp.verify()), ProjPoint(coords))
         assert info.value.index == 5
 
     def test_degenerate_lift_is_an_obstruction(self):
@@ -167,7 +167,7 @@ class TestFromFiberPoint:
             # fix the projective scale from the first nonzero y-coordinate
             k = next(i for i, p in enumerate(cwp.points) if p.y != 0)
             lifted = from_fiber_point(
-                build_fiber(cwp.config()), point, scale=cwp.points[k].y / point[k]
+                build_fiber(cwp.verify()), point, scale=cwp.points[k].y / point[k]
             )
             assert (lifted.curve.a, lifted.curve.b) == (
                 cwp.curve.a,
@@ -181,9 +181,9 @@ class TestFromFiberPoint:
             point = to_fiber_point(cwp)
             if point[0] == 0:
                 continue
-            base = from_fiber_point(build_fiber(cwp.config()), point, scale=F(1))
+            base = from_fiber_point(build_fiber(cwp.verify()), point, scale=F(1))
             lam = F(3, 2)
-            scaled = from_fiber_point(build_fiber(cwp.config()), point, scale=lam)
+            scaled = from_fiber_point(build_fiber(cwp.verify()), point, scale=lam)
             s = cwp.curve.s
             assert scaled.curve.a == base.curve.a * lam**s
             assert scaled.curve.b == base.curve.b * lam**s

@@ -395,6 +395,12 @@ class TestFiberVerbs:
         )
         assert out.strip() == "Y_2^2 = (-5) Y_0^2 + (4) Y_1^2"
 
+    def test_display_refuses_an_unknown_style(self):
+        # argparse's choices stop an unknown --style before it gets here
+        system = build_fiber(validate(2, 2, [F(1), F(2), F(3)]))
+        with pytest.raises(ValueError, match="^unknown style 'x'$"):
+            jsonio.format_system_display(system, "x")
+
     def test_verify_pass_and_fail(self, capsys):
         point = '{"coords":["0","1","2"]}'
         code, out, _ = run(
@@ -769,7 +775,7 @@ class TestJsonRoundTrips:
     ])
     def test_containers_must_be_lists(self, to_obj, from_obj, key, value):
         values = {
-            "points": CWP13, "alphas": CWP13.config(),
+            "points": CWP13, "alphas": CWP13.verify(),
             "coords": ProjPoint([0, 1, 2]),
         }
         obj = to_obj(values[key])
@@ -796,7 +802,7 @@ class TestJsonRoundTrips:
     @pytest.mark.parametrize("key", ["r", "s"])
     @pytest.mark.parametrize("to_obj, from_obj, data", [
         (jsonio.curve_to_obj, jsonio.curve_from_obj, CWP13.curve),
-        (jsonio.config_to_obj, jsonio.config_from_obj, CWP13.config()),
+        (jsonio.config_to_obj, jsonio.config_from_obj, CWP13.verify()),
     ])
     def test_integer_fields_must_be_json_integers(
         self, to_obj, from_obj, data, key, value
@@ -813,7 +819,7 @@ class TestJsonRoundTrips:
         (jsonio.curve_to_obj, jsonio.curve_from_obj, CWP13.curve, ["b"]),
         (jsonio.cwp_to_obj, jsonio.cwp_from_obj, CWP13, ["points", 0, "x"]),
         (jsonio.cwp_to_obj, jsonio.cwp_from_obj, CWP13, ["points", 1, "y"]),
-        (jsonio.config_to_obj, jsonio.config_from_obj, CWP13.config(),
+        (jsonio.config_to_obj, jsonio.config_from_obj, CWP13.verify(),
          ["alphas", 2]),
         (jsonio.proj_point_to_obj, jsonio.proj_point_from_obj,
          ProjPoint([0, 1, 2]), ["coords", 1]),
@@ -963,6 +969,35 @@ def test_trivial_points_refuses_n_past_the_coordinate_cap():
     assert (proc.returncode, proc.stdout) == (EXIT_MATH, b"")
     assert json.loads(proc.stderr)["message"] == (
         "1000000001 coordinates per tuple exceed the cap 500000; refusing")
+
+
+def _run_in_256_mib(*argv):
+    """``fibercurve`` in a subprocess under a 256 MiB address space limit."""
+    return subprocess.run(
+        [sys.executable, "-m", "fibercurve.cli", *argv],
+        capture_output=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (256 << 20, 256 << 20)),
+    )
+
+
+def test_an_input_too_large_for_memory_is_a_math_failure():
+    # 2^(n - 1) at n = 10^11 asks for 12.5 GB: a MemoryError, not a traceback
+    proc = _run_in_256_mib("fiber-genus", "--s", "2", "--n", "100000000000")
+    assert (proc.returncode, proc.stdout) == (EXIT_MATH, b"")
+    assert json.loads(proc.stderr) == {
+        "error": "math",
+        "message": "out of memory: the input needs more than is available"}
+
+
+def test_validate_at_a_huge_r_builds_no_power():
+    # alpha^r for r = 10^12 would be terabytes; 3 and -3 collide at even r
+    proc = _run_in_256_mib(
+        "validate", "--config",
+        '{"r":1000000000000,"s":2,"alphas":["2","3","5","-3"]}')
+    assert (proc.returncode, proc.stderr) == (EXIT_MATH, b"")
+    assert json.loads(proc.stdout) == {"valid": False, "violations": [
+        "alpha[1]^1000000000000 == alpha[3]^1000000000000 with distinct bases"]}
 
 
 @pytest.mark.parametrize("s", [100003, 1000003])

@@ -82,6 +82,15 @@ class TestProjPoint:
     def test_hashable(self):
         assert len({ProjPoint([1, 2]), ProjPoint([2, 4])}) == 1
 
+    def test_immutable_equal_only_to_points_and_printed_as_a_ratio(self):
+        point = ProjPoint([0, -3, 6])
+        with pytest.raises(AttributeError, match="^ProjPoint is immutable$"):
+            point.coords = (0, 1, 2)
+        assert point.coords == (0, 1, -2)
+        assert point.__eq__((0, 1, -2)) is NotImplemented
+        assert point != (0, 1, -2)
+        assert repr(point) == "ProjPoint[0 : 1 : -2]"
+
     def test_coordinates_are_ints(self):
         from_fractions = ProjPoint([F(1, 2), F(-3), F(7, 3), F(0)])
         from_json = jsonio.proj_point_from_obj(
@@ -202,8 +211,19 @@ class TestDetForm:
 
     def test_index_range_enforced(self):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
-        with pytest.raises(ValueError):
-            det_form(cfg, 1, ProjPoint([1, 1, 1]))
+        for i in (1, 3):
+            message = rf"^equation index must be in 2\.\.2, got {i}$"
+            with pytest.raises(ValueError, match=message):
+                det_form(cfg, i, ProjPoint([1, 1, 1]))
+            with pytest.raises(ValueError, match=message):
+                raw_coefficients(cfg, i)
+
+    @pytest.mark.parametrize("coords", [[1, 1], [1, 1, 1, 1]])
+    def test_point_length_enforced(self, coords):
+        cfg = validate(2, 2, [F(1), F(2), F(3)])
+        with pytest.raises(ValueError,
+                           match="^point length does not match configuration$"):
+            det_form(cfg, 2, ProjPoint(coords))
 
 
 class TestOnFiber:

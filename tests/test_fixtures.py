@@ -91,3 +91,45 @@ class TestVerify:
         monkeypatch.setitem(fixtures.EXPECTED_SHA256, "watkins14", "0" * 64)
         with pytest.raises(fixtures.FixtureMismatchError, match="hash"):
             fixtures.load("watkins14")
+
+
+class TestVerifyMismatches:
+    """Each check of ``verify`` that the shipped data passes, made to fail
+    on ``watkins14`` by one changed field or one replaced helper."""
+
+    def fails(self, fixture):
+        with pytest.raises(fixtures.FixtureMismatchError) as caught:
+            fixtures.verify(fixture)
+        return str(caught.value)
+
+    def test_no_printed_equations(self):
+        fx = fixtures.load("watkins14")
+        assert self.fails(fx._replace(printed_equations=())) == (
+            "no printed equations to match")
+
+    def test_rank_deficient_jacobian(self, monkeypatch):
+        monkeypatch.setattr(fixtures, "smooth_at", lambda system, point: False)
+        assert self.fails(fixtures.load("watkins14")) == (
+            "Jacobian rank deficient at the point")
+
+    def test_fiber_genus(self):
+        fx = fixtures.load("watkins14")
+        corrupted = fx._replace(expected_genus_fiber=fx.expected_genus_fiber + 1)
+        assert self.fails(corrupted) == "fiber genus 20481 != expected 20482"
+
+    def test_shared_cofactor_of_the_other_sign(self):
+        fx = fixtures.load("watkins14")
+        report = fixtures.verify(fx._replace(expected_c=-fx.expected_c))
+        assert ("shared_constant", "C == -c") in report.checks
+
+    def test_shared_cofactor_neither_c_nor_minus_c(self):
+        fx = fixtures.load("watkins14")
+        c = fx.expected_c
+        assert self.fails(fx._replace(expected_c=c + 1)) == (
+            f"shared cofactor {c} is neither c nor -c")
+
+    def test_solve_ab(self, monkeypatch):
+        monkeypatch.setattr(fixtures, "solve_ab", lambda r, s, p0, p1: (F(2), F(3)))
+        fx = fixtures.load("watkins14")
+        assert self.fails(fx) == (
+            f"solve_ab returned (2, 3), expected (1, {fx.cwp.curve.b})")

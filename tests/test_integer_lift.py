@@ -127,7 +127,7 @@ def test_corrupted_lift_names_the_coordinate(monkeypatch, name):
     # one that catches a corrupted coordinate, at the index the Fraction
     # formulas name
     cwp = fixtures.load(name).cwp
-    system = build_fiber(cwp.config())
+    system = build_fiber(cwp.verify())
     good = to_fiber_point(cwp).coords
     monkeypatch.setattr(birat, "on_fiber",
                         lambda system, point: MembershipReport(True, ()))

@@ -113,3 +113,10 @@ def test_primitive_vector_on_int_and_mixed_rows():
     assert primitive_vector([4, -6, 0], positive=1) == [-2, 3, 0]
     assert primitive_vector([2, F(-1, 3), F(5, 6)], positive=0) == [12, -2, 5]
     assert primitive_vector([F(0), -3, F(9, 2)], positive=1) == [0, 2, -3]
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]],
+                                  [[1, 2], [3, 4], []]])
+def test_ragged_rows_are_refused(rows):
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        matrix_rank(rows)

@@ -268,7 +268,7 @@ class TestSearchAb:
     def test_planted_instances_complete(self):
         rng = random.Random(71)
         for cwp, u, v, w in plant_search_instances(rng, 10):
-            cfg = cwp.config()
+            cfg = cwp.verify()
             height = max(abs(u), abs(v), w)
             report = search_ab(cfg, height)
             assert (cwp.curve.a, cwp.curve.b) in [
