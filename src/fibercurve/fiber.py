@@ -83,18 +83,13 @@ class FiberEquation(NamedTuple):
     """Normalized equation A Y_0^s + B Y_1^s + C Y_i^s = 0.
 
     (A, B, C) is the primitive integer vector of the raw cofactor triple
-    with C > 0, normalized as ProjPoint is but on C.  ``scale`` is the
-    rational that restores the raw triple: raw = scale * (A, B, C).
+    (``raw_coefficients``) with C > 0, normalized as ProjPoint is but on C.
     """
 
     i: int
     A: int
     B: int
     C: int
-    scale: Fraction
-
-    def raw(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.A * self.scale, self.B * self.scale, self.C * self.scale)
 
 
 class FiberSystem(NamedTuple):
@@ -139,8 +134,7 @@ def build_fiber(config: Config) -> FiberSystem:
         C = p_0 p_1 Q_i (P_1 R_0 - P_0 R_1),
 
     all integers.  Config admissibility guarantees each is nonzero.  Each
-    triple is divided by its gcd g, signed so that C > 0, and scale is
-    g / (Q_0 Q_1 Q_i): the triple of ``raw_coefficients`` is scale * (A, B, C).
+    triple is divided by its gcd, signed so that C > 0.
     """
     if config.n < 2:
         raise ValueError("fiber systems need n >= 2")
@@ -165,9 +159,7 @@ def build_fiber(config: Config) -> FiberSystem:
                 f"degenerate coefficient in equation {i}; config not admissible"
             )
         g = gcd(*raw) if raw[2] > 0 else -gcd(*raw)
-        A, B, C = raw[0] // g, raw[1] // g, raw[2] // g
-        scale = Fraction(g, Q[0] * Q[1] * Q[i])
-        equations.append(FiberEquation(i=i, A=A, B=B, C=C, scale=scale))
+        equations.append(FiberEquation(i, *(v // g for v in raw)))
     return FiberSystem(config=config, equations=tuple(equations))
 
 
@@ -282,13 +274,13 @@ def smooth_at(system: FiberSystem, point: ProjPoint) -> bool:
 class TrivialPointCertificate(NamedTuple):
     """Record of verified root-of-unity points.
 
-    Each tuple pairs X-exponents (j_0..j_n, powers of zeta_r) with
-    Y-exponents (i_0..i_n, powers of zeta_s); for every listed pair all
-    n-1 unspecialized forms were evaluated in the cyclotomic ring of order
-    lcm(r, s) and found to be exactly zero, as they must be: each A_i, B_i
-    and C_i has a factor X_a^r - X_b^r, 0 at r-th roots of unity, so every
-    form vanishes there for every Y.  ``sampled`` marks runs where only a
-    lexicographic prefix of the tuple space was listed.
+    The verified pairs are the first ``verified_count`` of
+    ``exponent_tuples(r, s, n, count)``; only the count is kept, and the
+    pairs are regenerated from it.  For each, all n-1 unspecialized forms
+    were evaluated in the cyclotomic ring of order lcm(r, s) and found to
+    be exactly zero, as they must be: each A_i, B_i and C_i has a factor
+    X_a^r - X_b^r, 0 at r-th roots of unity, so every form vanishes there
+    for every Y.  ``sampled`` marks a verified prefix of a larger space.
     """
 
     r: int
@@ -296,7 +288,7 @@ class TrivialPointCertificate(NamedTuple):
     n: int
     order: int
     total_space: int
-    verified: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    verified_count: int
     sampled: bool
 
 
@@ -311,6 +303,15 @@ class CapExceeded(ValueError):
     pass
 
 
+def exponent_tuples(r: int, s: int, n: int, count: int):
+    """The first ``count`` pairs (X-exponents j_0..j_n of zeta_r, Y-exponents
+    i_0..i_n of zeta_s), lexicographic, X-tuple first."""
+    # lazily: a product of the two products would first list both in full
+    tuples = ((jt, it) for jt in itertools.product(range(r), repeat=n + 1)
+              for it in itertools.product(range(s), repeat=n + 1))
+    return itertools.islice(tuples, count)
+
+
 def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
     """Certify that root-of-unity coordinate tuples satisfy every form.
 
@@ -319,7 +320,7 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
     re-checks that each vanishes (see TrivialPointCertificate).  Orders
     beyond ORDER_CAP and tuples of more than COORD_CAP coordinates are
     refused outright.  At most min(TUPLE_CAP, COORD_CAP // (n + 1))
-    tuples, a lexicographic prefix, are listed, and the certificate says
+    tuples, a lexicographic prefix, are checked, and the certificate says
     when the space is larger.
     """
     if r < 1 or s < 2:
@@ -349,12 +350,9 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
 
     total_space = r ** (n + 1) * s ** (n + 1)
     listed = min(TUPLE_CAP, COORD_CAP // (n + 1))
-    # lazily: a product of the two products would first list both in full
-    tuples = ((jt, it) for jt in itertools.product(range(r), repeat=n + 1)
-              for it in itertools.product(range(s), repeat=n + 1))
-    verified = []
+    verified = 0
     coeffs_of = None
-    for jt, it in itertools.islice(tuples, listed):
+    for jt, it in exponent_tuples(r, s, n, listed):
         if jt != coeffs_of:  # the coefficient triples of a new X-tuple
             X = [x_root[j] for j in jt]
             Xr = [x_pow_r[j] for j in jt]
@@ -373,13 +371,13 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
                     f"form {i} does not vanish at X-exponents {jt}, "
                     f"Y-exponents {it}"
                 )
-        verified.append((jt, it))
+        verified += 1
     return TrivialPointCertificate(
         r=r,
         s=s,
         n=n,
         order=d,
         total_space=total_space,
-        verified=tuple(verified),
+        verified_count=verified,
         sampled=total_space > listed,
     )

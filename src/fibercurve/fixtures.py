@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 from .arith import parse_rational
 from .birat import CurveWithPoints, solve_ab
-from .fiber import ProjPoint, build_fiber, fiber_genus, smooth_at
+from .fiber import (ProjPoint, build_fiber, fiber_genus, raw_coefficients,
+                    smooth_at)
 from .jsonio import cwp_from_obj
 
 EXPECTED_SHA256 = {
@@ -102,7 +103,8 @@ def _match_printed(system, printed) -> tuple[str, list[Fraction]]:
     transcribed display, trying both readings of the display."""
     if not printed:
         raise FixtureMismatchError("no printed equations to match")
-    raws = {eq.i: eq.raw() for eq in system.equations}
+    raws = {eq.i: raw_coefficients(system.config, eq.i)
+            for eq in system.equations}
     failures = []
     for reading, eps in (("algebraic-lhs", -1), ("verbatim-lhs", +1)):
         scalars: list[Fraction] = []
@@ -157,7 +159,7 @@ def verify(fixture: Fixture) -> FixtureReport:
     )
 
     if fixture.expected_c is not None:
-        raw_c = system.equations[0].raw()[2]
+        raw_c = raw_coefficients(cfg, 2)[2]
         if raw_c == fixture.expected_c:
             relation = "C == c"
         elif raw_c == -fixture.expected_c:

@@ -14,7 +14,8 @@ from .arith import format_rational, parse_rational, shown
 from .birat import CurveWithPoints
 from .config import Config, validate
 from .family import AffinePoint, FamilyCurve
-from .fiber import FiberSystem, ProjPoint, TrivialPointCertificate
+from .fiber import (FiberSystem, ProjPoint, TrivialPointCertificate,
+                    exponent_tuples, raw_coefficients)
 
 
 _JSON_TYPES = {int: "integer", list: "list", dict: "object"}
@@ -101,6 +102,8 @@ def proj_point_from_obj(obj: dict) -> ProjPoint:
 
 
 def fiber_system_to_obj(system: FiberSystem) -> dict:
+    # "scale" restores the raw triple; raw C is the same for every i
+    raw_c = raw_coefficients(system.config, 2)[2]
     return {
         "config": config_to_obj(system.config),
         "equations": [
@@ -109,7 +112,7 @@ def fiber_system_to_obj(system: FiberSystem) -> dict:
                 "A": format_rational(eq.A),
                 "B": format_rational(eq.B),
                 "C": format_rational(eq.C),
-                "scale": format_rational(eq.scale),
+                "scale": format_rational(raw_c / eq.C),
             }
             for eq in system.equations
         ],
@@ -153,13 +156,14 @@ def certificate_to_obj(
         "n": cert.n,
         "cyclotomic_order": cert.order,
         "total_space": cert.total_space,
-        "verified_count": len(cert.verified),
+        "verified_count": cert.verified_count,
         "sampled": cert.sampled,
     }
     if include_tuples:
         obj["tuples"] = [
             {"x_exponents": list(jt), "y_exponents": list(it)}
-            for jt, it in cert.verified
+            for jt, it in exponent_tuples(cert.r, cert.s, cert.n,
+                                          cert.verified_count)
         ]
     return obj
 
@@ -179,7 +183,7 @@ def format_system_display(system: FiberSystem, style: str = "shared") -> str:
     s = system.config.s
     lines = []
     for eq in system.equations:
-        raw_a, raw_b, raw_c = eq.raw()
+        raw_a, raw_b, raw_c = raw_coefficients(system.config, eq.i)
         if style == "shared":
             lines.append(
                 f"({format_rational(raw_c)}) Y_{eq.i}^{s} = "

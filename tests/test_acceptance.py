@@ -194,7 +194,7 @@ def test_criterion_7_trivial_point_certificates():
                 cert = trivial_points(r, s, n)
                 expected = r ** (n + 1) * s ** (n + 1)
                 assert cert.total_space == expected
-                assert len(cert.verified) == expected
+                assert cert.verified_count == expected
                 assert not cert.sampled
 
 

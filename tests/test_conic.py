@@ -99,7 +99,7 @@ class TestFindBasePoint:
         system = FiberSystem(
             config=CFG123,
             equations=(
-                FiberEquation(i=2, A=F(1), B=F(1), C=F(1), scale=F(1)),
+                FiberEquation(i=2, A=F(1), B=F(1), C=F(1)),
             ),
         )
         assert find_base_point(system, 30) is None
@@ -108,7 +108,7 @@ class TestFindBasePoint:
         # build_fiber normalizes C > 0; a hand-built C = 0 has no y_2 to solve
         system = FiberSystem(
             config=CFG123,
-            equations=(FiberEquation(i=2, A=1, B=-2, C=0, scale=F(1)),),
+            equations=(FiberEquation(i=2, A=1, B=-2, C=0),),
         )
         with pytest.raises(ZeroDivisionError):
             find_base_point(system, 5)
@@ -118,7 +118,7 @@ class TestFindBasePoint:
         # about 10 s here
         system = FiberSystem(
             config=CFG123,
-            equations=(FiberEquation(i=2, A=1, B=1, C=1, scale=F(1)),),
+            equations=(FiberEquation(i=2, A=1, B=1, C=1),),
         )
         assert find_base_point(system, 400) is None
 

@@ -12,6 +12,7 @@ from fibercurve.fiber import (
     ProjPoint,
     build_fiber,
     det_form,
+    exponent_tuples,
     fiber_genus,
     gonality_lower_bound,
     jacobian_matrix,
@@ -109,8 +110,8 @@ class TestBuildFiber:
         system = build_fiber(cfg)
         eq = system.equations[0]
         assert (eq.A, eq.B, eq.C) == (F(5), F(-4), F(1))
-        assert eq.scale == 6
-        assert eq.raw() == (F(30), F(-24), F(6))
+        assert jsonio.fiber_system_to_obj(system)["equations"][0]["scale"] == "6"
+        assert raw_coefficients(cfg, 2) == (F(30), F(-24), F(6))
 
     def test_normalization_c_positive_and_primitive(self):
         rng = random.Random(9)
@@ -137,18 +138,21 @@ class TestBuildFiber:
             fractional += any(a.denominator != 1 for a in cfg.alphas)
             system = build_fiber(cfg)
             assert [eq.i for eq in system.equations] == list(range(2, n + 1))
-            for eq in system.equations:
+            written = jsonio.fiber_system_to_obj(system)["equations"]
+            for eq, obj in zip(system.equations, written):
                 raw = raw_coefficients(cfg, eq.i)
                 assert [eq.A, eq.B, eq.C] == primitive_vector(raw, positive=2)
                 assert all(type(c) is int for c in (eq.A, eq.B, eq.C))
-                assert eq.scale == raw[2] / eq.C and type(eq.scale) is F
-                assert eq.raw() == raw
+                # the written scale restores this equation's raw triple
+                scale = F(obj["scale"])
+                assert scale == raw[2] / eq.C
+                assert (scale * eq.A, scale * eq.B, scale * eq.C) == raw
         assert negative > 300 and fractional > 300
 
     def test_shared_bottom_cofactor(self):
         cfg = validate(2, 2, [F(1), F(2), F(3), F(5), F(7)])
         system = build_fiber(cfg)
-        raw_cs = {eq.raw()[2] for eq in system.equations}
+        raw_cs = {raw_coefficients(cfg, eq.i)[2] for eq in system.equations}
         assert len(raw_cs) == 1
 
     def test_permutation_covariance(self):
@@ -349,18 +353,18 @@ class TestTrivialPoints:
         cert = trivial_points(2, 2, 2)
         assert cert.order == 2
         assert cert.total_space == 64
-        assert len(cert.verified) == 64
+        assert cert.verified_count == 64
         assert not cert.sampled
 
     def test_mixed_orders(self):
         cert = trivial_points(3, 2, 2)
         assert cert.order == 6
-        assert len(cert.verified) == 27 * 8
+        assert cert.verified_count == 27 * 8
 
     def test_r_one_degenerate_x_row(self):
         cert = trivial_points(1, 3, 2)
         assert cert.order == 3
-        assert len(cert.verified) == 27
+        assert cert.verified_count == 27
 
     def test_s_below_two_is_refused(self):
         # the family y^s = x(a x^r + b) needs s >= 2
@@ -375,7 +379,7 @@ class TestTrivialPoints:
     def test_coordinate_cap_refusal(self, monkeypatch):
         # a tuple of COORD_CAP coordinates is still listed, one more is not
         monkeypatch.setattr(fiber, "COORD_CAP", 100)
-        assert len(trivial_points(1, 2, 99).verified) == 1
+        assert trivial_points(1, 2, 99).verified_count == 1
         with pytest.raises(CapExceeded, match="101 coordinates per tuple"):
             trivial_points(1, 2, 100)
 
@@ -383,7 +387,7 @@ class TestTrivialPoints:
         monkeypatch.setattr(fiber, "TUPLE_CAP", 10)
         cert = trivial_points(2, 2, 4)
         assert cert.sampled
-        assert len(cert.verified) == 10
+        assert cert.verified_count == 10
         assert cert.total_space == 2**5 * 2**5
 
     def test_listing_is_cut_by_tuples_or_by_coordinates(self, monkeypatch):
@@ -398,19 +402,51 @@ class TestTrivialPoints:
             cert = trivial_points(2, 2, n)
             assert cert.sampled and cert.total_space == 4 ** (n + 1)
             first = [tuple(map(int, format(k, f"0{n + 1}b"))) for k in range(listed)]
-            assert cert.verified == tuple(((0,) * (n + 1), it) for it in first)
+            assert cert.verified_count == listed
+            assert tuple(exponent_tuples(2, 2, n, cert.verified_count)) == tuple(
+                ((0,) * (n + 1), it) for it in first)
 
     def test_capped_listing_does_not_build_the_tuple_space(self, monkeypatch):
         # 2^18 X-tuples and as many Y-tuples, about 100 MB if all were
-        # built: only the first 10 pairs are
+        # built: only the first 10 pairs are, to verify and to list them
         monkeypatch.setattr(fiber, "TUPLE_CAP", 10)
         tracemalloc.start()
         try:
             cert = trivial_points(2, 2, 17)
+            pairs = tuple(exponent_tuples(2, 2, 17, cert.verified_count))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert cert.sampled and cert.total_space == 2**36
         first = [tuple(map(int, format(k, "018b"))) for k in range(10)]
-        assert cert.verified == tuple(((0,) * 18, it) for it in first)
+        assert cert.verified_count == 10
+        assert pairs == tuple(((0,) * 18, it) for it in first)
+
+    def test_certificate_holds_no_pair(self):
+        # all 3^5 * 2^5 = 7776 pairs of (3, 2, 4) are verified; held as
+        # tuples they took about 1.1 MiB.  What the call leaves behind is
+        # the certificate and its ints, plus what a first call caches in
+        # the cyclotomic ring: about 1.6 KiB.  64 KiB leaves room for that
+        # to grow and is under a sixteenth of what the pairs took.
+        tracemalloc.start()
+        try:
+            cert = trivial_points(3, 2, 4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cert.verified_count == cert.total_space == 7776
+        assert held < 64 << 10
+
+    def test_full_listing_is_the_counted_pairs(self, monkeypatch):
+        # the writer regenerates the pairs from the stored count, not from
+        # the caps in force when it writes
+        monkeypatch.setattr(fiber, "TUPLE_CAP", 10)
+        cert = trivial_points(2, 2, 4)
+        monkeypatch.undo()
+        assert fiber.TUPLE_CAP > 10
+        obj = jsonio.certificate_to_obj(cert, include_tuples=True)
+        first = [tuple(map(int, format(k, "05b"))) for k in range(10)]
+        assert obj["verified_count"] == cert.verified_count == 10
+        assert [(tuple(t["x_exponents"]), tuple(t["y_exponents"]))
+                for t in obj["tuples"]] == [((0,) * 5, it) for it in first]

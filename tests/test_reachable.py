@@ -21,7 +21,6 @@ UNUSED_ON_PURPOSE = {
     ("__init__", "__version__"),  # the package version
     # the paper's definitions, which the integer code is checked against
     # (acceptance criteria 1 and 4)
-    ("fiber", "raw_coefficients"),
     ("fiber", "det_form"),
     ("fiber", "jacobian_matrix"),
 }

@@ -31,7 +31,7 @@ CONFIG = "Config(r=2, s=2, alphas=(Fraction(1, 1), Fraction(2, 1), Fraction(3, 1
 CWP = ("CurveWithPoints(curve=FamilyCurve(r=2, s=2, a=Fraction(1, 1), "
        "b=Fraction(3, 1)), points=(AffinePoint(x=Fraction(1, 1), "
        "y=Fraction(2, 1)),))")
-EQUATION = "FiberEquation(i=2, A=5, B=-4, C=1, scale=Fraction(1, 2))"
+EQUATION = "FiberEquation(i=2, A=5, B=-4, C=1)"
 
 CASES = [
     (config, CONFIG),
@@ -39,13 +39,12 @@ CASES = [
      "FamilyCurve(r=2, s=2, a=Fraction(1, 1), b=Fraction(3, 1))"),
     (lambda: AffinePoint(F(1), F(-2, 3)),
      "AffinePoint(x=Fraction(1, 1), y=Fraction(-2, 3))"),
-    (lambda: FiberEquation(2, 5, -4, 1, F(1, 2)), EQUATION),
-    (lambda: FiberSystem(config(), (FiberEquation(2, 5, -4, 1, F(1, 2)),)),
+    (lambda: FiberEquation(2, 5, -4, 1), EQUATION),
+    (lambda: FiberSystem(config(), (FiberEquation(2, 5, -4, 1),)),
      f"FiberSystem(config={CONFIG}, equations=({EQUATION},))"),
-    (lambda: TrivialPointCertificate(1, 2, 2, 2, 8, (((0, 0, 0), (0, 1, 1)),),
-                                     False),
+    (lambda: TrivialPointCertificate(1, 2, 2, 2, 8, 2, False),
      "TrivialPointCertificate(r=1, s=2, n=2, order=2, total_space=8, "
-     "verified=(((0, 0, 0), (0, 1, 1)),), sampled=False)"),
+     "verified_count=2, sampled=False)"),
     (cwp, CWP),
     (lambda: report({"hits": 1}),
      f"SearchReport(config={CONFIG}, height_bound=2, hits=({CWP},), "
