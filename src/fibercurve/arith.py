@@ -61,11 +61,24 @@ def parse_integer(text: str) -> int:
     return -int(num) if sign else int(num)
 
 
+def int_text(value: int) -> str:
+    """``str(value)`` in subquadratic time, where ``str`` is quadratic: past
+    8192 bits, the halves of the binary expansion join exactly in decimal."""
+    bits = value.bit_length()
+    if bits <= 8192:
+        return str(value)
+    from decimal import Context, Decimal, Inexact, Overflow
+    digits = bits * 30103 // 100000 + 1  # at least the digits of value
+    ctx = Context(prec=digits, Emax=digits, traps=[Inexact, Overflow])
+    h = bits // 2
+    hi, lo = (Decimal(int_text(v)) for v in (value >> h, value & ~(-1 << h)))
+    return str(ctx.fma(hi, ctx.power(2, h), lo))
+
+
 def format_rational(q: Fraction) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    num, den = q.numerator, q.denominator
+    return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
 
 
 def integer_nth_root(m: int, s: int) -> int | None:

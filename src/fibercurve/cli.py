@@ -17,9 +17,9 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import birat, conic, family, fiber, fixtures, jsonio, search
+from . import arith, birat, conic, family, fiber, fixtures, jsonio, search
 from .arith import format_rational, parse_integer, parse_rational, shown
-from .config import InvalidConfigError, classify, violations
+from .config import InvalidConfigError, classify
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -94,20 +94,6 @@ def _load_config(value: str):
     return jsonio.config_from_obj(_read_payload(value))
 
 
-def _int_text(value: int) -> str:
-    """``str(value)`` in subquadratic time, where ``str`` is quadratic: past
-    8192 bits, the halves of the binary expansion join exactly in decimal."""
-    bits = value.bit_length()
-    if bits <= 8192:
-        return str(value)
-    from decimal import Context, Decimal, Inexact, Overflow
-    digits = bits * 30103 // 100000 + 1  # at least the digits of value
-    ctx = Context(prec=digits, Emax=digits, traps=[Inexact, Overflow])
-    h = bits // 2
-    hi, lo = (Decimal(_int_text(v)) for v in (value >> h, value & ~(-1 << h)))
-    return str(ctx.fma(hi, ctx.power(2, h), lo))
-
-
 def _json(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, indent=2)`` for str (also as keys), int, bool, None,
     dict, and list or tuple; other types raise TypeError, as in ``json``."""
@@ -116,7 +102,7 @@ def _json(obj, newline: str = "\n") -> str:
     if obj is None or obj is True or obj is False:
         return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
-        return _int_text(obj)
+        return arith.int_text(obj)
     inner = newline + "  "
     if isinstance(obj, dict):
         ends, body = "{}", [f"{_quote(k)}: {_json(v, inner)}"
@@ -147,7 +133,11 @@ def _parse_affine(text: str) -> family.AffinePoint:
 
 
 def _cmd_validate(args) -> int:
-    problems = violations(*jsonio.config_fields(_read_payload(args.config)))
+    try:
+        _load_config(args.config)
+        problems = []
+    except InvalidConfigError as exc:
+        problems = exc.problems
     _emit({"valid": not problems, "violations": problems})
     return EXIT_OK if not problems else EXIT_MATH
 
@@ -181,7 +171,7 @@ def _cmd_fiber_verify(args) -> int:
 
 
 def _cmd_integer(args) -> int:
-    print(_int_text(args.compute(*(getattr(args, f) for f in args.flags))))
+    print(arith.int_text(args.compute(*(getattr(args, f) for f in args.flags))))
     return EXIT_OK
 
 
@@ -386,8 +376,7 @@ def main(argv=None) -> int:
     JSON object on stderr.  Any other exception is a bug and propagates.
     A reader that closes stdout early (``| head``) ends the verb quietly
     with exit code 1."""
-    # exact answers such as fiber-genus at large n print more than 4300
-    # digits; the setter is missing before Python 3.10.7
+    # int() reads inputs past 4300 digits; no setter before Python 3.10.7
     getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
     try:
         args = build_parser().parse_args(argv)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .arith import CyclotomicElement
@@ -82,8 +82,9 @@ class ProjPoint:
 class FiberEquation(NamedTuple):
     """Normalized equation A Y_0^s + B Y_1^s + C Y_i^s = 0.
 
-    (A, B, C) is the primitive integer vector of the raw cofactor triple
-    (``raw_coefficients``) with C > 0, normalized as ProjPoint is but on C.
+    (A, B, C) is ``primitive_vector(raw, positive=2)`` of the raw cofactor
+    triple of ``raw_coefficients``, as ProjPoint normalizes its coords.
+    ``raw_scales`` gives back the scale between the two.
     """
 
     i: int
@@ -123,44 +124,58 @@ def raw_coefficients(
     return A, B, C
 
 
+def _cleared_powers(config: Config):
+    """(P_0, P_1, R, Q, c_01) for alpha_j = p_j/q_j: P_j = p_j^r, the lists
+    of R_j = q_j^r and Q_j = q_j^(r+1), and c_01 = p_0 p_1 (P_1 R_0 - P_0 R_1).
+    """
+    r = config.r
+    p0, p1 = config.alphas[0].numerator, config.alphas[1].numerator
+    P0, P1 = p0**r, p1**r
+    R = [a.denominator**r for a in config.alphas]
+    Q = [a.denominator * rq for a, rq in zip(config.alphas, R)]
+    return P0, P1, R, Q, p0 * p1 * (P1 * R[0] - P0 * R[1])
+
+
 def build_fiber(config: Config) -> FiberSystem:
     """The n-1 specialized diagonal equations of X_{a_n}.
 
-    For alpha_j = p_j/q_j put P_j = p_j^r, R_j = q_j^r and Q_j = q_j^(r+1).
-    The raw triple of ``raw_coefficients`` times Q_0 Q_1 Q_i is
+    With the powers of ``_cleared_powers`` and P_i = p_i^r, the raw triple
+    of ``raw_coefficients`` times Q_0 Q_1 Q_i is
 
         A = p_1 p_i Q_0 (P_i R_1 - P_1 R_i),
         B = p_0 p_i Q_1 (P_0 R_i - P_i R_0),
-        C = p_0 p_1 Q_i (P_1 R_0 - P_0 R_1),
+        C = c_01 Q_i,
 
     all integers.  Config admissibility guarantees each is nonzero.  Each
-    triple is divided by its gcd, signed so that C > 0.
+    triple is normalized by ``primitive_vector``, with C > 0.
     """
     if config.n < 2:
         raise ValueError("fiber systems need n >= 2")
-    r = config.r
-    nums = [a.numerator for a in config.alphas]
-    dens = [a.denominator for a in config.alphas]
-    P = [p**r for p in nums]
-    R = [q**r for q in dens]
-    Q = [q * rq for q, rq in zip(dens, R)]
-    p0, p1 = nums[0], nums[1]
-    c01 = p0 * p1 * (P[1] * R[0] - P[0] * R[1])
+    P0, P1, R, Q, c01 = _cleared_powers(config)
+    p0, p1 = config.alphas[0].numerator, config.alphas[1].numerator
     equations = []
     for i in range(2, config.n + 1):
-        pi = nums[i]
+        pi = config.alphas[i].numerator
+        Pi = pi**config.r
         raw = (
-            p1 * pi * Q[0] * (P[i] * R[1] - P[1] * R[i]),
-            p0 * pi * Q[1] * (P[0] * R[i] - P[i] * R[0]),
+            p1 * pi * Q[0] * (Pi * R[1] - P1 * R[i]),
+            p0 * pi * Q[1] * (P0 * R[i] - Pi * R[0]),
             c01 * Q[i],
         )
         if 0 in raw:
             raise AssertionError(
                 f"degenerate coefficient in equation {i}; config not admissible"
             )
-        g = gcd(*raw) if raw[2] > 0 else -gcd(*raw)
-        equations.append(FiberEquation(i, *(v // g for v in raw)))
+        equations.append(FiberEquation(i, *primitive_vector(raw, positive=2)))
     return FiberSystem(config=config, equations=tuple(equations))
+
+
+def raw_scales(system: FiberSystem) -> list[Fraction]:
+    """Per equation, the scale that turns (A, B, C) back into the raw triple
+    of ``raw_coefficients``: g_i / (Q_0 Q_1 Q_i), g_i = c_01 Q_i // C."""
+    *_, Q, c01 = _cleared_powers(system.config)
+    return [Fraction(c01 * Q[eq.i] // eq.C, Q[0] * Q[1] * Q[eq.i])
+            for eq in system.equations]
 
 
 def det_form(

@@ -98,13 +98,11 @@ def load(name: str) -> Fixture:
     )
 
 
-def _match_printed(system, printed) -> tuple[str, list[Fraction]]:
-    """Per-equation scalar match of the constructed system against the
-    transcribed display, trying both readings of the display."""
+def _match_printed(raws, printed) -> tuple[str, list[Fraction]]:
+    """Per-equation scalar match of the raw triples, by equation index,
+    against the transcribed display, trying both readings of the display."""
     if not printed:
         raise FixtureMismatchError("no printed equations to match")
-    raws = {eq.i: raw_coefficients(system.config, eq.i)
-            for eq in system.equations}
     failures = []
     for reading, eps in (("algebraic-lhs", -1), ("verbatim-lhs", +1)):
         scalars: list[Fraction] = []
@@ -152,14 +150,15 @@ def verify(fixture: Fixture) -> FixtureReport:
         )
     checks.append(("fiber_genus", str(genus)))
 
-    reading, scalars = _match_printed(system, fixture.printed_equations)
+    raws = {eq.i: raw_coefficients(cfg, eq.i) for eq in system.equations}
+    reading, scalars = _match_printed(raws, fixture.printed_equations)
     checks.append(
         ("printed_equations",
          f"all {len(scalars)} match, reading = {reading}")
     )
 
     if fixture.expected_c is not None:
-        raw_c = raw_coefficients(cfg, 2)[2]
+        raw_c = raws[2][2]  # the same for every i
         if raw_c == fixture.expected_c:
             relation = "C == c"
         elif raw_c == -fixture.expected_c:

@@ -15,7 +15,7 @@ from .birat import CurveWithPoints
 from .config import Config, validate
 from .family import AffinePoint, FamilyCurve
 from .fiber import (FiberSystem, ProjPoint, TrivialPointCertificate,
-                    exponent_tuples, raw_coefficients)
+                    exponent_tuples, raw_coefficients, raw_scales)
 
 
 _JSON_TYPES = {int: "integer", list: "list", dict: "object"}
@@ -80,17 +80,12 @@ def config_to_obj(config: Config) -> dict:
     }
 
 
-def config_fields(obj: dict) -> tuple[int, int, list]:
-    """(r, s, alphas) of a configuration object, checked for type only."""
-    return (
+def config_from_obj(obj: dict) -> Config:
+    return validate(
         _field(obj, "r", int),
         _field(obj, "s", int),
         [parse_rational(a) for a in _field(obj, "alphas", list)],
     )
-
-
-def config_from_obj(obj: dict) -> Config:
-    return validate(*config_fields(obj))
 
 
 def proj_point_to_obj(point: ProjPoint) -> dict:
@@ -102,8 +97,7 @@ def proj_point_from_obj(obj: dict) -> ProjPoint:
 
 
 def fiber_system_to_obj(system: FiberSystem) -> dict:
-    # "scale" restores the raw triple; raw C is the same for every i
-    raw_c = raw_coefficients(system.config, 2)[2]
+    # "scale" times (A, B, C) is the raw triple of raw_coefficients
     return {
         "config": config_to_obj(system.config),
         "equations": [
@@ -112,9 +106,9 @@ def fiber_system_to_obj(system: FiberSystem) -> dict:
                 "A": format_rational(eq.A),
                 "B": format_rational(eq.B),
                 "C": format_rational(eq.C),
-                "scale": format_rational(raw_c / eq.C),
+                "scale": format_rational(scale),
             }
-            for eq in system.equations
+            for eq, scale in zip(system.equations, raw_scales(system))
         ],
     }
 

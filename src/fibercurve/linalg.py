@@ -24,11 +24,13 @@ def primitive_vector(row: Sequence[Fraction], positive: int) -> list[int]:
     """The integer vector proportional to row with content 1 whose entry
     at index ``positive`` is > 0; row[positive] must be nonzero.  A row of
     ints needs no denominators cleared."""
-    ints = row if all(type(x) is int for x in row) else clear_denominators(row)
-    g = gcd(*ints)
-    if ints[positive] < 0:
+    try:  # math.gcd takes ints only: a Fraction raises TypeError
+        g = gcd(*row)
+    except TypeError:
+        g = gcd(*(row := clear_denominators(row)))
+    if row[positive] < 0:
         g = -g
-    return [v // g for v in ints]
+    return [v // g for v in row]
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -65,6 +65,10 @@ BUILD_CONFIGS = CONIC_CONFIGS + (
     '{"r":2,"s":3,"alphas":["1/2","-3","7/5","4","-11/6"]}',
     '{"r":1,"s":5,"alphas":["123456789/1000","-2","1/987654321"]}',
 )
+# twelve alphas, most of them fractions, at r = 2000: coefficients of up
+# to 2965 digits, and scales whose denominators run to thousands of digits
+LONG_CONFIG = ('{"r":2000,"s":3,"alphas":["1","2","-3/5","7/2","-11/3","13/4",'
+               '"5","-17/6","19/7","23/9","-29/8","31/10"]}')
 INVALID_CONFIGS = (
     '{"r":2,"s":2,"alphas":["1","-1"]}',
     '{"r":2,"s":2,"alphas":["1","2","-2","2/1","0"]}',
@@ -261,6 +265,10 @@ def argvs() -> list[list[str]]:
              "--style", "monic"],
         ]
     out += [
+        ["fiber-build", "--config", LONG_CONFIG],
+        ["fiber-build", "--config", LONG_CONFIG, "--format", "display"],
+        ["fiber-build", "--config", LONG_CONFIG, "--format", "display",
+         "--style", "monic"],
         ["fiber-build", "--config", CFG123, "--format", "xml"],
         ["fiber-build", "--config", CFG123, "--style", "x"],
     ]

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from fibercurve.arith import (
     cyclotomic_polynomial,
     euler_phi,
     format_rational,
+    int_text,
     integer_nth_root,
     is_sth_power,
     parse_rational,
@@ -129,6 +131,42 @@ class TestRationalCodec:
         for _ in range(200):
             q = F(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
             assert parse_rational(format_rational(q)) == q
+
+
+def lifted_then_default(value, lifted_of, default_of):
+    """``lifted_of(value)`` with CPython's int digit limit lifted, then
+    ``default_of(value)`` under its default of 4300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int digit limit before Python 3.10.7")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        lifted = lifted_of(value)
+        sys.set_int_max_str_digits(4300)
+        return lifted, default_of(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLongIntegerText:
+    @pytest.mark.parametrize("value", [
+        2**8192, 2**8192 - 1, -(2**8193), 10**2467, 3**50_001, -(7**40_000),
+    ], ids=["2^8192", "2^8192-1", "-2^8193", "10^2467", "3^50001", "-7^40000"])
+    def test_int_text_converts_no_long_int_with_str(self, value):
+        # under CPython's 4300-digit limit, str() of any piece past 4300
+        # digits would raise: the decimal path only converts short pieces
+        expected, text = lifted_then_default(value, str, int_text)
+        assert text == expected
+
+    @pytest.mark.parametrize("q", [
+        F(2**8192 + 1), F(2**8192 - 1), F(-(10**4301)),
+        F(-(3**7001), 2**49_999 + 1), F(10**4301, 7**20_000),
+    ], ids=["2^8192+1", "2^8192-1", "-10^4301", "p/q-50000-bit-q",
+            "10^4301/7^20000"])
+    def test_format_rational_does_not_depend_on_the_digit_limit(self, q):
+        # str(Fraction) is "p" or "p/q", the text format_rational writes
+        expected, text = lifted_then_default(q, str, format_rational)
+        assert text == expected
 
 
 class TestCyclotomicPolynomial:

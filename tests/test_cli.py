@@ -21,7 +21,6 @@ from fibercurve.cli import (
     EXIT_MATH,
     EXIT_OK,
     EXIT_USAGE,
-    _int_text,
     build_parser,
     main,
 )
@@ -98,23 +97,6 @@ class TestScalarVerbs:
                 code, out, _ = run(capsys, verb, "--s", str(s), "--n", str(n))
                 assert code == EXIT_OK
                 assert out == f"{formula(s, n)}\n"
-
-    @pytest.mark.parametrize("value", [
-        2**8192, 2**8192 - 1, -(2**8193), 10**2467, 3**50_001, -(7**40_000),
-    ], ids=["2^8192", "2^8192-1", "-2^8193", "10^2467", "3^50001", "-7^40000"])
-    def test_int_text_converts_no_long_int_with_str(self, value):
-        # under CPython's 4300-digit limit, str() of any piece past 4300
-        # digits would raise: the decimal path only converts short pieces
-        if not hasattr(sys, "set_int_max_str_digits"):
-            pytest.skip("no int digit limit before Python 3.10.7")
-        limit = sys.get_int_max_str_digits()
-        try:
-            sys.set_int_max_str_digits(0)
-            expected = str(value)
-            sys.set_int_max_str_digits(4300)
-            assert _int_text(value) == expected
-        finally:
-            sys.set_int_max_str_digits(limit)
 
     def test_classify(self, capsys):
         code, out, _ = run(capsys, "classify", "--s", "3", "--n", "2")
@@ -394,6 +376,32 @@ class TestFiberVerbs:
             "monic",
         )
         assert out.strip() == "Y_2^2 = (-5) Y_0^2 + (4) Y_1^2"
+
+    def test_library_writes_past_the_int_digit_limit(self, capsys):
+        # only cli.main lifts CPython's 4300-digit limit; at r = 20000 the
+        # coefficients run to 20,000 digits, so a library caller that never
+        # runs it writes them through arith.int_text
+        config = ('{"r":20000,"s":3,"alphas":["1","2","-3/5","7/2","-11/3",'
+                  '"13/4","5","-17/6","19/7","23/9","-29/8","31/10"]}')
+        script = (
+            "import json, sys; from fibercurve import fiber, jsonio; "
+            f"cfg = jsonio.config_from_obj(json.loads({config!r})); "
+            "obj = jsonio.fiber_system_to_obj(fiber.build_fiber(cfg)); "
+            "print(getattr(sys, 'get_int_max_str_digits', lambda: 4300)(), "
+            "file=sys.stderr); "
+            "print(json.dumps(obj, indent=2))"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONINTMAXSTRDIGITS"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONPATH": SRC},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "4300\n")
+        code, out, _ = run(capsys, "fiber-build", "--config", config)
+        assert code == EXIT_OK and proc.stdout == out
+        assert max(len(eq["A"]) for eq in json.loads(out)["equations"]) > 4300
 
     def test_display_refuses_an_unknown_style(self):
         # argparse's choices stop an unknown --style before it gets here
