@@ -185,7 +185,7 @@ class CyclotomicElement:
     Coordinates are exact rationals; products are reduced modulo the d-th
     cyclotomic polynomial.  Arithmetic combines elements of one order
     only; a rational q enters as ``CyclotomicElement(d, [q])``.
-    Immutable, hashable, safe to share.
+    Immutable, safe to share.
     """
 
     __slots__ = ("order", "coeffs")
@@ -260,22 +260,5 @@ class CyclotomicElement:
             return self.order == other.order and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(format_rational(c))
-            elif k == 1:
-                terms.append(f"{format_rational(c)}*z")
-            else:
-                terms.append(f"{format_rational(c)}*z^{k}")
-        body = " + ".join(terms) if terms else "0"
-        return f"CyclotomicElement(d={self.order}: {body})"

@@ -108,7 +108,7 @@ def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
         point = ProjPoint([p.y for p in cwp.points])
     except ValueError as exc:  # every y is zero, so a = b = 0
         raise NoFiberPoint(str(exc)) from None
-    if not on_fiber(system, point):
+    if not on_fiber(system, point).ok:
         raise AssertionError("curve points did not land on the fiber")
     return point
 

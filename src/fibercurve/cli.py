@@ -61,18 +61,10 @@ def _integer(text: str) -> int:
         ) from None
 
 
-def _parse_json(text: str, source: str):
-    """``json.loads`` that reports nesting too deep for the decoder as a
-    usage error naming ``source``, not as a RecursionError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise UsageError(f"input {source} is nested too deeply") from None
-
-
 def _read_payload(value: str) -> dict:
     """Accept a path, "-" for stdin, or a literal JSON object.  A message
-    names a path in full and shortens a literal."""
+    names a path in full and shortens a literal; nesting too deep for the
+    decoder is a usage error, not a RecursionError."""
     source = repr(value)
     try:
         if value.strip().startswith(("{", "[")):
@@ -82,9 +74,11 @@ def _read_payload(value: str) -> dict:
         else:
             with open(value, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        obj = _parse_json(text, source)
+        obj = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read input {source}: {exc}") from exc
+    except RecursionError:
+        raise UsageError(f"input {source} is nested too deeply") from None
     if not isinstance(obj, dict):
         raise UsageError(f"input {source} is not a JSON object")
     return obj
@@ -122,7 +116,7 @@ def _emit(obj) -> None:
 
 def _parse_affine(text: str) -> family.AffinePoint:
     if text.strip().startswith("{"):
-        return jsonio.point_from_obj(_parse_json(text, shown(text)))
+        return jsonio.point_from_obj(_read_payload(text))
     coords = text.split(",")
     if len(coords) != 2:
         raise UsageError(f'point {shown(text)} is not "x,y" or JSON')
@@ -229,7 +223,7 @@ def _cmd_search_ab(args) -> int:
             "out": args.out,
         }
     if args.stats:
-        print(json.dumps(report.stats), file=sys.stderr)
+        print(json.dumps(jsonio.search_stats_to_obj(report)), file=sys.stderr)
     _emit(obj)
     return EXIT_OK
 
@@ -376,8 +370,11 @@ def main(argv=None) -> int:
     JSON object on stderr.  Any other exception is a bug and propagates.
     A reader that closes stdout early (``| head``) ends the verb quietly
     with exit code 1."""
-    # int() reads inputs past 4300 digits; no setter before Python 3.10.7
-    getattr(sys, "set_int_max_str_digits", lambda digits: None)(0)
+    # int() reads inputs past 4300 digits and messages print long ints with
+    # str, for this verb only; 0 is no limit, as before Python 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
@@ -395,6 +392,9 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return code
         raise
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -102,9 +102,6 @@ class MembershipReport(NamedTuple):
     ok: bool
     residues: tuple[tuple[int, int], ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def raw_coefficients(
     config: Config, i: int

@@ -39,13 +39,6 @@ def _field(obj: dict, key: str, kind: type):
     return _typed(obj[key], key, kind)
 
 
-def _object_entries(obj: dict, key: str) -> list[dict]:
-    return [
-        _typed(entry, f"{key}[{k}]", dict)
-        for k, entry in enumerate(_field(obj, key, list))
-    ]
-
-
 def curve_to_obj(curve: FamilyCurve) -> dict:
     return {
         "r": curve.r,
@@ -123,12 +116,15 @@ def cwp_to_obj(cwp: CurveWithPoints) -> dict:
 def cwp_from_obj(obj: dict) -> CurveWithPoints:
     return CurveWithPoints(
         curve=curve_from_obj(_field(obj, "curve", dict)),
-        points=tuple(point_from_obj(p) for p in _object_entries(obj, "points")),
+        points=tuple(
+            point_from_obj(_typed(p, f"points[{k}]", dict))
+            for k, p in enumerate(_field(obj, "points", list))
+        ),
     )
 
 
 def search_report_to_obj(report) -> dict:
-    """A ``search.SearchReport`` and its note; ``stats`` go to stderr."""
+    """A ``search.SearchReport`` and its note, without its counters."""
     return {
         "config": config_to_obj(report.config),
         "height_bound": report.height_bound,
@@ -138,6 +134,19 @@ def search_report_to_obj(report) -> dict:
         "complete": report.complete,
         "workers": report.workers,
         "note": EVIDENCE_NOTE,
+    }
+
+
+def search_stats_to_obj(report) -> dict:
+    """The counters of a ``search.SearchReport``'s run: every candidate
+    either fails the sieve, fails the root test or is a hit."""
+    return {
+        "candidates": report.search_space_size,
+        "sieve_survivors": report.sieve_survivors,
+        "root_rejections": report.sieve_survivors - len(report.hits),
+        "hits": len(report.hits),
+        "workers": report.workers,
+        "block_us": list(report.block_us),
     }
 
 

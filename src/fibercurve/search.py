@@ -83,13 +83,9 @@ class SearchReport(NamedTuple):
     elapsed_ms: int
     complete: bool
     workers: int
-    # counters of the run: candidates, sieve_survivors (past the sign stage
-    # and every prime: root-tested), root_rejections, hits, workers,
-    # block_us (time of each u-block); a dict, so it stays out of the hash
-    stats: dict
-
-    def __hash__(self) -> int:
-        return hash(self[:7])  # every field but stats
+    # candidates past the sign stage and every prime: the root-tested ones
+    sieve_survivors: int
+    block_us: tuple[int, ...]  # time of each u-block
 
 
 def _is_prime(m: int) -> bool:
@@ -381,12 +377,6 @@ def search_ab(config: Config, height: int, workers: int = 1) -> SearchReport:
         elapsed_ms=elapsed_ms,
         complete=complete,
         workers=workers,
-        stats={
-            "candidates": space,
-            "sieve_survivors": survivors,
-            "root_rejections": survivors - len(raw_hits),
-            "hits": len(curve_hits),
-            "workers": workers,
-            "block_us": block_us,
-        },
+        sieve_survivors=survivors,
+        block_us=tuple(block_us),
     )

@@ -213,6 +213,11 @@ def _solve_ab_argvs(rng: random.Random) -> list[list[str]]:
         ["solve-ab", "--r", "1", "--s", "2", "--p0", "1,2,3", "--p1", "2,3"],
         ["solve-ab", "--r", "0", "--s", "2", "--p0", "1,2", "--p1", "2,3"],
         ["solve-ab", "--r", "1", "--s", "2", "--p0", '{"x":"1"}', "--p1", "2,3"],
+        # malformed JSON points, and one nested deeper than the decoder goes
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", '{"x":"1",}', "--p1", "2,3"],
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1", '{"x":"2","y":}'],
+        ["solve-ab", "--r", "1", "--s", "2", "--p0",
+         '{"x":' + "[" * 10_000 + "]" * 10_000 + "}", "--p1", "2,3"],
     ]
     return argvs
 

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import io
 import json
@@ -39,6 +40,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """CPython's 4300-digit limit on int/str conversion lifted for a test's
+    own conversions; ``main`` lifts it for its verb only."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 CFG123 = '{"r":2,"s":2,"alphas":["1","2","3"]}'
@@ -83,7 +98,43 @@ class TestScalarVerbs:
         code, out, _ = run(capsys, verb, "--s", str(s), "--n", str(n))
         assert code == EXIT_OK
         assert len(out.strip()) > 4300
-        assert out.strip() == str(formula(s, n))
+        with no_digit_limit():
+            assert out.strip() == str(formula(s, n))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int digit limit before Python 3.10.7")
+    def test_main_restores_the_int_digit_limit(self):
+        # main lifts the limit for its verb only: after a verb that exits
+        # 0, 1 or 2 the limit is back, and a later verb still reads an
+        # alpha of 5000 digits
+        long_alpha = json.dumps({"r": 2, "s": 2, "alphas": ["1", "2", "3" * 5000]})
+        script = f"""
+import contextlib, io, sys
+from fibercurve.cli import main
+before = sys.get_int_max_str_digits()
+for argv in (["classify", "--s", "2", "--n", "2"],
+             ["validate", "--config", '{{"r":2,"s":2,"alphas":["1","-1"]}}'],
+             ["classify", "--s", "2"],
+             ["validate", "--config", {long_alpha!r}]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    try:
+        int("1" * 5000)
+        refused = False
+    except ValueError:
+        refused = True
+    print(code, sys.get_int_max_str_digits() == before, refused)
+"""
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONINTMAXSTRDIGITS"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env={**env, "PYTHONPATH": SRC},
+        )
+        assert proc.stderr == ""
+        assert proc.stdout.split("\n") == [
+            "0 True True", "1 True True", "2 True True", "0 True True", ""]
 
     def test_long_answers_print_as_str_does(self, capsys):
         # seeded (s, n) from under the 8192 bits where the decimal path
@@ -96,7 +147,8 @@ class TestScalarVerbs:
                                   ("gonality-bound", gonality_lower_bound)):
                 code, out, _ = run(capsys, verb, "--s", str(s), "--n", str(n))
                 assert code == EXIT_OK
-                assert out == f"{formula(s, n)}\n"
+                with no_digit_limit():
+                    assert out == f"{formula(s, n)}\n"
 
     def test_classify(self, capsys):
         code, out, _ = run(capsys, "classify", "--s", "3", "--n", "2")
@@ -184,6 +236,21 @@ class TestValidateVerb:
         shown = (f"{DEEP[:40]!r}… ({len(DEEP)} characters)" if literal
                  else repr(source))
         assert payload["message"] == f"input {shown} is nested too deeply"
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "--config", None),
+        ("fiber-verify", "--config", CFG123, "--point", None),
+        ("push", "--input", None),
+        ("solve-ab", "--r", "1", "--s", "2", "--p0", None, "--p1", "2,3"),
+        ("solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1", None),
+    ], ids=["--config", "--point", "--input", "--p0", "--p1"])
+    def test_malformed_json_literal_names_its_input(self, capsys, argv):
+        literal = '{"x":"1",}'
+        code, out, err = run(capsys, *(literal if a is None else a for a in argv))
+        assert code == EXIT_USAGE and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert payload["message"].startswith(f"cannot read input {literal!r}: ")
 
     def test_long_literal_is_shortened_in_the_message(self, capsys):
         literal = '{"r": 2, "alphas": [' + '"1", ' * 40_000 + "]"
@@ -739,7 +806,8 @@ class TestBatchVerbs:
             capsys, "trivial-points", "--r", "1", "--s", "2", "--n", "400000"
         )
         assert code == EXIT_OK
-        payload = json.loads(out)
+        with no_digit_limit():
+            payload = json.loads(out)
         assert payload["verified_count"] == 0
         assert payload["sampled"] is True
         assert payload["total_space"] == 2**400001

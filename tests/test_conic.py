@@ -158,7 +158,7 @@ class TestParametrize:
         point = parametrize(system, base, (0, 1))
         assert point != base
         assert point == ProjPoint([0, 1, -2])
-        assert on_fiber(system, point)
+        assert on_fiber(system, point).ok
 
     def test_tangent_direction_returns_the_base_point(self):
         system, base = model_for(CFG123)
@@ -175,7 +175,7 @@ class TestParametrize:
                 if t1 == 0 and t0 < 0:
                     continue
                 point = parametrize(system, base, (t0, t1))
-                assert on_fiber(system, point)
+                assert on_fiber(system, point).ok
                 count += 1
                 if point != base:
                     seen.add(point)

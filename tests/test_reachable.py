@@ -4,7 +4,9 @@ and every parameter default is overridden by it somewhere.
 A function, class or constant that only a test calls is code that exists
 for itself.  A name counts as used when another top-level statement of
 ``src/fibercurve`` loads it, bare or as an attribute; a definition that
-only refers to itself does not count.
+only refers to itself does not count.  The same holds for each method
+and property of a package class, dunders aside: some statement outside
+its own definition loads its name.
 
 Likewise a parameter with a default that no call in the package passes is
 a knob only a test turns, and so is a ``NamedTuple`` field with a default
@@ -12,6 +14,7 @@ that no construction passes; a single value in use is a constant.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fibercurve"
@@ -23,6 +26,11 @@ UNUSED_ON_PURPOSE = {
     # (acceptance criteria 1 and 4)
     ("fiber", "det_form"),
     ("fiber", "jacobian_matrix"),
+}
+
+# methods that code outside the package calls
+METHODS_UNUSED_ON_PURPOSE = {
+    ("cli", "_Parser", "error"),  # argparse calls it on a rejected argument
 }
 
 # parameters with a default that the package never passes
@@ -71,6 +79,26 @@ def unused_names():
 
 def test_every_top_level_name_is_used_in_the_package():
     assert unused_names() == UNUSED_ON_PURPOSE
+
+
+def unused_methods():
+    """(module, class, name) of each method or property of a package
+    class, dunders aside, whose name only its own definition loads."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    loads = Counter(name for tree in trees.values() for name in _loaded_names(tree))
+    return {
+        (module, cls.name, item.name)
+        for module, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for item in cls.body if isinstance(item, ast.FunctionDef)
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+        and loads[item.name] == Counter(_loaded_names(item))[item.name]
+    }
+
+
+def test_every_method_is_used_in_the_package():
+    assert unused_methods() == METHODS_UNUSED_ON_PURPOSE
 
 
 def _defaults(tree):

@@ -13,7 +13,7 @@ from fibercurve.birat import solve_ab
 from fibercurve.config import validate, violations
 from fibercurve.family import AffinePoint, FamilyCurve, contains
 from fibercurve.fiber import build_fiber
-from fibercurve import search
+from fibercurve import jsonio, search
 from fibercurve.search import search_ab
 
 # y^2 = x(x^2 + 3) has small points at x = 1, 3, 12
@@ -210,8 +210,8 @@ class TestSearchAb:
     ])
     def test_workers_partition_the_u_range(self, workers, height, blocks):
         report = search_ab(PLANT13, height, workers)
-        assert report.workers == report.stats["workers"] == workers
-        assert len(report.stats["block_us"]) == blocks
+        assert report.workers == workers
+        assert len(report.block_us) == blocks
         serial = search_ab(PLANT13, height, 1)
         assert report.hits == serial.hits
         assert report.search_space_size == serial.search_space_size
@@ -233,8 +233,10 @@ class TestSearchAb:
         assert report.hits != full.hits
         # u -> -u maps the box onto itself, so the u < 0 block is half of it
         assert 2 * report.search_space_size == full.search_space_size
-        assert report.search_space_size == report.stats["candidates"]
-        assert len(report.stats["block_us"]) == 1
+        assert len(report.block_us) == 1
+        assert list(jsonio.search_stats_to_obj(report).items()) == [
+            ("candidates", 362), ("sieve_survivors", 0), ("root_rejections", 0),
+            ("hits", 0), ("workers", 2), ("block_us", list(report.block_us))]
 
     def test_odd_s_interrupt_keeps_the_finished_block_and_its_mirror(
             self, monkeypatch):
@@ -254,7 +256,7 @@ class TestSearchAb:
         monkeypatch.setattr(search, "_root_test", interrupted)
         report = search_ab(config, 6, workers=2)
         assert report.complete is False
-        assert len(report.stats["block_us"]) == 1
+        assert len(report.block_us) == 1
         pairs = {(h.curve.a, h.curve.b) for h in report.hits}
         assert pairs and pairs == {(-a, -b) for a, b in pairs}
         # u = a w with w the common denominator of a and b
@@ -309,13 +311,24 @@ class TestIntegerSieve:
 
     def test_stats_count_every_stage(self):
         report = search_ab(PLANT13, 6, workers=2)
-        stats = report.stats
-        assert stats["candidates"] == report.search_space_size
-        assert stats["hits"] == len(report.hits) > 0
-        assert stats["workers"] == 2 and len(stats["block_us"]) == 2
-        assert stats["sieve_survivors"] == stats["hits"] + stats["root_rejections"]
-        assert stats["sieve_survivors"] < stats["candidates"] // 100
-        hash(report)  # the stats dict keeps out of the hash
+        assert len(report.block_us) == 2
+        assert 0 < len(report.hits) <= report.sieve_survivors
+        assert report.sieve_survivors < report.search_space_size // 100
+
+    @pytest.mark.parametrize("config", [
+        PLANT13, validate(1, 3, [F(-1), F(-1, 3), F(2)])], ids=["s=2", "s=3"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_stats_object_keys_order_and_counts(self, monkeypatch, config, workers):
+        # with three sieve primes some candidates fail the root test; the
+        # keys, in this order, are the --stats line's
+        monkeypatch.setattr(search, "SIEVE_PRIMES", 3)
+        report = search_ab(config, 6, workers)
+        survivors, hits = (26, 2) if config.s == 2 else (10, 8)
+        assert len(report.block_us) == workers
+        assert list(jsonio.search_stats_to_obj(report).items()) == [
+            ("candidates", 724), ("sieve_survivors", survivors),
+            ("root_rejections", survivors - hits), ("hits", hits),
+            ("workers", workers), ("block_us", list(report.block_us))]
 
 
 class TestSignStageAndMirror:
@@ -335,9 +348,9 @@ class TestSignStageAndMirror:
     def test_matches_fraction_scan_and_survivor_count(self, k):
         config, height = self.CASES[k]
         hits = assert_matches_fraction_scan(config, height)
-        stats = search_ab(config, height).stats
-        assert stats["sieve_survivors"] == sieve_survivor_count(config, height)
-        assert stats["hits"] == len(hits)
+        report = search_ab(config, height)
+        assert report.sieve_survivors == sieve_survivor_count(config, height)
+        assert len(report.hits) == len(hits)
 
     def test_prime_s_uses_many_characters(self):
         # for prime s each sieve prime m has gcd(s, m - 1) = s characters,
@@ -354,16 +367,16 @@ class TestSignStageAndMirror:
                          (3, F(1, 10**7)), (2, F(-1, 10**11))):
             config = validate(r, 2, [alpha, F(2), F(3)])
             assert_matches_fraction_scan(config, 3)
-            stats = search_ab(config, 3).stats
-            assert stats["sieve_survivors"] == sieve_survivor_count(config, 3)
+            report = search_ab(config, 3)
+            assert report.sieve_survivors == sieve_survivor_count(config, 3)
 
     def test_survivors_with_one_sieve_prime(self, monkeypatch):
         # with one prime many candidates with M < 0 pass the sieve, so the
         # count shows a half-line that is one v too wide or too narrow
         monkeypatch.setattr(search, "SIEVE_PRIMES", 1)
         for config, height in self.CASES:
-            stats = search_ab(config, height).stats
-            assert stats["sieve_survivors"] == sieve_survivor_count(config, height)
+            report = search_ab(config, height)
+            assert report.sieve_survivors == sieve_survivor_count(config, height)
 
     def test_tables_only_for_the_primes_candidates_reach(self, monkeypatch):
         # a prime gets slab tables once more than H candidates reach it;
@@ -387,23 +400,21 @@ class TestSignStageAndMirror:
                 fewer += 1
                 hits = fraction_scan(config, height)[0]
                 assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == hits
-                assert report.stats["sieve_survivors"] == sieve_survivor_count(
+                assert report.sieve_survivors == sieve_survivor_count(
                     config, height)
         assert fewer
 
     @pytest.mark.parametrize("k", range(len(CASES)))
     def test_counters_do_not_depend_on_workers(self, k):
         config, height = self.CASES[k]
-        keys = ("candidates", "sieve_survivors", "root_rejections", "hits")
         reports = [search_ab(config, height, workers) for workers in (1, 2, 3, 4096)]
         for report in reports[1:]:
-            assert [report.stats[key] for key in keys] == [
-                reports[0].stats[key] for key in keys
-            ]
+            assert report.search_space_size == reports[0].search_space_size
+            assert report.sieve_survivors == reports[0].sieve_survivors
             assert report.hits == reports[0].hits
         # one block per u: u != 0 for even s, u > 0 for odd s
         blocks = height if config.s % 2 else 2 * height
-        assert len(reports[-1].stats["block_us"]) == blocks
+        assert len(reports[-1].block_us) == blocks
 
     def test_odd_s_root_tests_each_positive_row_once(self, monkeypatch):
         # x-coordinates of points of y^3 = x(-5/2 x - 3/2)
@@ -469,14 +480,8 @@ class TestSlabs:
             monkeypatch.setattr(search, "SLAB_BITS", slab_bits(config, height, rows))
             report = search_ab(config, height)
             assert [(h.curve.a, h.curve.b, h.points) for h in report.hits] == hits
-            assert report.stats == {
-                "candidates": space,
-                "sieve_survivors": survivors,
-                "root_rejections": survivors - len(hits),
-                "hits": len(hits),
-                "workers": 1,
-                "block_us": report.stats["block_us"],
-            }
+            assert report.search_space_size == space
+            assert report.sieve_survivors == survivors
 
     def test_prime_s_slabs_hold_little(self):
         # s = 101: the sieve primes run up to 10303, so a slab holds one row;

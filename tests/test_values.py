@@ -23,10 +23,6 @@ def cwp():
                            (AffinePoint(F(1), F(2)),))
 
 
-def report(stats):
-    return SearchReport(config(), 2, (cwp(),), 40, 0, True, 1, stats)
-
-
 CONFIG = "Config(r=2, s=2, alphas=(Fraction(1, 1), Fraction(2, 1), Fraction(3, 1)))"
 CWP = ("CurveWithPoints(curve=FamilyCurve(r=2, s=2, a=Fraction(1, 1), "
        "b=Fraction(3, 1)), points=(AffinePoint(x=Fraction(1, 1), "
@@ -46,10 +42,10 @@ CASES = [
      "TrivialPointCertificate(r=1, s=2, n=2, order=2, total_space=8, "
      "verified_count=2, sampled=False)"),
     (cwp, CWP),
-    (lambda: report({"hits": 1}),
+    (lambda: SearchReport(config(), 2, (cwp(),), 40, 0, True, 1, 3, (5, 7)),
      f"SearchReport(config={CONFIG}, height_bound=2, hits=({CWP},), "
      f"search_space_size=40, elapsed_ms=0, complete=True, workers=1, "
-     f"stats={{'hits': 1}})"),
+     f"sieve_survivors=3, block_us=(5, 7))"),
     (lambda: PrintedEquation(2, F(-1), F(5), F(-4)),
      "PrintedEquation(i=2, lhs=Fraction(-1, 1), rhs0=Fraction(5, 1), "
      "rhs1=Fraction(-4, 1))"),
@@ -85,10 +81,3 @@ def test_equal_values_are_equal_and_hash_equal(make, text):
 @pytest.mark.parametrize("make, text", CASES, ids=IDS)
 def test_repr_is_name_and_fields(make, text):
     assert repr(make()) == text
-
-
-def test_search_report_stats_stay_out_of_the_hash():
-    one, two = report({"hits": 1}), report({"hits": 1, "workers": 2})
-    assert one != two
-    assert hash(one) == hash(two)
-    assert hash(report({})) != hash(report({})._replace(height_bound=3))
