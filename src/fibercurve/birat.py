@@ -116,18 +116,18 @@ def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
 def from_fiber_point(
     system: FiberSystem,
     point: ProjPoint,
-    scale: Fraction | None = None,
+    scale: int | Fraction | None = None,
 ) -> CurveWithPoints:
     """Lift a point of the fiber ``system`` back to a curve with all n+1
     points at the x-coordinates of ``system.config``.
 
     Coordinates are read as y-values y_i = scale * Y_i, each built as one
-    Fraction(u Y_i, v) for scale = u/v; the default scale 1/Y_0 normalizes
-    y_0 = 1.  Because fiber membership is degree-s homogeneous, changing
-    the scale moves (a, b) by an s-th power.  Raises
-    LiftObstruction when the point is off the fiber, when Y_0 = 0 and no
-    explicit scale was given, or when the lifted curve degenerates
-    (a = 0 or b = 0).
+    Fraction(u Y_i, v) for an int or Fraction scale = u/v, taken as given;
+    the default scale 1/Y_0 normalizes y_0 = 1.  Because fiber membership
+    is degree-s homogeneous, changing the scale moves (a, b) by an s-th
+    power.  Raises LiftObstruction when the point is off the fiber, when
+    Y_0 = 0 and no explicit scale was given, or when the lifted curve
+    degenerates (a = 0 or b = 0).
     """
     config = system.config
     report = on_fiber(system, point)
@@ -138,13 +138,11 @@ def from_fiber_point(
         if point[0] == 0:
             raise LiftObstruction(
                 "Y_0 = 0: default normalization undefined, pass a scale",
-                index=0,
-            )
+                index=0)
         u, v = 1, point[0]
+    elif scale == 0:
+        raise ValueError("scale must be nonzero")
     else:
-        scale = Fraction(scale)
-        if scale == 0:
-            raise ValueError("scale must be nonzero")
         u, v = scale.numerator, scale.denominator
     ys = [Fraction(u * c, v) for c in point.coords]
     p0 = AffinePoint(config.alphas[0], ys[0])

@@ -61,13 +61,18 @@ def _integer(text: str) -> int:
         ) from None
 
 
+def _is_literal(value: str) -> bool:
+    """Whether a flag value is JSON text, not a path, "-" or "x,y"."""
+    return value.strip().startswith(("{", "["))
+
+
 def _read_payload(value: str) -> dict:
     """Accept a path, "-" for stdin, or a literal JSON object.  A message
     names a path in full and shortens a literal; nesting too deep for the
     decoder is a usage error, not a RecursionError."""
     source = repr(value)
     try:
-        if value.strip().startswith(("{", "[")):
+        if _is_literal(value):
             text, source = value, shown(value)
         elif value == "-":
             text = sys.stdin.read()
@@ -115,7 +120,7 @@ def _emit(obj) -> None:
 
 
 def _parse_affine(text: str) -> family.AffinePoint:
-    if text.strip().startswith("{"):
+    if _is_literal(text):
         return jsonio.point_from_obj(_read_payload(text))
     coords = text.split(",")
     if len(coords) != 2:

@@ -13,7 +13,6 @@ honestly.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd, isqrt
 
 from .birat import CurveWithPoints, LiftObstruction, from_fiber_point
@@ -144,7 +143,7 @@ def enumerate_curves(
             continue
         seen.add(key)
         try:
-            results.append(from_fiber_point(system, point, scale=Fraction(1)))
+            results.append(from_fiber_point(system, point, scale=1))
         except LiftObstruction:
             pass
     if len(results) < count:

@@ -99,8 +99,11 @@ class FiberSystem(NamedTuple):
 
 
 class MembershipReport(NamedTuple):
-    ok: bool
     residues: tuple[tuple[int, int], ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(v == 0 for _, v in self.residues)
 
 
 def raw_coefficients(
@@ -209,14 +212,9 @@ def on_fiber(system: FiberSystem, point: ProjPoint) -> MembershipReport:
     s = system.config.s
     y0 = point[0] ** s
     y1 = point[1] ** s
-    residues = []
-    ok = True
-    for eq in system.equations:
-        value = eq.A * y0 + eq.B * y1 + eq.C * point[eq.i] ** s
-        residues.append((eq.i, value))
-        if value != 0:
-            ok = False
-    return MembershipReport(ok, tuple(residues))
+    return MembershipReport(tuple(
+        (eq.i, eq.A * y0 + eq.B * y1 + eq.C * point[eq.i] ** s)
+        for eq in system.equations))
 
 
 def fiber_genus(s: int, n: int) -> int:
@@ -292,16 +290,14 @@ class TrivialPointCertificate(NamedTuple):
     were evaluated in the cyclotomic ring of order lcm(r, s) and found to
     be exactly zero, as they must be: each A_i, B_i and C_i has a factor
     X_a^r - X_b^r, 0 at r-th roots of unity, so every form vanishes there
-    for every Y.  ``sampled`` marks a verified prefix of a larger space.
+    for every Y.  The writer ``jsonio.certificate_to_obj`` derives the
+    order, the size of the space and whether the pairs only sample it.
     """
 
     r: int
     s: int
     n: int
-    order: int
-    total_space: int
     verified_count: int
-    sampled: bool
 
 
 # the caps of trivial_points: a cyclotomic order, a number of tuples and
@@ -360,7 +356,6 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
     x_pow_r = [v**r for v in x_root]
     y_pow_s = [v**s for v in y_root]
 
-    total_space = r ** (n + 1) * s ** (n + 1)
     listed = min(TUPLE_CAP, COORD_CAP // (n + 1))
     verified = 0
     coeffs_of = None
@@ -384,12 +379,4 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
                     f"Y-exponents {it}"
                 )
         verified += 1
-    return TrivialPointCertificate(
-        r=r,
-        s=s,
-        n=n,
-        order=d,
-        total_space=total_space,
-        verified_count=verified,
-        sampled=total_space > listed,
-    )
+    return TrivialPointCertificate(r, s, n, verified)

@@ -9,6 +9,7 @@ search reports and certificates are only written.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .arith import format_rational, parse_rational, shown
 from .birat import CurveWithPoints
@@ -153,20 +154,23 @@ def search_stats_to_obj(report) -> dict:
 def certificate_to_obj(
     cert: TrivialPointCertificate, include_tuples: bool = False
 ) -> dict:
+    """The certificate and what follows from it: the sweep verifies
+    min(listed, total_space) pairs, so fewer than total_space is sampled."""
+    r, s, n, verified = cert
+    total_space = r ** (n + 1) * s ** (n + 1)
     obj = {
-        "r": cert.r,
-        "s": cert.s,
-        "n": cert.n,
-        "cyclotomic_order": cert.order,
-        "total_space": cert.total_space,
-        "verified_count": cert.verified_count,
-        "sampled": cert.sampled,
+        "r": r,
+        "s": s,
+        "n": n,
+        "cyclotomic_order": lcm(r, s),
+        "total_space": total_space,
+        "verified_count": verified,
+        "sampled": total_space > verified,
     }
     if include_tuples:
         obj["tuples"] = [
             {"x_exponents": list(jt), "y_exponents": list(it)}
-            for jt, it in exponent_tuples(cert.r, cert.s, cert.n,
-                                          cert.verified_count)
+            for jt, it in exponent_tuples(r, s, n, verified)
         ]
     return obj
 

@@ -16,7 +16,8 @@ Before regenerating, list them with
     python tests/cli_corpus.py --diff
 
 which prints every argv whose record differs from the file or is missing
-from it, and exits 1 if there is any.
+from it, and every record of the file that no argv makes any more, and
+exits 1 if there is any.
 
 argparse words its own messages, and that wording can change between
 Python minor versions.  A record whose message went through
@@ -218,6 +219,10 @@ def _solve_ab_argvs(rng: random.Random) -> list[list[str]]:
         ["solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1", '{"x":"2","y":}'],
         ["solve-ab", "--r", "1", "--s", "2", "--p0",
          '{"x":' + "[" * 10_000 + "]" * 10_000 + "}", "--p1", "2,3"],
+        # JSON lists, which are JSON but not an object
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", "[1,2]", "--p1", "2,3"],
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1", "[1,2]"],
+        ["solve-ab", "--r", "1", "--s", "2", "--p0", " []", "--p1", "2,3"],
     ]
     return argvs
 
@@ -393,16 +398,19 @@ def same_record(want: dict, got: dict, golden: dict) -> bool:
 
 def diff(workdir: Path) -> list[str]:
     """One line per argv whose record is missing from the golden file or
-    differs from it, in corpus order."""
+    differs from it, in corpus order, then one per golden record that the
+    corpus no longer makes, in file order."""
     golden = load_golden()
     lines = []
+    keys = set()
     for argv in argvs():
+        keys.add(key(argv))
         want = golden["cases"].get(key(argv))
         if want is None:
             lines.append(f"missing: {key(argv)}")
         elif not same_record(want, record(argv, workdir), golden):
             lines.append(f"differs: {key(argv)}")
-    return lines
+    return lines + [f"stale: {k}" for k in golden["cases"] if k not in keys]
 
 
 def write(workdir: Path) -> int:

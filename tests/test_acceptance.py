@@ -28,6 +28,7 @@ from fibercurve.fiber import (
     raw_coefficients,
     trivial_points,
 )
+from fibercurve.jsonio import certificate_to_obj
 from fibercurve.linalg import matrix_rank
 from fibercurve.search import search_ab
 
@@ -191,11 +192,11 @@ def test_criterion_7_trivial_point_certificates():
     with criterion("7 trivial-point certificates", 30):
         for r, s in ((2, 2), (3, 2), (2, 3), (3, 3)):
             for n in (2, 3, 4):
-                cert = trivial_points(r, s, n)
+                obj = certificate_to_obj(trivial_points(r, s, n))
                 expected = r ** (n + 1) * s ** (n + 1)
-                assert cert.total_space == expected
-                assert cert.verified_count == expected
-                assert not cert.sampled
+                assert obj["total_space"] == expected
+                assert obj["verified_count"] == expected
+                assert not obj["sampled"]
 
 
 def test_criterion_8_search_soundness_completeness():

@@ -57,6 +57,15 @@ def no_digit_limit():
 
 
 CFG123 = '{"r":2,"s":2,"alphas":["1","2","3"]}'
+# one argv per flag that takes JSON, the flag's value left as None
+JSON_FLAGS = ["--config", "--point", "--input", "--p0", "--p1"]
+JSON_FLAG_ARGVS = [
+    ("validate", "--config", None),
+    ("fiber-verify", "--config", CFG123, "--point", None),
+    ("push", "--input", None),
+    ("solve-ab", "--r", "1", "--s", "2", "--p0", None, "--p1", "2,3"),
+    ("solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1", None),
+]
 # non-integer config whose conic is 168 Y_0^2 - 13 Y_1^2 + 27 Y_2^2 = 0
 CFG_FRAC = '{"r":1,"s":2,"alphas":["1/2","3","-5/3"]}'
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -237,13 +246,7 @@ class TestValidateVerb:
                  else repr(source))
         assert payload["message"] == f"input {shown} is nested too deeply"
 
-    @pytest.mark.parametrize("argv", [
-        ("validate", "--config", None),
-        ("fiber-verify", "--config", CFG123, "--point", None),
-        ("push", "--input", None),
-        ("solve-ab", "--r", "1", "--s", "2", "--p0", None, "--p1", "2,3"),
-        ("solve-ab", "--r", "1", "--s", "2", "--p0", "1,2", "--p1", None),
-    ], ids=["--config", "--point", "--input", "--p0", "--p1"])
+    @pytest.mark.parametrize("argv", JSON_FLAG_ARGVS, ids=JSON_FLAGS)
     def test_malformed_json_literal_names_its_input(self, capsys, argv):
         literal = '{"x":"1",}'
         code, out, err = run(capsys, *(literal if a is None else a for a in argv))
@@ -251,6 +254,16 @@ class TestValidateVerb:
         payload = json.loads(err)
         assert payload["error"] == "usage"
         assert payload["message"].startswith(f"cannot read input {literal!r}: ")
+
+    @pytest.mark.parametrize("literal", ["[1,2]", " []"])
+    @pytest.mark.parametrize("argv", JSON_FLAG_ARGVS, ids=JSON_FLAGS)
+    def test_json_list_literal_is_not_an_object(self, capsys, argv, literal):
+        # every JSON flag reads a list as JSON, and a point is never split
+        # into "x,y" fragments of one
+        code, out, err = run(capsys, *(literal if a is None else a for a in argv))
+        assert code == EXIT_USAGE and out == ""
+        assert json.loads(err) == {
+            "error": "usage", "message": f"input {literal!r} is not a JSON object"}
 
     def test_long_literal_is_shortened_in_the_message(self, capsys):
         literal = '{"r": 2, "alphas": [' + '"1", ' * 40_000 + "]"

@@ -9,8 +9,10 @@ def test_every_argv_writes_its_golden_bytes(tmp_path):
     cases = golden["cases"]
     argvs = cli_corpus.argvs()
     regenerate = "regenerate with: python tests/cli_corpus.py --write"
-    assert len({cli_corpus.key(argv) for argv in argvs}) == len(cases), (
-        f"the golden file holds argvs the corpus no longer makes; {regenerate}"
+    stale = sorted(set(cases) - {cli_corpus.key(argv) for argv in argvs})
+    assert not stale, (
+        f"the golden file holds argvs the corpus no longer makes, first "
+        f"{stale[0]}; {regenerate}"
     )
     for argv in argvs:
         want = cases.get(cli_corpus.key(argv))
@@ -19,3 +21,15 @@ def test_every_argv_writes_its_golden_bytes(tmp_path):
         assert cli_corpus.same_record(want, got, golden), (
             f"first argv that differs: {argv}"
         )
+
+
+def test_diff_names_each_stale_record(tmp_path, monkeypatch):
+    # a golden record that no argv makes any more is listed by its key
+    argv = ["classify", "--s", "2", "--n", "2"]
+    golden = cli_corpus.load_golden()
+    kept = cli_corpus.key(argv)
+    cases = {kept: golden["cases"][kept], '["gone"]': golden["cases"][kept]}
+    monkeypatch.setattr(cli_corpus, "argvs", lambda: [argv])
+    monkeypatch.setattr(cli_corpus, "load_golden",
+                        lambda: {**golden, "cases": cases})
+    assert cli_corpus.diff(tmp_path) == ['stale: ["gone"]']

@@ -1,15 +1,19 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from planting import plant_curves
 
 from fibercurve import fiber, fixtures, jsonio
+from fibercurve.birat import to_fiber_point
 from fibercurve.config import validate, violations
 from fibercurve.fiber import (
     CapExceeded,
+    MembershipReport,
     ProjPoint,
+    TrivialPointCertificate,
     build_fiber,
     det_form,
     exponent_tuples,
@@ -249,6 +253,31 @@ class TestOnFiber:
         with pytest.raises(ValueError):
             on_fiber(system, ProjPoint([1, 1]))
 
+    def test_ok_is_read_from_the_residues(self):
+        assert MembershipReport._fields == ("residues",)
+        assert isinstance(MembershipReport.ok, property)
+        assert MembershipReport(()).ok
+        assert not MembershipReport(((2, 0), (3, -1))).ok
+
+    def test_ok_is_every_residue_zero_on_and_off_the_fiber(self):
+        # planted curves give points on the fiber; one y-coordinate moved
+        # by 1 gives, nearly always, a point off it
+        rng = random.Random(67)
+        seen = {True: 0, False: 0}
+        for cwp in plant_curves(rng, 40, r_s_choices=((1, 2), (2, 2), (1, 3), (2, 3)),
+                                x_height=20, max_points=5):
+            system = build_fiber(cwp.verify())
+            good = to_fiber_point(cwp).coords
+            bad = list(good)
+            bad[rng.randrange(len(bad))] += 1
+            for coords in (good, bad):
+                if not any(coords):
+                    continue
+                report = on_fiber(system, ProjPoint(coords))
+                assert report.ok == all(v == 0 for _, v in report.residues)
+                seen[report.ok] += 1
+        assert min(seen.values()) >= 30, seen
+
 
 class TestGenusAndGonality:
     @pytest.mark.parametrize(
@@ -348,23 +377,91 @@ class TestSmoothAt:
         assert min(seen.values()) >= 200, seen
 
 
+def certificate_reference(r, s, n, listed, include_tuples):
+    """The items of ``certificate_to_obj`` from first principles: the ring
+    Q(zeta_d), d = lcm(r, s), r^(n+1) s^(n+1) pairs, sampled when the
+    listing cap is below that, and the first min(listed, total) pairs, the
+    k-th of which writes k in the mixed radix (r, ..., r, s, ..., s)."""
+    total = r ** (n + 1) * s ** (n + 1)
+    verified = min(listed, total)
+    items = [("r", r), ("s", s), ("n", n), ("cyclotomic_order", lcm(r, s)),
+             ("total_space", total), ("verified_count", verified),
+             ("sampled", total > listed)]
+    if include_tuples:
+        def digits(v, base):
+            return [v // base**e % base for e in reversed(range(n + 1))]
+
+        items.append(("tuples", [
+            {"x_exponents": digits(k // s ** (n + 1), r),
+             "y_exponents": digits(k % s ** (n + 1), s)}
+            for k in range(verified)
+        ]))
+    return items
+
+
+def _seeded_sweeps(count):
+    # small listing caps keep each sweep short; some of them still cover
+    # the whole space
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < count:
+        r, s = rng.randint(1, 6), rng.randint(2, 6)
+        if lcm(r, s) <= fiber.ORDER_CAP:
+            cases.append((r, s, rng.randint(2, 4),
+                          {"TUPLE_CAP": rng.choice((1, 40, 300))}))
+    return cases
+
+
 class TestTrivialPoints:
     def test_all_sign_tuples(self):
         cert = trivial_points(2, 2, 2)
-        assert cert.order == 2
-        assert cert.total_space == 64
-        assert cert.verified_count == 64
-        assert not cert.sampled
+        assert cert == (2, 2, 2, 64)
+        obj = jsonio.certificate_to_obj(cert)
+        assert obj["cyclotomic_order"] == 2
+        assert obj["total_space"] == 64
+        assert obj["verified_count"] == 64
+        assert not obj["sampled"]
 
     def test_mixed_orders(self):
         cert = trivial_points(3, 2, 2)
-        assert cert.order == 6
+        assert jsonio.certificate_to_obj(cert)["cyclotomic_order"] == 6
         assert cert.verified_count == 27 * 8
 
     def test_r_one_degenerate_x_row(self):
         cert = trivial_points(1, 3, 2)
-        assert cert.order == 3
+        assert jsonio.certificate_to_obj(cert)["cyclotomic_order"] == 3
         assert cert.verified_count == 27
+
+    def test_certificate_holds_only_what_the_sweep_counts(self):
+        assert TrivialPointCertificate._fields == ("r", "s", "n",
+                                                   "verified_count")
+
+    @pytest.mark.parametrize("r, s, n, caps", _seeded_sweeps(12) + [
+        (2, 2, 19, {"TUPLE_CAP": 10, "COORD_CAP": 100}),  # COORD_CAP binds
+        (1, 2, 99, {"COORD_CAP": 100}),
+        (1, 2, 400_000, {"TUPLE_CAP": 0}),  # a 120,413-digit total_space
+    ])
+    def test_writer_derives_the_rest(self, monkeypatch, r, s, n, caps):
+        for name, value in caps.items():
+            monkeypatch.setattr(fiber, name, value)
+        cert = trivial_points(r, s, n)
+        listed = min(fiber.TUPLE_CAP, fiber.COORD_CAP // (n + 1))
+        monkeypatch.undo()
+        for full in (False, True):
+            obj = jsonio.certificate_to_obj(cert, include_tuples=full)
+            assert list(obj.items()) == certificate_reference(r, s, n, listed,
+                                                              full)
+
+    def test_writer_at_the_tuple_cap(self):
+        # the (5, 5, 4) sweep verifies the first TUPLE_CAP of 5^10 pairs,
+        # which takes many seconds; the writer reads only its certificate
+        listed = min(fiber.TUPLE_CAP, fiber.COORD_CAP // 5)
+        assert listed == 100_000 < 5**10
+        cert = TrivialPointCertificate(5, 5, 4, listed)
+        for full in (False, True):
+            obj = jsonio.certificate_to_obj(cert, include_tuples=full)
+            assert list(obj.items()) == certificate_reference(5, 5, 4, listed,
+                                                              full)
 
     def test_s_below_two_is_refused(self):
         # the family y^s = x(a x^r + b) needs s >= 2
@@ -386,9 +483,10 @@ class TestTrivialPoints:
     def test_tuple_cap_sampling_is_flagged(self, monkeypatch):
         monkeypatch.setattr(fiber, "TUPLE_CAP", 10)
         cert = trivial_points(2, 2, 4)
-        assert cert.sampled
+        obj = jsonio.certificate_to_obj(cert)
+        assert obj["sampled"]
         assert cert.verified_count == 10
-        assert cert.total_space == 2**5 * 2**5
+        assert obj["total_space"] == 2**5 * 2**5
 
     def test_listing_is_cut_by_tuples_or_by_coordinates(self, monkeypatch):
         # at most min(TUPLE_CAP, COORD_CAP // (n + 1)) tuples: every n <= 4
@@ -400,7 +498,8 @@ class TestTrivialPoints:
         monkeypatch.setattr(fiber, "COORD_CAP", 100)
         for n, listed in ((4, 10), (19, 5)):
             cert = trivial_points(2, 2, n)
-            assert cert.sampled and cert.total_space == 4 ** (n + 1)
+            obj = jsonio.certificate_to_obj(cert)
+            assert obj["sampled"] and obj["total_space"] == 4 ** (n + 1)
             first = [tuple(map(int, format(k, f"0{n + 1}b"))) for k in range(listed)]
             assert cert.verified_count == listed
             assert tuple(exponent_tuples(2, 2, n, cert.verified_count)) == tuple(
@@ -418,7 +517,8 @@ class TestTrivialPoints:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        assert cert.sampled and cert.total_space == 2**36
+        obj = jsonio.certificate_to_obj(cert)
+        assert obj["sampled"] and obj["total_space"] == 2**36
         first = [tuple(map(int, format(k, "018b"))) for k in range(10)]
         assert cert.verified_count == 10
         assert pairs == tuple(((0,) * 18, it) for it in first)
@@ -435,7 +535,8 @@ class TestTrivialPoints:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert cert.verified_count == cert.total_space == 7776
+        obj = jsonio.certificate_to_obj(cert)
+        assert cert.verified_count == obj["total_space"] == 7776
         assert held < 64 << 10
 
     def test_full_listing_is_the_counted_pairs(self, monkeypatch):

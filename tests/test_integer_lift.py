@@ -130,7 +130,7 @@ def test_corrupted_lift_names_the_coordinate(monkeypatch, name):
     system = build_fiber(cwp.verify())
     good = to_fiber_point(cwp).coords
     monkeypatch.setattr(birat, "on_fiber",
-                        lambda system, point: MembershipReport(True, ()))
+                        lambda system, point: MembershipReport(()))
     config = system.config
     for k in range(len(good)):
         coords = list(good)

@@ -9,7 +9,8 @@ import pytest
 from fibercurve.birat import CurveWithPoints
 from fibercurve.config import Config
 from fibercurve.family import AffinePoint, FamilyCurve
-from fibercurve.fiber import FiberEquation, FiberSystem, TrivialPointCertificate
+from fibercurve.fiber import (FiberEquation, FiberSystem, MembershipReport,
+                              TrivialPointCertificate)
 from fibercurve.fixtures import Fixture, FixtureReport, PrintedEquation
 from fibercurve.search import SearchReport
 
@@ -38,9 +39,10 @@ CASES = [
     (lambda: FiberEquation(2, 5, -4, 1), EQUATION),
     (lambda: FiberSystem(config(), (FiberEquation(2, 5, -4, 1),)),
      f"FiberSystem(config={CONFIG}, equations=({EQUATION},))"),
-    (lambda: TrivialPointCertificate(1, 2, 2, 2, 8, 2, False),
-     "TrivialPointCertificate(r=1, s=2, n=2, order=2, total_space=8, "
-     "verified_count=2, sampled=False)"),
+    (lambda: MembershipReport(((2, 0), (3, -5))),
+     "MembershipReport(residues=((2, 0), (3, -5)))"),
+    (lambda: TrivialPointCertificate(1, 2, 2, 2),
+     "TrivialPointCertificate(r=1, s=2, n=2, verified_count=2)"),
     (cwp, CWP),
     (lambda: SearchReport(config(), 2, (cwp(),), 40, 0, True, 1, 3, (5, 7)),
      f"SearchReport(config={CONFIG}, height_bound=2, hits=({CWP},), "
