@@ -31,21 +31,12 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import config as config_mod
-from .config import Config
+from .config import Config, MathError
 from .family import AffinePoint, FamilyCurve, contains
 from .fiber import FiberSystem, ProjPoint, build_fiber, on_fiber
 
 
-class SingularSystemError(ValueError):
-    """x_0^r == x_1^r: the two-point linear system has no unique solution."""
-
-
-class NoFiberPoint(ValueError):
-    """A curve with points that gives no point of the fiber: a point off
-    the curve, or every y zero."""
-
-
-class LiftObstruction(ValueError):
+class LiftObstruction(MathError):
     """A fiber point that does not lift to a smooth curve with the
     requested scale; ``index`` names the failing coordinate when one
     coordinate is responsible."""
@@ -70,7 +61,7 @@ class CurveWithPoints(NamedTuple):
         )
         for idx, p in enumerate(self.points):
             if not contains(self.curve, p):
-                raise NoFiberPoint(f"point {idx} is not on the curve")
+                raise MathError(f"point {idx} is not on the curve")
         return cfg
 
 
@@ -86,11 +77,11 @@ def solve_ab(
     n0, d0 = p0.x.numerator, p0.x.denominator
     n1, d1 = p1.x.numerator, p1.x.denominator
     if n0 == 0 or n1 == 0:
-        raise SingularSystemError("x-coordinates must be nonzero")
+        raise MathError("x-coordinates must be nonzero")
     d0_r, d1_r = d0**r, d1**r
     P0, P1 = n0**r * d1_r, n1**r * d0_r
     if P0 == P1:
-        raise SingularSystemError(f"x_0^{r} == x_1^{r}: singular system")
+        raise MathError(f"x_0^{r} == x_1^{r}: singular system")
     m0, e0 = p0.y.numerator**s, p0.y.denominator**s
     m1, e1 = p1.y.numerator**s, p1.y.denominator**s
     t0, t1 = m0 * e1 * n1 * d0, m1 * e0 * n0 * d1
@@ -102,12 +93,12 @@ def solve_ab(
 def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
     """[y_0 : ... : y_n] in canonical normalization; always on the fiber.
 
-    Raises NoFiberPoint for a point off the curve or every y zero."""
+    Raises MathError for a point off the curve or every y zero."""
     system = build_fiber(cwp.verify())
     try:
         point = ProjPoint([p.y for p in cwp.points])
     except ValueError as exc:  # every y is zero, so a = b = 0
-        raise NoFiberPoint(str(exc)) from None
+        raise MathError(str(exc)) from None
     if not on_fiber(system, point).ok:
         raise AssertionError("curve points did not land on the fiber")
     return point

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 One executable, subcommand per operation, exact JSON in and out.  Exit
-codes: 0 success (verification verbs: fully passed), 1 mathematical
-failure (point off fiber, inadmissible configuration, fixture mismatch,
-no conic point within the bound), 2 usage error (bad flags, malformed
+codes: 0 success (verification verbs: fully passed), 1 a ``MathError``
+(point off fiber, inadmissible configuration, fixture mismatch, no conic
+point within the bound), 2 any other ValueError (bad flags, malformed
 input).  All numbers cross the boundary as exact "p/q" strings.
 """
 
@@ -19,19 +19,16 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import arith, birat, conic, family, fiber, fixtures, jsonio, search
 from .arith import format_rational, parse_integer, parse_rational, shown
-from .config import InvalidConfigError, classify
+from .config import InvalidConfigError, MathError, classify
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """Rejected arguments reach ``main`` as a UsageError, not an exit.
+    """Rejected arguments raise ValueError, which ``main`` reports as a
+    usage error, instead of exiting.
 
     A negative rational ("-1/2", or "-1/2,3" for a point) is a value, as
     argparse takes "-2" for one; argparse echoes whole arguments, so an
@@ -47,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         if len(message) > 320:
             message = f"{message[:160]}… ({len(message)} characters)"
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _integer(text: str) -> int:
@@ -81,11 +78,11 @@ def _read_payload(value: str) -> dict:
                 text = fh.read()
         obj = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read input {source}: {exc}") from exc
+        raise ValueError(f"cannot read input {source}: {exc}") from exc
     except RecursionError:
-        raise UsageError(f"input {source} is nested too deeply") from None
+        raise ValueError(f"input {source} is nested too deeply") from None
     if not isinstance(obj, dict):
-        raise UsageError(f"input {source} is not a JSON object")
+        raise ValueError(f"input {source} is not a JSON object")
     return obj
 
 
@@ -124,7 +121,7 @@ def _parse_affine(text: str) -> family.AffinePoint:
         return jsonio.point_from_obj(_read_payload(text))
     coords = text.split(",")
     if len(coords) != 2:
-        raise UsageError(f'point {shown(text)} is not "x,y" or JSON')
+        raise ValueError(f'point {shown(text)} is not "x,y" or JSON')
     return family.AffinePoint(*map(parse_rational, coords))
 
 
@@ -219,7 +216,7 @@ def _cmd_search_ab(args) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(_json(obj))
         except OSError as exc:
-            raise UsageError(
+            raise ValueError(
                 f"cannot write --out {args.out!r}: {exc.strerror or exc}"
             ) from exc
         obj = {
@@ -355,18 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Checked in order: most of the mathematical failures subclass ValueError.
+# Checked in order: MathError and its two subclasses with their own
+# messages are ValueErrors, and every other ValueError is a usage error.
 _FAILURES = (
     (InvalidConfigError, EXIT_MATH,
      lambda exc: json.dumps({"valid": False, "violations": exc.problems})),
     (birat.LiftObstruction, EXIT_MATH,
      lambda exc: json.dumps({"obstruction": exc.reason, "index": exc.index})),
-    ((birat.NoFiberPoint, birat.SingularSystemError, conic.NoRationalPointError,
-      fiber.CapExceeded, fixtures.FixtureMismatchError), EXIT_MATH, str),
+    (MathError, EXIT_MATH, str),
     (MemoryError, EXIT_MATH,
      lambda exc: "out of memory: the input needs more than is available"),
     (KeyError, EXIT_USAGE, lambda exc: f"missing field {exc}"),
-    ((UsageError, ValueError, TypeError), EXIT_USAGE, str),
+    ((ValueError, TypeError), EXIT_USAGE, str),
 )
 
 

@@ -14,7 +14,11 @@ from itertools import combinations
 from typing import NamedTuple
 
 
-class InvalidConfigError(ValueError):
+class MathError(ValueError):
+    """A construction of the paper that fails on its input: exit code 1."""
+
+
+class InvalidConfigError(MathError):
     """Raised with the full list of admissibility violations."""
 
     def __init__(self, problems: list[str]):

@@ -16,12 +16,8 @@ import itertools
 from math import gcd, isqrt
 
 from .birat import CurveWithPoints, LiftObstruction, from_fiber_point
-from .config import Config
+from .config import Config, MathError
 from .fiber import FiberSystem, ProjPoint, build_fiber
-
-
-class NoRationalPointError(RuntimeError):
-    """No conic point of height within the requested search bound."""
 
 
 def _half_shell(k: int):
@@ -120,7 +116,7 @@ def enumerate_curves(
     base = find_base_point(system, search_height)
     if base is None:
         eq = system.equations[0]
-        raise NoRationalPointError(
+        raise MathError(
             f"no rational point of height <= {search_height} on "
             f"{eq.A} Y0^2 + {eq.B} Y1^2 + {eq.C} Y2^2 = 0"
         )
@@ -147,7 +143,7 @@ def enumerate_curves(
         except LiftObstruction:
             pass
     if len(results) < count:
-        raise NoRationalPointError(
+        raise MathError(
             f"exhausted {budget} directions with only {len(results)} "
             f"distinct curves"
         )

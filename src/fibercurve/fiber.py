@@ -33,7 +33,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .arith import CyclotomicElement
-from .config import Config
+from .config import Config, MathError
 from .linalg import matrix_rank, primitive_vector
 
 
@@ -307,10 +307,6 @@ TUPLE_CAP = 100_000
 COORD_CAP = 500_000
 
 
-class CapExceeded(ValueError):
-    pass
-
-
 def exponent_tuples(r: int, s: int, n: int, count: int):
     """The first ``count`` pairs (X-exponents j_0..j_n of zeta_r, Y-exponents
     i_0..i_n of zeta_s), lexicographic, X-tuple first."""
@@ -337,12 +333,12 @@ def trivial_points(r: int, s: int, n: int) -> TrivialPointCertificate:
         raise ValueError("need n >= 2")
     d = lcm(r, s)
     if d > ORDER_CAP:
-        raise CapExceeded(
+        raise MathError(
             f"cyclotomic order {d} exceeds the cap {ORDER_CAP}; refusing"
         )
     if n + 1 > COORD_CAP:
-        raise CapExceeded(f"{n + 1} coordinates per tuple exceed the cap "
-                          f"{COORD_CAP}; refusing")
+        raise MathError(f"{n + 1} coordinates per tuple exceed the cap "
+                        f"{COORD_CAP}; refusing")
     one = CyclotomicElement.one(d)
     zeta = CyclotomicElement.zeta(d)
     powers = [one]

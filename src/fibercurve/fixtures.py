@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 from .arith import parse_rational
 from .birat import CurveWithPoints, solve_ab
+from .config import MathError
 from .fiber import (ProjPoint, build_fiber, fiber_genus, raw_coefficients,
                     smooth_at)
 from .jsonio import cwp_from_obj
@@ -33,10 +34,6 @@ EXPECTED_SHA256 = {
 }
 
 FIXTURE_NAMES = tuple(sorted(EXPECTED_SHA256))
-
-
-class FixtureMismatchError(AssertionError):
-    pass
 
 
 class PrintedEquation(NamedTuple):
@@ -71,7 +68,7 @@ def load(name: str) -> Fixture:
     ).read_text(encoding="utf-8")
     digest = hashlib.sha256(text.encode()).hexdigest()
     if digest != EXPECTED_SHA256[name]:
-        raise FixtureMismatchError(
+        raise MathError(
             f"fixture file {name} hash {digest} != expected"
         )
     obj = json.loads(text)
@@ -102,7 +99,7 @@ def _match_printed(raws, printed) -> tuple[str, list[Fraction]]:
     """Per-equation scalar match of the raw triples, by equation index,
     against the transcribed display, trying both readings of the display."""
     if not printed:
-        raise FixtureMismatchError("no printed equations to match")
+        raise MathError("no printed equations to match")
     failures = []
     for reading, eps in (("algebraic-lhs", -1), ("verbatim-lhs", +1)):
         scalars: list[Fraction] = []
@@ -116,7 +113,7 @@ def _match_printed(raws, printed) -> tuple[str, list[Fraction]]:
             scalars.append(lam)
         else:
             return reading, scalars
-    raise FixtureMismatchError(
+    raise MathError(
         f"printed-system match failed: {'; '.join(failures)}")
 
 
@@ -132,9 +129,9 @@ def verify(fixture: Fixture) -> FixtureReport:
         system = build_fiber(cfg)
         smooth = smooth_at(system, ProjPoint([p.y for p in points]))
     except ValueError as exc:
-        raise FixtureMismatchError(str(exc)) from exc
+        raise MathError(str(exc)) from exc
     if not smooth:
-        raise FixtureMismatchError("Jacobian rank deficient at the point")
+        raise MathError("Jacobian rank deficient at the point")
     checks = [
         ("membership", f"all {len(points)} points on the curve"),
         ("config", f"n = {cfg.n}, admissible"),
@@ -145,7 +142,7 @@ def verify(fixture: Fixture) -> FixtureReport:
 
     genus = fiber_genus(curve.s, cfg.n)
     if genus != fixture.expected_genus_fiber:
-        raise FixtureMismatchError(
+        raise MathError(
             f"fiber genus {genus} != expected {fixture.expected_genus_fiber}"
         )
     checks.append(("fiber_genus", str(genus)))
@@ -164,14 +161,14 @@ def verify(fixture: Fixture) -> FixtureReport:
         elif raw_c == -fixture.expected_c:
             relation = "C == -c"
         else:
-            raise FixtureMismatchError(
+            raise MathError(
                 f"shared cofactor {raw_c} is neither c nor -c"
             )
         checks.append(("shared_constant", relation))
 
     a, b = solve_ab(curve.r, curve.s, points[0], points[1])
     if (a, b) != (curve.a, curve.b):
-        raise FixtureMismatchError(
+        raise MathError(
             f"solve_ab returned ({a}, {b}), expected ({curve.a}, {curve.b})"
         )
     checks.append(("solve_ab", "recovered (a, b) exactly"))

@@ -255,6 +255,9 @@ def argvs() -> list[list[str]]:
          "--scale", "0"],
         ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}',
          "--scale", "x"],
+        # on the fiber, but the lift degenerates to (a, b) = (0, 1)
+        ["lift", "--config", '{"r":1,"s":2,"alphas":["1","4","9"]}',
+         "--point", '{"coords":["1","2","3"]}'],
     ]
     for payload in MALFORMED_PAYLOADS:
         out += [
@@ -300,7 +303,8 @@ def argvs() -> list[list[str]]:
         out += [args, args + ["--full"]]
     out += [["trivial-points", "--r", "0", "--s", "2", "--n", "2"],
             ["trivial-points", "--r", "2", "--s", "1", "--n", "2"],
-            ["trivial-points", "--r", "31", "--s", "2", "--n", "2"]]
+            ["trivial-points", "--r", "31", "--s", "2", "--n", "2"],
+            ["trivial-points", "--r", "1", "--s", "2", "--n", "500000"]]
     out += _solve_ab_argvs(rng)
     for s, n in ((2, 2), (2, 3), (3, 2), (3, 5), (7, 40), (2, 1), (1, 3)):
         out.append(["classify", "--s", str(s), "--n", str(n)])

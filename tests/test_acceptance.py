@@ -10,6 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction as F
+from math import lcm
 
 from planting import plant_curves, plant_search_instances
 
@@ -22,6 +23,7 @@ from fibercurve.fiber import (
     ProjPoint,
     build_fiber,
     det_form,
+    exponent_tuples,
     fiber_genus,
     jacobian_matrix,
     on_fiber,
@@ -188,15 +190,56 @@ def test_criterion_6_conic_enumeration():
         ]
 
 
+# two primes p = 1 mod 6, so that every lcm(r, s) of criterion 7 divides p - 1
+PRIMES_1_MOD_6 = (1000000009, 1000000021)
+
+
+def element_of_order(d: int, p: int) -> int:
+    """An element of order exactly d in the integers mod p, for d | p - 1."""
+    for h in range(2, p):
+        g = pow(h, (p - 1) // d, p)
+        if all(pow(g, d // q, p) != 1 for q in range(2, d + 1) if d % q == 0):
+            return g
+    raise AssertionError(f"no element of order {d} mod {p}")
+
+
+def nonvanishing_mod_p(r: int, s: int, n: int, count: int, p: int) -> list:
+    """(i, X-exponents, Y-exponents) of every form A_i Y_0^s + B_i Y_1^s +
+    C_i Y_i^s that is not 0 mod p at the first ``count`` exponent pairs,
+    with zeta_r and zeta_s read as powers of one element of order
+    lcm(r, s).  A form that vanishes in Q(zeta_d) vanishes mod p."""
+    d = lcm(r, s)
+    g = element_of_order(d, p)
+    bad = []
+    for jt, it in exponent_tuples(r, s, n, count):
+        X = [pow(g, (d // r) * j, p) for j in jt]
+        Xr = [pow(x, r, p) for x in X]
+        Ys = [pow(g, (d // s) * i * s, p) for i in it]
+        for i in range(2, n + 1):
+            A = X[1] * X[i] * (Xr[i] - Xr[1])
+            B = X[0] * X[i] * (Xr[0] - Xr[i])
+            C = X[0] * X[1] * (Xr[1] - Xr[0])
+            if (A * Ys[0] + B * Ys[1] + C * Ys[i]) % p:
+                bad.append((i, jt, it))
+    return bad
+
+
 def test_criterion_7_trivial_point_certificates():
     with criterion("7 trivial-point certificates", 30):
         for r, s in ((2, 2), (3, 2), (2, 3), (3, 3)):
             for n in (2, 3, 4):
-                obj = certificate_to_obj(trivial_points(r, s, n))
+                cert = trivial_points(r, s, n)
+                obj = certificate_to_obj(cert)
                 expected = r ** (n + 1) * s ** (n + 1)
                 assert obj["total_space"] == expected
                 assert obj["verified_count"] == expected
                 assert not obj["sampled"]
+                # the claim itself, checked without the cyclotomic ring
+                for p in PRIMES_1_MOD_6:
+                    bad = nonvanishing_mod_p(r, s, n, cert.verified_count, p)
+                    assert not bad, (
+                        f"({r}, {s}, {n}) mod {p}: {len(bad)} nonzero "
+                        f"values, first {bad[0]}")
 
 
 def test_criterion_8_search_soundness_completeness():

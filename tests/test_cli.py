@@ -1125,28 +1125,17 @@ def test_search_ab_large_prime_s_and_a_fractional_alpha(capsys):
     assert elapsed < 3
 
 
-# every exception class a fibercurve module defines, and the exit code
-# the failure table gives it
-FAILURE_EXIT_CODES = {
-    "fibercurve.birat.LiftObstruction": EXIT_MATH,
-    "fibercurve.birat.NoFiberPoint": EXIT_MATH,
-    "fibercurve.birat.SingularSystemError": EXIT_MATH,
-    "fibercurve.cli.UsageError": EXIT_USAGE,
-    "fibercurve.config.InvalidConfigError": EXIT_MATH,
-    "fibercurve.conic.NoRationalPointError": EXIT_MATH,
-    "fibercurve.fiber.CapExceeded": EXIT_MATH,
-    "fibercurve.fixtures.FixtureMismatchError": EXIT_MATH,
-}
-
-
-def test_failure_table_has_one_row_per_exception_class():
+def test_every_package_exception_is_a_math_error_at_exit_1():
+    # a usage error is a ValueError; the package defines only the type of
+    # a failed construction, and the failure table sends each to exit 1
     found = {}
     for info in pkgutil.iter_modules(fibercurve.__path__):
         module = importlib.import_module(f"fibercurve.{info.name}")
         for obj in vars(module).values():
             if (isinstance(obj, type) and issubclass(obj, BaseException)
                     and obj.__module__ == module.__name__):
-                found[f"{obj.__module__}.{obj.__qualname__}"] = next(
-                    (code for types, code, _ in cli._FAILURES
-                     if issubclass(obj, types)), None)
-    assert found == FAILURE_EXIT_CODES
+                found[obj] = next(code for types, code, _ in cli._FAILURES
+                                  if issubclass(obj, types))
+    assert config.MathError in found
+    assert all(issubclass(cls, config.MathError) for cls in found), found
+    assert set(found.values()) == {EXIT_MATH}

@@ -1,17 +1,19 @@
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
-from fibercurve import conic
+from fibercurve import cli, conic
 from fibercurve.arith import format_rational
 from fibercurve.birat import LiftObstruction, from_fiber_point
-from fibercurve.config import InvalidConfigError, validate
+from fibercurve.config import InvalidConfigError, MathError, validate
 from fibercurve.conic import (
-    NoRationalPointError,
     _directions,
     _half_shell,
     enumerate_curves,
@@ -291,8 +293,24 @@ class TestEnumerateCurves:
         assert enumerate_curves(CFG123, 0, 20) == []
 
     def test_unsolvable_config_fails_loudly(self):
-        with pytest.raises(NoRationalPointError):
+        with pytest.raises(MathError, match="no rational point of height <= 30"):
             enumerate_curves(CFG_DEFINITE, 3, 30)
+
+    def test_exhausted_directions_fail_loudly(self, monkeypatch):
+        # every direction gives the base point back, so only its lift counts
+        monkeypatch.setattr(conic, "parametrize", lambda system, base, t: base)
+        message = "exhausted 144 directions with only 1 distinct curves"
+        with pytest.raises(MathError) as caught:
+            enumerate_curves(CFG123, 3, 20)
+        assert str(caught.value) == message
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["conic-enumerate", "--config",
+                             '{"r":2,"s":2,"alphas":["1","2","3"]}',
+                             "--count", "3", "--height", "20"])
+        assert code == cli.EXIT_MATH
+        assert json.loads(err.getvalue()) == {"error": "math", "message": message}
 
     def test_deterministic(self):
         first = enumerate_curves(CFG123, 12, 20)

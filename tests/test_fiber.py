@@ -8,9 +8,8 @@ from planting import plant_curves
 
 from fibercurve import fiber, fixtures, jsonio
 from fibercurve.birat import to_fiber_point
-from fibercurve.config import validate, violations
+from fibercurve.config import MathError, validate, violations
 from fibercurve.fiber import (
-    CapExceeded,
     MembershipReport,
     ProjPoint,
     TrivialPointCertificate,
@@ -470,14 +469,14 @@ class TestTrivialPoints:
                 trivial_points(2, s, 2)
 
     def test_order_cap_refusal(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(MathError, match="cyclotomic order 62 exceeds the cap 30"):
             trivial_points(31, 2, 2)
 
     def test_coordinate_cap_refusal(self, monkeypatch):
         # a tuple of COORD_CAP coordinates is still listed, one more is not
         monkeypatch.setattr(fiber, "COORD_CAP", 100)
         assert trivial_points(1, 2, 99).verified_count == 1
-        with pytest.raises(CapExceeded, match="101 coordinates per tuple"):
+        with pytest.raises(MathError, match="101 coordinates per tuple"):
             trivial_points(1, 2, 100)
 
     def test_tuple_cap_sampling_is_flagged(self, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from fibercurve import fixtures
 from fibercurve.birat import CurveWithPoints
+from fibercurve.config import MathError
 from fibercurve.family import FamilyCurve
 
 
@@ -61,7 +62,7 @@ class TestVerify:
         corrupted = fx._replace(
             cwp=CurveWithPoints(curve=bad_curve, points=fx.cwp.points)
         )
-        with pytest.raises(fixtures.FixtureMismatchError, match="point 0"):
+        with pytest.raises(MathError, match="point 0"):
             fixtures.verify(corrupted)
 
     def test_corrupted_printed_equation_names_index(self):
@@ -69,9 +70,7 @@ class TestVerify:
         printed = list(fx.printed_equations)
         printed[3] = printed[3]._replace(rhs0=printed[3].rhs0 + 1)
         corrupted = fx._replace(printed_equations=tuple(printed))
-        with pytest.raises(
-            fixtures.FixtureMismatchError, match="equation 5"
-        ):
+        with pytest.raises(MathError, match="equation 5"):
             fixtures.verify(corrupted)
 
     def test_printed_triple_with_a_zero_entry_has_no_scalar(self):
@@ -80,7 +79,7 @@ class TestVerify:
         printed = list(fx.printed_equations)
         printed[0] = printed[0]._replace(lhs=F(0))
         corrupted = fx._replace(printed_equations=tuple(printed))
-        with pytest.raises(fixtures.FixtureMismatchError) as caught:
+        with pytest.raises(MathError) as caught:
             fixtures.verify(corrupted)
         assert str(caught.value) == (
             "printed-system match failed: "
@@ -89,7 +88,7 @@ class TestVerify:
 
     def test_hash_pinning(self, tmp_path, monkeypatch):
         monkeypatch.setitem(fixtures.EXPECTED_SHA256, "watkins14", "0" * 64)
-        with pytest.raises(fixtures.FixtureMismatchError, match="hash"):
+        with pytest.raises(MathError, match="hash"):
             fixtures.load("watkins14")
 
 
@@ -98,7 +97,7 @@ class TestVerifyMismatches:
     on ``watkins14`` by one changed field or one replaced helper."""
 
     def fails(self, fixture):
-        with pytest.raises(fixtures.FixtureMismatchError) as caught:
+        with pytest.raises(MathError) as caught:
             fixtures.verify(fixture)
         return str(caught.value)
 
