@@ -52,15 +52,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(p, q)
 
 
-def parse_integer(text: str) -> int:
-    """Parse what ``parse_rational`` accepts without a "/": [-]digits."""
-    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
-    if match is None or match[3] is not None:
-        raise ValueError(f"expected an integer string, got {shown(text)}")
-    sign, num, _ = match.groups()
-    return -int(num) if sign else int(num)
-
-
 def int_text(value: int) -> str:
     """``str(value)`` in subquadratic time, where ``str`` is quadratic: past
     8192 bits, the halves of the binary expansion join exactly in decimal."""

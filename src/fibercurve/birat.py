@@ -22,11 +22,14 @@ gives a = (t_0 - t_1) d_0^r d_1^r / den and b = (t_1 P_0 - t_0 P_1) / den,
 so a and b are the only Fractions built.  The normative contract is the
 round trip: both defining points land back on the returned curve, exactly.
 A lift re-checks every point with ``family.contains``, which also compares
-integers.
+integers.  A fiber point that does not lift is an obstruction: a
+``MathError`` whose message is the JSON object {"obstruction": reason,
+"index": i}, with i the failing coordinate or null.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,17 +37,6 @@ from . import config as config_mod
 from .config import Config, MathError
 from .family import AffinePoint, FamilyCurve, contains
 from .fiber import FiberSystem, ProjPoint, build_fiber, on_fiber
-
-
-class LiftObstruction(MathError):
-    """A fiber point that does not lift to a smooth curve with the
-    requested scale; ``index`` names the failing coordinate when one
-    coordinate is responsible."""
-
-    def __init__(self, reason: str, index: int | None = None):
-        self.index = index
-        self.reason = reason
-        super().__init__(reason if index is None else f"Y_{index}: {reason}")
 
 
 class CurveWithPoints(NamedTuple):
@@ -90,6 +82,10 @@ def solve_ab(
     return a, Fraction(t1 * P0 - t0 * P1, den)
 
 
+def _obstruction(reason: str, index: int | None) -> MathError:
+    return MathError(json.dumps({"obstruction": reason, "index": index}))
+
+
 def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
     """[y_0 : ... : y_n] in canonical normalization; always on the fiber.
 
@@ -116,20 +112,19 @@ def from_fiber_point(
     Fraction(u Y_i, v) for an int or Fraction scale = u/v, taken as given;
     the default scale 1/Y_0 normalizes y_0 = 1.  Because fiber membership
     is degree-s homogeneous, changing the scale moves (a, b) by an s-th
-    power.  Raises LiftObstruction when the point is off the fiber, when
-    Y_0 = 0 and no explicit scale was given, or when the lifted curve
-    degenerates (a = 0 or b = 0).
+    power.  Raises an obstruction (see the module docstring) when the point
+    is off the fiber, when Y_0 = 0 and no explicit scale was given, or when
+    the lifted curve degenerates (a = 0 or b = 0).
     """
     config = system.config
     report = on_fiber(system, point)
     if not report.ok:
         bad = next(i for i, res in report.residues if res != 0)
-        raise LiftObstruction("point is not on the fiber", index=bad)
+        raise _obstruction("point is not on the fiber", bad)
     if scale is None:
         if point[0] == 0:
-            raise LiftObstruction(
-                "Y_0 = 0: default normalization undefined, pass a scale",
-                index=0)
+            raise _obstruction(
+                "Y_0 = 0: default normalization undefined, pass a scale", 0)
         u, v = 1, point[0]
     elif scale == 0:
         raise ValueError("scale must be nonzero")
@@ -140,13 +135,11 @@ def from_fiber_point(
     p1 = AffinePoint(config.alphas[1], ys[1])
     a, b = solve_ab(config.r, config.s, p0, p1)
     if a == 0 or b == 0:
-        raise LiftObstruction(
-            f"lifted parameters degenerate: (a, b) = ({a}, {b})"
-        )
+        raise _obstruction(
+            f"lifted parameters degenerate: (a, b) = ({a}, {b})", None)
     curve = FamilyCurve(r=config.r, s=config.s, a=a, b=b)
     points = [AffinePoint(alpha, y) for alpha, y in zip(config.alphas, ys)]
     for idx, p in enumerate(points):
         if not contains(curve, p):
-            raise LiftObstruction("coordinate inconsistent with the curve",
-                                  index=idx)
+            raise _obstruction("coordinate inconsistent with the curve", idx)
     return CurveWithPoints(curve=curve, points=tuple(points))

@@ -18,7 +18,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import arith, birat, conic, family, fiber, fixtures, jsonio, search
-from .arith import format_rational, parse_integer, parse_rational, shown
+from .arith import format_rational, parse_rational, shown
 from .config import InvalidConfigError, MathError, classify
 
 EXIT_OK = 0
@@ -48,14 +48,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _integer(text: str) -> int:
-    """The type of every integer flag: ``parse_integer``, rejecting as
-    argparse rejects a text that ``int`` cannot read."""
-    try:
-        return parse_integer(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {shown(text)}"
-        ) from None
+    """The type of every integer flag: what ``parse_rational`` reads without
+    its "/".  Any other text is rejected as argparse rejects a bad int."""
+    if "/" not in text:
+        try:
+            return int(parse_rational(text))
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}")
 
 
 def _is_literal(value: str) -> bool:
@@ -352,13 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Checked in order: MathError and its two subclasses with their own
-# messages are ValueErrors, and every other ValueError is a usage error.
+# Checked in order: MathError and its subclass InvalidConfigError are
+# ValueErrors, and every other ValueError is a usage error.
 _FAILURES = (
     (InvalidConfigError, EXIT_MATH,
      lambda exc: json.dumps({"valid": False, "violations": exc.problems})),
-    (birat.LiftObstruction, EXIT_MATH,
-     lambda exc: json.dumps({"obstruction": exc.reason, "index": exc.index})),
     (MathError, EXIT_MATH, str),
     (MemoryError, EXIT_MATH,
      lambda exc: "out of memory: the input needs more than is available"),

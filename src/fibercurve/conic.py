@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt
 
-from .birat import CurveWithPoints, LiftObstruction, from_fiber_point
+from .birat import CurveWithPoints, from_fiber_point
 from .config import Config, MathError
 from .fiber import FiberSystem, ProjPoint, build_fiber
 
@@ -140,7 +140,7 @@ def enumerate_curves(
         seen.add(key)
         try:
             results.append(from_fiber_point(system, point, scale=1))
-        except LiftObstruction:
+        except MathError:  # a = 0 or b = 0, the one obstruction at scale 1
             pass
     if len(results) < count:
         raise MathError(

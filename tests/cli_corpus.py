@@ -88,6 +88,9 @@ MALFORMED_PAYLOADS = (
     "/nonexistent/config.json",
 )
 BAD_TEXT = ("1/0", "abc", "", "--1", "1_0", "٣", "+3", "-2")
+# texts a rational reads that an integer flag reads only without a "/":
+# reducible rationals, padding and the unicode minus
+INTEGER_TEXT = ("3/1", "4/2", "-4/2", " 03 ", "−3")
 # search-ab configs with alphas of both signs: odd s, where a hit (u, v, w)
 # comes with its mirror (-u, -v, w), and even s with odd r, where a
 # negative alpha has p^r < 0
@@ -317,6 +320,7 @@ def argvs() -> list[list[str]]:
         out += [["fixtures", name], ["fixtures", name, "--verify"]]
     # every integer and rational flag, each the last argument of its argv
     lift_head = ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}']
+    integer_argvs = []
     for head in (["fiber-genus", "--s", "2", "--n"],
                  ["fiber-genus", "--n", "3", "--s"],
                  ["gonality-bound", "--n", "3", "--s"],
@@ -338,6 +342,9 @@ def argvs() -> list[list[str]]:
                  ["trivial-points", "--r", "1", "--n", "2", "--s"],
                  lift_head + ["--scale"]):
         out += [head + [text] for text in BAD_TEXT]
+        if head[-1] not in ("--p0", "--p1", "--scale"):
+            integer_argvs += [head + [text] for text in INTEGER_TEXT]
+    out += integer_argvs
     out += [[], ["nope"], ["validate"], ["push", "--input"],
             ["fiber-genus", "--s", "2", "--n", "3", "--extra"]]
     return out

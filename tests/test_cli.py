@@ -17,7 +17,7 @@ import pytest
 
 import fibercurve
 from fibercurve import cli, config, fiber, jsonio
-from fibercurve.birat import CurveWithPoints
+from fibercurve.birat import CurveWithPoints, from_fiber_point
 from fibercurve.cli import (
     EXIT_MATH,
     EXIT_OK,
@@ -681,6 +681,22 @@ class TestCorrespondenceVerbs:
         assert code == EXIT_MATH
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("r, alphas, coords", [
+        (2, [1, 2, 3], [1, 1, 1]),  # off the fiber, at index 1
+        (2, [1, 2, 3], [0, 1, 2]),  # Y_0 = 0 and no scale
+        (1, [1, 4, 9], [1, 2, 3]),  # (a, b) = (0, 1)
+    ], ids=["off-fiber", "y0-zero", "degenerate"])
+    def test_lift_obstruction_message_is_the_library_message(
+            self, capsys, r, alphas, coords):
+        system = build_fiber(validate(r, 2, [F(x) for x in alphas]))
+        with pytest.raises(config.MathError) as info:
+            from_fiber_point(system, ProjPoint(coords))
+        cfg = json.dumps({"r": r, "s": 2, "alphas": [str(x) for x in alphas]})
+        point = json.dumps({"coords": [str(y) for y in coords]})
+        code, out, err = run(capsys, "lift", "--config", cfg, "--point", point)
+        assert (code, out) == (EXIT_MATH, "")
+        assert json.loads(err) == {"error": "math", "message": str(info.value)}
+
 
 class TestRepeatedCalls:
     """``main`` reuses one parser per process; a run of verbs in one
@@ -1136,6 +1152,6 @@ def test_every_package_exception_is_a_math_error_at_exit_1():
                     and obj.__module__ == module.__name__):
                 found[obj] = next(code for types, code, _ in cli._FAILURES
                                   if issubclass(obj, types))
-    assert config.MathError in found
+    assert set(found) == {config.MathError, config.InvalidConfigError}, found
     assert all(issubclass(cls, config.MathError) for cls in found), found
     assert set(found.values()) == {EXIT_MATH}

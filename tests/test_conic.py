@@ -11,7 +11,7 @@ import pytest
 
 from fibercurve import cli, conic
 from fibercurve.arith import format_rational
-from fibercurve.birat import LiftObstruction, from_fiber_point
+from fibercurve.birat import from_fiber_point
 from fibercurve.config import InvalidConfigError, MathError, validate
 from fibercurve.conic import (
     _directions,
@@ -213,7 +213,7 @@ def lift_every_point(cfg, count, height):
             break
         try:
             cwp = from_fiber_point(system, point, scale=F(1))
-        except LiftObstruction:
+        except MathError:
             obstructed += 1
             continue
         if (cwp.curve.a, cwp.curve.b) not in seen:
@@ -251,7 +251,7 @@ class TestEnumerateCurves:
             try:
                 from_fiber_point(system, point, scale=F(1))
                 emitted += 1
-            except LiftObstruction:
+            except MathError:
                 pass
         calls = []
 
