@@ -21,8 +21,8 @@ Cramer's rule over the one common denominator
 gives a = (t_0 - t_1) d_0^r d_1^r / den and b = (t_1 P_0 - t_0 P_1) / den,
 so a and b are the only Fractions built.  The normative contract is the
 round trip: both defining points land back on the returned curve, exactly.
-A lift re-checks every point with ``family.contains``, which also compares
-integers.  A fiber point that does not lift is an obstruction: a
+Each direction checks only its input; its docstring says why the output
+needs no check.  A fiber point that does not lift is an obstruction: a
 ``MathError`` whose message is the JSON object {"obstruction": reason,
 "index": i}, with i the failing coordinate or null.
 """
@@ -36,7 +36,7 @@ from typing import NamedTuple
 from . import config as config_mod
 from .config import Config, MathError
 from .family import AffinePoint, FamilyCurve, contains
-from .fiber import FiberSystem, ProjPoint, build_fiber, on_fiber
+from .fiber import FiberSystem, ProjPoint, on_fiber
 
 
 class CurveWithPoints(NamedTuple):
@@ -87,17 +87,16 @@ def _obstruction(reason: str, index: int | None) -> MathError:
 
 
 def to_fiber_point(cwp: CurveWithPoints) -> ProjPoint:
-    """[y_0 : ... : y_n] in canonical normalization; always on the fiber.
-
-    Raises MathError for a point off the curve or every y zero."""
-    system = build_fiber(cwp.verify())
-    try:
-        point = ProjPoint([p.y for p in cwp.points])
-    except ValueError as exc:  # every y is zero, so a = b = 0
-        raise MathError(str(exc)) from None
-    if not on_fiber(system, point).ok:
-        raise AssertionError("curve points did not land on the fiber")
-    return point
+    """[y_0 : ... : y_n] in canonical normalization, on the fiber by the
+    determinant identity in ``fiber``.  Raises MathError for a point off
+    the curve, or for a = 0 or b = 0; with ab != 0 some y is nonzero, since
+    y_0 = y_1 = 0 would give x_0^r = x_1^r = -b/a, which is inadmissible."""
+    if cwp.verify().n < 2:
+        raise ValueError("fiber systems need n >= 2")
+    a, b = cwp.curve.a, cwp.curve.b
+    if a == 0 or b == 0:
+        raise MathError(f"singular member: (a, b) = ({a}, {b}), need ab != 0")
+    return ProjPoint([p.y for p in cwp.points])
 
 
 def from_fiber_point(
@@ -114,7 +113,9 @@ def from_fiber_point(
     is degree-s homogeneous, changing the scale moves (a, b) by an s-th
     power.  Raises an obstruction (see the module docstring) when the point
     is off the fiber, when Y_0 = 0 and no explicit scale was given, or when
-    the lifted curve degenerates (a = 0 or b = 0).
+    the lifted curve degenerates (a = 0 or b = 0).  Cramer's rule puts
+    points 0 and 1 on the curve; fiber equation i, a nonzero multiple of
+    the determinant for (0, 1, i), puts point i on it.
     """
     config = system.config
     report = on_fiber(system, point)
@@ -131,15 +132,9 @@ def from_fiber_point(
     else:
         u, v = scale.numerator, scale.denominator
     ys = [Fraction(u * c, v) for c in point.coords]
-    p0 = AffinePoint(config.alphas[0], ys[0])
-    p1 = AffinePoint(config.alphas[1], ys[1])
-    a, b = solve_ab(config.r, config.s, p0, p1)
+    points = tuple(map(AffinePoint, config.alphas, ys))
+    a, b = solve_ab(config.r, config.s, points[0], points[1])
     if a == 0 or b == 0:
         raise _obstruction(
             f"lifted parameters degenerate: (a, b) = ({a}, {b})", None)
-    curve = FamilyCurve(r=config.r, s=config.s, a=a, b=b)
-    points = [AffinePoint(alpha, y) for alpha, y in zip(config.alphas, ys)]
-    for idx, p in enumerate(points):
-        if not contains(curve, p):
-            raise _obstruction("coordinate inconsistent with the curve", idx)
-    return CurveWithPoints(curve=curve, points=tuple(points))
+    return CurveWithPoints(FamilyCurve(config.r, config.s, a, b), points)

@@ -49,7 +49,4 @@ def family_genus(r: int, s: int) -> int:
     """
     if r < 1 or s < 2:
         raise ValueError("need r >= 1 and s >= 2")
-    numerator = r * (s - 1) + 1 - gcd(s, r + 1)
-    if numerator % 2 != 0:
-        raise AssertionError("genus formula produced an odd numerator")
-    return numerator // 2
+    return (r * (s - 1) + 1 - gcd(s, r + 1)) // 2

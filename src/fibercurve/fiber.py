@@ -224,10 +224,7 @@ def fiber_genus(s: int, n: int) -> int:
     """
     if n < 2 or s < 2:
         raise ValueError("need n >= 2 and s >= 2")
-    numerator = s ** (n - 1) * ((n - 1) * s - n - 1)
-    if numerator % 2 != 0:
-        raise AssertionError("canonical degree is odd")
-    return 1 + numerator // 2
+    return 1 + s ** (n - 1) * ((n - 1) * s - n - 1) // 2
 
 
 def gonality_lower_bound(s: int, n: int) -> int:

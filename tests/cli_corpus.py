@@ -247,6 +247,11 @@ def argvs() -> list[list[str]]:
          '[{"x":"1","y":"2"},{"x":"3","y":"6"}]}'],
         ["push", "--input", '{"curve":{"r":2,"s":2,"a":"0","b":"0"},"points":'
          '[{"x":"1","y":"0"},{"x":"2","y":"0"},{"x":"3","y":"0"}]}'],
+        # singular members: y^2 = x has (a, b) = (0, 1), y^2 = x^3 has (1, 0)
+        ["push", "--input", '{"curve":{"r":1,"s":2,"a":"0","b":"1"},"points":'
+         '[{"x":"1","y":"1"},{"x":"4","y":"2"},{"x":"9","y":"3"}]}'],
+        ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"0"},"points":'
+         '[{"x":"1","y":"1"},{"x":"4","y":"8"},{"x":"9","y":"27"}]}'],
         ["fiber-verify", "--config", CFG123, "--point", '{"coords":["1","2"]}'],
         ["lift", "--config", CFG123, "--point", '{"coords":["1","2"]}'],
         ["fiber-verify", "--config", CFG123, "--point", '{"coords":["0","0","0"]}'],

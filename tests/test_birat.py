@@ -79,8 +79,24 @@ class TestToFiberPoint:
     def test_every_y_zero_has_no_fiber_point(self):
         cwp = CurveWithPoints(FamilyCurve(2, 2, F(0), F(0)), tuple(
             AffinePoint(F(x), F(0)) for x in (1, 2, 3)))
-        with pytest.raises(MathError, match="needs a nonzero coordinate"):
+        with pytest.raises(MathError, match=r"\(a, b\) = \(0, 0\)"):
             to_fiber_point(cwp)
+
+    def test_singular_member_is_refused_after_the_input_checks(self):
+        # y^2 = x has (1,1),(4,2),(9,3); y^2 = x^3 has (1,1),(4,8),(9,27)
+        for r, a, b, ys in ((1, 0, 1, (1, 2, 3)), (2, 1, 0, (1, 8, 27))):
+            points = tuple(AffinePoint(F(x), F(y))
+                           for x, y in zip((1, 4, 9), ys))
+            curve = FamilyCurve(r, 2, F(a), F(b))
+            with pytest.raises(MathError, match=(
+                    rf"singular member: \(a, b\) = \({a}, {b}\)")):
+                to_fiber_point(CurveWithPoints(curve, points))
+            # a point off the curve, then n < 2, are reported first
+            off = points[:2] + (AffinePoint(F(9), F(4)),)
+            with pytest.raises(MathError, match="point 2 is not on the curve"):
+                to_fiber_point(CurveWithPoints(curve, off))
+            with pytest.raises(ValueError, match="need n >= 2"):
+                to_fiber_point(CurveWithPoints(curve, points[:2]))
 
     def test_sign_flip_keeps_verdict(self):
         rng = random.Random(47)
@@ -160,8 +176,14 @@ class TestFromFiberPoint:
 
     def test_round_trip_recovers_parameters(self):
         rng = random.Random(53)
-        for cwp in plant_curves(rng, 25):
+        plants = plant_curves(
+            rng, 25, r_s_choices=((1, 2), (2, 2), (1, 3), (2, 3)))
+        assert {(c.curve.r, c.curve.s) for c in plants} == {
+            (1, 2), (2, 2), (1, 3), (2, 3)}
+        for cwp in plants:
             point = to_fiber_point(cwp)
+            # to_fiber_point does not check membership: the fiber is the oracle
+            assert on_fiber(build_fiber(cwp.verify()), point).ok
             # fix the projective scale from the first nonzero y-coordinate
             k = next(i for i, p in enumerate(cwp.points) if p.y != 0)
             lifted = from_fiber_point(

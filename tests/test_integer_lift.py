@@ -6,17 +6,20 @@ on the 2x2 system and the membership identity, each written as the
 definition reads.  The oracle reads each coordinate as a Fraction: on
 ints alone, ``/`` would give a float."""
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from fibercurve import birat, fixtures
+from planting import plant_curves
+
 from fibercurve.birat import from_fiber_point, solve_ab, to_fiber_point
-from fibercurve.config import MathError
+from fibercurve.config import MathError, validate
+from fibercurve.conic import _directions, find_base_point, parametrize
 from fibercurve.family import AffinePoint, FamilyCurve, contains
-from fibercurve.fiber import MembershipReport, ProjPoint, build_fiber
+from fibercurve.fiber import ProjPoint, build_fiber
 
 
 def fraction_solve_ab(r, s, p0, p1):
@@ -117,29 +120,38 @@ def test_singular_systems_are_still_refused():
                          AffinePoint(F(-3, 7), 2))
 
 
-@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
-def test_corrupted_lift_names_the_coordinate(monkeypatch, name):
-    # with the on-fiber check waved through, the membership re-check is the
-    # one that catches a corrupted coordinate, at the index the Fraction
-    # formulas name
-    cwp = fixtures.load(name).cwp
-    system = build_fiber(cwp.verify())
-    good = to_fiber_point(cwp).coords
-    monkeypatch.setattr(birat, "on_fiber",
-                        lambda system, point: MembershipReport(()))
-    config = system.config
-    for k in range(len(good)):
-        coords = list(good)
-        coords[k] += 1
-        point = ProjPoint(coords)
-        ys = [F(c, point[0]) for c in point.coords]
-        a, b = fraction_solve_ab(config.r, config.s,
-                                 AffinePoint(config.alphas[0], ys[0]),
-                                 AffinePoint(config.alphas[1], ys[1]))
-        curve = FamilyCurve(config.r, config.s, a, b)
-        expected = next(i for i, (x, y) in enumerate(zip(config.alphas, ys))
-                        if not fraction_contains(curve, AffinePoint(x, y)))
-        with pytest.raises(MathError, match="inconsistent") as info:
-            from_fiber_point(system, point)
-        assert json.loads(str(info.value))["index"] == expected
-        assert expected == (k if k >= 2 else 2)
+def fiber_points(rng):
+    """(system, point) pairs: the pushes of seeded planted curves, and the
+    base point and first pencil points of three conics."""
+    for cwp in plant_curves(rng, 16, r_s_choices=((1, 2), (2, 2), (1, 3),
+                                                   (2, 3))):
+        yield build_fiber(cwp.verify()), to_fiber_point(cwp)
+    for r, alphas in ((2, (1, 2, 3)), (1, (1, 2, 5)),
+                      (1, (F(1, 2), 3, F(-5, 3)))):
+        system = build_fiber(validate(r, 2, alphas))
+        base = find_base_point(system, 64)
+        yield system, base
+        for t in itertools.islice(_directions(), 30):
+            yield system, parametrize(system, base, t)
+
+
+def test_every_lifted_point_is_on_the_lifted_curve():
+    # the lift does not check its points on the curve it returns: Cramer's
+    # rule and the fiber equations put them there, and the Fraction
+    # identity confirms it at the default scale and at explicit ones
+    rng = random.Random(107)
+    lifted = refused = 0
+    for system, point in fiber_points(rng):
+        for scale in (None, 1, -1, F(-3, 2), F(5, 7), rational(rng)):
+            try:
+                cwp = from_fiber_point(system, point, scale)
+            except MathError as exc:  # Y_0 = 0, or a = 0 or b = 0
+                reason = json.loads(str(exc))["obstruction"]
+                assert reason.startswith(("Y_0 = 0", "lifted parameters"))
+                refused += 1
+                continue
+            assert [p.x for p in cwp.points] == list(system.config.alphas)
+            assert ProjPoint([p.y for p in cwp.points]) == point
+            assert all(fraction_contains(cwp.curve, p) for p in cwp.points)
+            lifted += 1
+    assert lifted > 500 and refused < lifted // 10
