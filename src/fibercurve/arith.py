@@ -2,10 +2,9 @@
 
 Everything downstream computes over arbitrary-precision rationals; the
 scalar type is ``fractions.Fraction`` (always lowest terms, positive
-denominator).  This module adds exact integer s-th roots, rational
-s-th-power testing, the "p/q" string codec used by all JSON interfaces,
-and arithmetic in the cyclotomic ring Q[x]/(Phi_d) needed for
-root-of-unity point verification.
+denominator).  This module adds exact s-th roots of integers, the "p/q"
+string codec used by all JSON interfaces, and arithmetic in the
+cyclotomic ring Q[x]/(Phi_d) needed for root-of-unity point verification.
 
 No floating point anywhere: results are bit-exact by construction.
 """
@@ -95,29 +94,13 @@ def integer_nth_root(m: int, s: int) -> int | None:
     return x if x**s == m else None
 
 
-def is_sth_power(q: Fraction, s: int) -> Fraction | None:
-    """Rational t with t**s == q, if one exists.
-
-    For even s the input must be nonnegative and the nonnegative root is
-    returned; for odd s the sign transfers to the root.  Numerator and
-    denominator are tested separately, which is sound because q is stored
-    in lowest terms.
-    """
-    if s < 2:
-        raise ValueError(f"exponent must be >= 2, got {s}")
-    q = Fraction(q)
-    if q < 0:
-        if s % 2 == 0:
-            return None
-        root = is_sth_power(-q, s)
-        return None if root is None else -root
-    num_root = integer_nth_root(q.numerator, s)
-    if num_root is None:
-        return None
-    den_root = integer_nth_root(q.denominator, s)
-    if den_root is None:
-        return None
-    return Fraction(num_root, den_root)
+def is_sth_power(m: int, s: int) -> int | None:
+    """Integer t with t**s == m, if one exists: for even s, m >= 0 and
+    t >= 0; for odd s, t takes the sign of m."""
+    root = integer_nth_root(abs(m), s)  # refuses s < 2 for every m
+    if m >= 0 or root is None:
+        return root
+    return None if s % 2 == 0 else -root
 
 
 # ---------------------------------------------------------------------------

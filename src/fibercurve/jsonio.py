@@ -36,8 +36,12 @@ def _typed(value, name: str, kind: type):
     return value
 
 
-def _field(obj: dict, key: str, kind: type):
-    return _typed(obj[key], key, kind)
+def _field(obj: dict, key: str, kind: type | None = None):
+    """``obj[key]``, of JSON type ``kind`` if one is given; a missing field
+    is a ValueError naming it."""
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    return obj[key] if kind is None else _typed(obj[key], key, kind)
 
 
 def curve_to_obj(curve: FamilyCurve) -> dict:
@@ -53,8 +57,8 @@ def curve_from_obj(obj: dict) -> FamilyCurve:
     return FamilyCurve(
         r=_field(obj, "r", int),
         s=_field(obj, "s", int),
-        a=parse_rational(obj["a"]),
-        b=parse_rational(obj["b"]),
+        a=parse_rational(_field(obj, "a")),
+        b=parse_rational(_field(obj, "b")),
     )
 
 
@@ -63,7 +67,7 @@ def point_to_obj(p: AffinePoint) -> dict:
 
 
 def point_from_obj(obj: dict) -> AffinePoint:
-    return AffinePoint(x=parse_rational(obj["x"]), y=parse_rational(obj["y"]))
+    return AffinePoint(*(parse_rational(_field(obj, k)) for k in "xy"))
 
 
 def config_to_obj(config: Config) -> dict:

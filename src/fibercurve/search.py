@@ -322,7 +322,7 @@ def _root_test(u, w, mask, H, s, exact, out) -> None:
             t = arith.is_sth_power(k * ws * (u * p_r + v * q_r), s)
             if t is None:
                 break
-            roots.append(t / (d * w))
+            roots.append(Fraction(t, d * w))
         else:
             out.append((u, v, w, tuple(roots)))
 

@@ -41,7 +41,9 @@ from pathlib import Path
 if __name__ == "__main__":  # run as a script: import the checkout's package
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from planting import plant_curves, plant_search_instances  # noqa: E402
+from fibercurve.family import FamilyCurve  # noqa: E402
+from planting import (brute_force_points, plant_curves,  # noqa: E402
+                      plant_search_instances)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 SEED = 12
@@ -87,6 +89,23 @@ MALFORMED_PAYLOADS = (
     '{"r":true,"s":2,"alphas":["1","2","3"]}',
     "/nonexistent/config.json",
 )
+# one payload without each field a reader takes: r, s, alphas, coords,
+# curve, points, a, b, x and y
+MISSING_FIELDS = (
+    ["validate", "--config", '{"s":2,"alphas":["1","2","3"]}'],
+    ["validate", "--config", '{"r":2,"alphas":["1","2","3"]}'],
+    ["validate", "--config", '{"r":2,"s":2}'],
+    ["fiber-verify", "--config", CFG123, "--point", '{"coord":["1","2","3"]}'],
+    ["push", "--input", '{"points":[]}'],
+    ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"3"}}'],
+    ["push", "--input", '{"curve":{"r":2,"s":2,"b":"3"},"points":[]}'],
+    ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1"},"points":[]}'],
+    ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"3"},"points":[{"y":"2"}]}'],
+    ["push", "--input", '{"curve":{"r":2,"s":2,"a":"1","b":"3"},"points":[{"x":"1"}]}'],
+)
+# members with a root, a c^r + b = 0, so (c, 0) is a point: fiber points
+# with Y_0, Y_1 or Y_2 zero
+ZERO_CURVES = ((2, 2, 2, -18), (1, 3, 1, -2), (2, 4, 2, -18))
 BAD_TEXT = ("1/0", "abc", "", "--1", "1_0", "٣", "+3", "-2")
 # texts a rational reads that an integer flag reads only without a "/":
 # reducible rationals, padding and the unicode minus
@@ -141,6 +160,20 @@ def _plant_argvs(rng: random.Random) -> list[list[str]]:
                 ["lift", "--config", config, "--point", point],
                 ["lift", "--config", config, "--point", point, "--scale", scale],
             ]
+    return argvs
+
+
+def _zero_argvs() -> list[list[str]]:
+    argvs = []
+    for r, s, a, b in ZERO_CURVES:
+        points = brute_force_points(FamilyCurve(r, s, Fraction(a), Fraction(b)), 20)
+        root = next(p for p in points if p.y == 0)
+        rest = [p for p in points if p is not root]
+        for k in range(3):
+            placed = rest[:k] + [root] + rest[k:]
+            config = json.dumps({"r": r, "s": s, "alphas": [fmt(p.x) for p in placed]})
+            point = json.dumps({"coords": [fmt(p.y) for p in placed]})
+            argvs.append(["fiber-verify", "--config", config, "--point", point])
     return argvs
 
 
@@ -267,6 +300,8 @@ def argvs() -> list[list[str]]:
         ["lift", "--config", '{"r":1,"s":2,"alphas":["1","4","9"]}',
          "--point", '{"coords":["1","2","3"]}'],
     ]
+    out += _zero_argvs()
+    out += MISSING_FIELDS
     for payload in MALFORMED_PAYLOADS:
         out += [
             ["push", "--input", payload],

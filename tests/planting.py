@@ -17,6 +17,20 @@ from fibercurve.birat import CurveWithPoints
 from fibercurve.family import AffinePoint, FamilyCurve, contains
 
 
+def rational_root(q, s: int) -> Fraction | None:
+    """Rational t with t**s == q, if one exists: the nonnegative root for
+    even s, the root of q's sign for odd s.  In lowest terms, q is an s-th
+    power exactly when its numerator and denominator are."""
+    q = Fraction(q)
+    if q < 0 and s % 2 == 0:
+        return None
+    num = integer_nth_root(abs(q.numerator), s)
+    den = integer_nth_root(q.denominator, s)
+    if num is None or den is None:
+        return None
+    return Fraction(num if q >= 0 else -num, den)
+
+
 def brute_force_points(
     curve: FamilyCurve, x_height: int = 50
 ) -> list[AffinePoint]:

@@ -59,35 +59,35 @@ class TestIntegerNthRoot:
 
 class TestIsSthPower:
     def test_square(self):
-        assert is_sth_power(F(4, 9), 2) == F(2, 3)
+        assert is_sth_power(49, 2) == 7
 
     def test_odd_sign_transfer(self):
-        assert is_sth_power(F(-8, 27), 3) == F(-2, 3)
+        assert is_sth_power(-27, 3) == -3
 
     def test_two_is_not_a_square(self):
-        assert is_sth_power(F(2), 2) is None
+        assert is_sth_power(2, 2) is None
 
     def test_negative_even_absent(self):
-        assert is_sth_power(F(-4), 2) is None
+        assert is_sth_power(-4, 2) is None
 
     def test_power_round_trip(self):
-        # q^s is always an s-th power; multiplying by a stray prime kills it
+        # t^s is always an s-th power; multiplying by a stray prime kills it
         rng = random.Random(11)
         prime = 101
         for _ in range(300):
-            q = F(rng.randint(-50, 50), rng.randint(1, 50))
-            if q == 0:
-                continue
+            t = rng.randint(-10**6, 10**6)
             for s in (2, 3, 4, 5):
-                root = is_sth_power(q**s, s)
-                expected = abs(q) if s % 2 == 0 else q
-                assert root == expected
-                assert is_sth_power(q**s * prime, s) is None
+                root = is_sth_power(t**s, s)
+                assert type(root) is int
+                assert root == (abs(t) if s % 2 == 0 else t)
+                if t:
+                    assert is_sth_power(t**s * prime, s) is None
 
-    def test_results_lowest_terms(self):
-        root = is_sth_power(F(36, 100), 2)
-        assert root == F(3, 5)
-        assert root.denominator > 0
+    def test_exponent_below_two_is_refused_for_every_m(self):
+        for m in (-8, -1, 0, 1, 4):
+            for s in (1, 0, -1, -2):
+                with pytest.raises(ValueError, match="exponent must be >= 2"):
+                    is_sth_power(m, s)
 
 
 class TestRationalCodec:

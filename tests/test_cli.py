@@ -1155,3 +1155,16 @@ def test_every_package_exception_is_a_math_error_at_exit_1():
     assert set(found) == {config.MathError, config.InvalidConfigError}, found
     assert all(issubclass(cls, config.MathError) for cls in found), found
     assert set(found.values()) == {EXIT_MATH}
+
+
+@pytest.mark.parametrize("exc", [TypeError("set is not JSON serializable"),
+                                 KeyError("a")])
+def test_only_a_value_error_is_a_usage_error(monkeypatch, exc):
+    # a missing field is a ValueError of the readers; any other TypeError
+    # or KeyError is a bug, which propagates instead of exiting 2
+    def broken(obj):
+        raise exc
+
+    monkeypatch.setattr(jsonio, "config_from_obj", broken)
+    with pytest.raises(type(exc)):
+        main(["validate", "--config", '{"r":2,"s":2,"alphas":["1","2","3"]}'])

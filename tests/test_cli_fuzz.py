@@ -149,7 +149,7 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
     if code == EXIT_MATH and argv[0] in VERIFICATION_KEYS and err == "":
         # a verification verb reports its failed check on stdout
         report = json.loads(out)
-        assert report[VERIFICATION_KEYS[argv[0]]] is False or not report["smooth"]
+        assert report[VERIFICATION_KEYS[argv[0]]] is False
         return
     assert out == ""
     lines = err.splitlines()

@@ -7,7 +7,7 @@ import pytest
 from planting import plant_curves
 
 from fibercurve import fiber, fixtures, jsonio
-from fibercurve.birat import to_fiber_point
+from fibercurve.birat import CurveWithPoints, to_fiber_point
 from fibercurve.config import MathError, validate, violations
 from fibercurve.fiber import (
     MembershipReport,
@@ -338,6 +338,34 @@ class TestSmoothAt:
         point = ProjPoint([p.y for p in fx.cwp.points])
         assert smooth_at(system, point)
         assert matrix_rank(jacobian_matrix(system, point)) == 5
+
+    def test_rank_is_n_minus_one_at_every_fiber_point(self):
+        # the theorem that fiber-verify states instead of computing a rank:
+        # on an admissible fiber, the Jacobian has rank n-1 at every point,
+        # Y_0 = 0 or one Y_i = 0 (i >= 2) included.  A point (c, 0) of a
+        # plant, a c^r + b = 0, is pushed as the first and as the last point
+        rng = random.Random(83)
+        r_s = ((1, 2), (2, 2), (1, 3), (2, 3))
+        seen = dict.fromkeys(r_s + ("y0", "yi"), 0)
+        for cwp in plant_curves(rng, 40, r_s_choices=r_s, x_height=12,
+                                max_points=6):
+            r, s = cwp.curve.r, cwp.curve.s
+            orders = [list(cwp.points)]
+            for k, root in enumerate(cwp.points):
+                if root.y == 0:
+                    rest = list(cwp.points[:k] + cwp.points[k + 1:])
+                    orders += [[root] + rest, rest + [root]]
+            for points in orders:
+                point = to_fiber_point(CurveWithPoints(cwp.curve, tuple(points)))
+                system = build_fiber(validate(r, s, [p.x for p in points]))
+                n = len(points) - 1
+                assert on_fiber(system, point).ok
+                assert jacobian_rank(system, point) == n - 1
+                assert matrix_rank(jacobian_matrix(system, point)) == n - 1
+                seen[r, s] += 1
+                seen["y0"] += point[0] == 0
+                seen["yi"] += point[2:].count(0) == 1
+        assert min(seen.values()) >= 5, seen
 
     def test_structural_rank_matches_dense_rank(self):
         # the dense Bareiss rank of the full Jacobian is the oracle

@@ -6,9 +6,8 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
-from planting import brute_force_points, plant_search_instances
+from planting import brute_force_points, plant_search_instances, rational_root
 
-from fibercurve.arith import is_sth_power
 from fibercurve.birat import solve_ab
 from fibercurve.config import validate, violations
 from fibercurve.family import AffinePoint, FamilyCurve, contains
@@ -22,7 +21,7 @@ PLANT13 = validate(2, 2, [F(1), F(3), F(12)])
 
 def fraction_scan(config, height):
     """The search box tested candidate by candidate with Fractions and
-    is_sth_power: (hits as (a, b, points) in canonical order, box size).
+    rational_root: (hits as (a, b, points) in canonical order, box size).
     The oracle for the integer sieve."""
     hits, space = [], 0
     for u in range(-height, height + 1):
@@ -33,7 +32,7 @@ def fraction_scan(config, height):
                 space += 1
                 a, b = F(u, w), F(v, w)
                 roots = [
-                    is_sth_power(alpha * (a * alpha**config.r + b), config.s)
+                    rational_root(alpha * (a * alpha**config.r + b), config.s)
                     for alpha in config.alphas
                 ]
                 if None not in roots:
@@ -141,7 +140,7 @@ def fiber_oracle(config, height):
     for y0 in range(bound0 + 1):
         for y1 in range(-bound1, bound1 + 1):
             if gcd(y0, y1) != 1 or any(
-                is_sth_power(F(-(eq.A * y0**s + eq.B * y1**s), eq.C), s) is None
+                rational_root(F(-(eq.A * y0**s + eq.B * y1**s), eq.C), s) is None
                 for eq in equations
             ):
                 continue
