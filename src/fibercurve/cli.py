@@ -206,8 +206,14 @@ def _cmd_lift(args) -> int:
 
 def _cmd_conic_enumerate(args) -> int:
     cfg = _load_config(args.config)
-    for cwp in conic.enumerate_curves(cfg, args.count, args.height):
-        print(json.dumps(jsonio.cwp_to_obj(cwp)))
+    curves = conic.enumerate_curves(cfg, args.count, args.height)
+    # one write per line, never one of the whole output: under
+    # PYTHONUNBUFFERED a write is one system call, a pipe whose reader has
+    # gone takes a long one in part and the text layer reports it whole,
+    # so the verb would exit 0 with its output cut; a short line is taken
+    # whole or refused with a BrokenPipeError
+    for line in jsonio.cwp_lines(cfg, curves):
+        sys.stdout.write(line)
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .arith import format_rational, parse_rational, shown
+from .arith import format_rational, int_text, parse_rational, shown
 from .birat import CurveWithPoints
 from .config import Config, validate
 from .family import AffinePoint, FamilyCurve
@@ -126,6 +126,21 @@ def cwp_from_obj(obj: dict) -> CurveWithPoints:
             for k, p in enumerate(_field(obj, "points", list))
         ),
     )
+
+
+def cwp_lines(config: Config, curves):
+    """Each of ``curves``, members through the x-coordinates of ``config``,
+    as a line: ``json.dumps(cwp_to_obj(cwp))`` byte for byte, then a
+    newline.  The parts that every such curve shares (r, s and each x) are
+    formatted once; a curve formats only its a, b and y values."""
+    r, s = int_text(config.r), int_text(config.s)
+    head = f'{{"curve": {{"r": {r}, "s": {s}, "a": "'
+    xs = [f'{{"x": "{format_rational(x)}", "y": "' for x in config.alphas]
+    for cwp in curves:
+        a, b = format_rational(cwp.curve.a), format_rational(cwp.curve.b)
+        points = '"}, '.join(
+            [x + format_rational(p.y) for x, p in zip(xs, cwp.points)])
+        yield f'{head}{a}", "b": "{b}"}}, "points": [{points}"}}]}}\n'
 
 
 def search_report_to_obj(report) -> dict:

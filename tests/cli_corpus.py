@@ -123,6 +123,15 @@ SEARCH_EVEN = (
     '{"r":3,"s":2,"alphas":["-1","-1/2","3/2"]}',
     '{"r":1,"s":4,"alphas":["-4","4","8"]}',
 )
+# conic-enumerate at r = 3 and 4 with signed and fractional alphas, so a
+# curve's a, b and y are fractions of either sign; -1/2, 3, 5/7 has no
+# base point of height <= 64 at either r
+CONIC_HIGH_R = tuple(
+    json.dumps({"r": r, "s": 2, "alphas": alphas})
+    for r, alphas in ((3, ["-1/2", "3", "5/7"]), (3, ["-1", "2", "1/3"]),
+                      (3, ["1", "2", "-3/4"]), (4, ["-1/2", "3", "5/7"]),
+                      (4, ["1", "-3/2", "2/3"]), (4, ["-1", "-2", "1/2"]))
+)
 
 
 def fmt(q) -> str:
@@ -331,6 +340,9 @@ def argvs() -> list[list[str]]:
     out += _search_argvs(rng)
     for config in CONIC_CONFIGS:
         for count in ("0", "1", "40"):
+            out.append(["conic-enumerate", "--config", config, "--count", count])
+    for config in CONIC_HIGH_R:
+        for count in ("1", "300"):
             out.append(["conic-enumerate", "--config", config, "--count", count])
     out += [
         ["conic-enumerate", "--config", CFG123, "--count", "5", "--height", "3"],

@@ -1061,6 +1061,46 @@ def test_stdout_closed_before_a_buffered_answer_is_written():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+# conic-enumerate writes each line with its own write.  Under
+# PYTHONUNBUFFERED stdout has no buffer: one write of the whole output
+# would be one system call, which a pipe whose reader has gone takes only
+# in part, and the text layer would report it whole, so the verb would
+# exit 0 with its output cut.  A short line is taken whole or refused.
+def _conic_env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return {**env, "PYTHONPATH": SRC}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_before_conic_enumerate_starts(unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibercurve.cli", "conic-enumerate",
+             "--config", CFG123, "--count", "2000"],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+            env=_conic_env(unbuffered),
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_unbuffered_stdout_closed_mid_stream_ends_conic_enumerate():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibercurve.cli", "conic-enumerate",
+         "--config", CFG123, "--count", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_conic_env(True),
+    )
+    assert json.loads(proc.stdout.readline())["curve"]["r"] == 2
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
 def test_trivial_points_refuses_n_past_the_coordinate_cap():
     # refused before anything of size n is made: under a 1 GiB address
     # space limit, where the tuple stream alone would ask for 16 GB

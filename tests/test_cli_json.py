@@ -1,14 +1,23 @@
 """The CLI's one indent-2 JSON writer writes what ``json.dumps(obj,
-indent=2)`` writes, for every type the program emits."""
+indent=2)`` writes, for every type the program emits, and the
+``conic-enumerate`` line writer writes what ``json.dumps`` writes of each
+curve."""
 
 import contextlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction as F
 
 import pytest
 
+from fibercurve import jsonio
+from fibercurve.birat import CurveWithPoints
 from fibercurve.cli import _emit, _json
+from fibercurve.config import MathError, validate
+from fibercurve.conic import enumerate_curves
+from fibercurve.family import AffinePoint, FamilyCurve
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -78,3 +87,43 @@ def test_ints_are_written_as_str_writes_them(bits):
         expected = [str(value) for value in values]
     with int_digit_limit(4300):
         assert [_json(value) for value in values] == expected
+
+
+def _dumped_lines(curves):
+    return [json.dumps(jsonio.cwp_to_obj(cwp)) + "\n" for cwp in curves]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_cwp_lines_write_the_bytes_of_json_dumps(r):
+    # seeded configs with alphas of both signs, most of them fractions;
+    # one without a base point of height <= 64 is drawn again
+    rng = random.Random(r)
+    written = 0
+    while written < 3:
+        alphas = [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+                  for _ in range(3)]
+        try:
+            config = validate(r, 2, alphas)
+            curves = enumerate_curves(config, 60, 64)
+        except MathError:
+            continue
+        assert list(jsonio.cwp_lines(config, curves)) == _dumped_lines(curves)
+        written += 1
+
+
+def test_cwp_lines_of_hand_built_curves():
+    # negative and fractional a, b, x and y, and numerators and
+    # denominators past 8192 bits, where int_text takes the decimal path
+    huge = (1 << 9000) + 12345
+    config = validate(3, 5, [F(-7, 3), F(huge, 11), F(2), F(-1, huge)])
+    values = [F(0), F(1), F(-1), F(-22, 7), F(huge), F(-huge, 3),
+              F(5, huge), F(-(huge * huge + 1), huge - 2)]
+    rng = random.Random(0)
+    curves = [
+        CurveWithPoints(
+            FamilyCurve(config.r, config.s, *rng.sample(values, 2)),
+            tuple(AffinePoint(x, rng.choice(values)) for x in config.alphas))
+        for _ in range(40)
+    ]
+    assert list(jsonio.cwp_lines(config, curves)) == _dumped_lines(curves)
+    assert list(jsonio.cwp_lines(config, [])) == []
