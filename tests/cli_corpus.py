@@ -134,6 +134,22 @@ CONIC_HIGH_R = tuple(
 )
 
 
+# lifts at integer scales, which give integer y values: "6/3" and " 5 "
+# read as 2 and 5, and Y_0 = 1 makes the default scale 1 too
+CFG125_TEXT = CONIC_CONFIGS[1]
+CFG149 = '{"r":1,"s":2,"alphas":["1","4","9"]}'
+INTEGER_LIFTS = (
+    (CFG123, '{"coords":["2","3","4"]}'),
+    (CFG_FRAC, '{"coords":["3","-18","10"]}'),
+    (CFG125_TEXT, '{"coords":["1","8","25"]}'),
+    (CFG149, '{"coords":["1","16","39"]}'),
+    # on the fiber, but b = 0 and a = 0 at every scale
+    (CFG125_TEXT, '{"coords":["1","-2","5"]}'),
+    (CFG149, '{"coords":["1","2","3"]}'),
+)
+INTEGER_SCALES = ("2", "6/3", " 5 ", "-1")
+
+
 def fmt(q) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -308,7 +324,12 @@ def argvs() -> list[list[str]]:
         # on the fiber, but the lift degenerates to (a, b) = (0, 1)
         ["lift", "--config", '{"r":1,"s":2,"alphas":["1","4","9"]}',
          "--point", '{"coords":["1","2","3"]}'],
+        ["lift", "--config", CFG123, "--point", '{"coords":["0","1","2"]}',
+         "--scale", "2"],
     ]
+    for config, point in INTEGER_LIFTS:
+        head = ["lift", "--config", config, "--point", point]
+        out += [head] + [head + ["--scale", text] for text in INTEGER_SCALES]
     out += _zero_argvs()
     out += MISSING_FIELDS
     for payload in MALFORMED_PAYLOADS:
@@ -344,6 +365,10 @@ def argvs() -> list[list[str]]:
     for config in CONIC_HIGH_R:
         for count in ("1", "300"):
             out.append(["conic-enumerate", "--config", config, "--count", count])
+    # the base point of 1, 2, 5 and its sign flips lift to b = 0, so the
+    # first curves come after obstructed lifts
+    for count in ("2", "3", "5"):
+        out.append(["conic-enumerate", "--config", CFG125_TEXT, "--count", count])
     out += [
         ["conic-enumerate", "--config", CFG123, "--count", "5", "--height", "3"],
         ["conic-enumerate", "--config", '{"r":2,"s":3,"alphas":["1","2","3"]}',
