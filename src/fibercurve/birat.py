@@ -22,9 +22,11 @@ gives a = (t_0 - t_1) d_0^r d_1^r / den and b = (t_1 P_0 - t_0 P_1) / den,
 so a and b are the only Fractions built.  The normative contract is the
 round trip: both defining points land back on the returned curve, exactly.
 Each direction checks only its input; its docstring says why the output
-needs no check.  A fiber point that does not lift is an obstruction: a
-``MathError`` whose message is the JSON object {"obstruction": reason,
-"index": i}, with i the failing coordinate or null.
+needs no check.  ``lift`` takes a point already proved on the fiber:
+``from_fiber_point`` proves it with ``on_fiber``, ``conic.enumerate_curves``
+by how it builds its points (see ``conic``).  A fiber point that does not
+lift is an obstruction: a ``MathError`` whose message is the JSON object
+{"obstruction": reason, "index": i}, with i the failing coordinate or null.
 """
 
 from __future__ import annotations
@@ -105,19 +107,13 @@ def from_fiber_point(
     scale: int | Fraction | None = None,
 ) -> CurveWithPoints:
     """Lift a point of the fiber ``system`` back to a curve with all n+1
-    points at the x-coordinates of ``system.config``.
+    points at the x-coordinates of ``system.config``: the input checks,
+    then ``lift``.
 
-    Coordinates are read as y-values y_i = scale * Y_i, each built as one
-    Fraction(u Y_i, v) for an int or Fraction scale = u/v, taken as given;
-    the default scale 1/Y_0 normalizes y_0 = 1.  Because fiber membership
-    is degree-s homogeneous, changing the scale moves (a, b) by an s-th
-    power.  Raises an obstruction (see the module docstring) when the point
-    is off the fiber, when Y_0 = 0 and no explicit scale was given, or when
-    the lifted curve degenerates (a = 0 or b = 0).  Cramer's rule puts
-    points 0 and 1 on the curve; fiber equation i, a nonzero multiple of
-    the determinant for (0, 1, i), puts point i on it.
+    The default scale 1/Y_0 normalizes y_0 = 1.  Raises an obstruction
+    (see the module docstring) when the point is off the fiber or when
+    Y_0 = 0 and no explicit scale was given, and ValueError for scale 0.
     """
-    config = system.config
     report = on_fiber(system, point)
     if not report.ok:
         bad = next(i for i, res in report.residues if res != 0)
@@ -126,12 +122,26 @@ def from_fiber_point(
         if point[0] == 0:
             raise _obstruction(
                 "Y_0 = 0: default normalization undefined, pass a scale", 0)
-        u, v = 1, point[0]
+        scale = Fraction(1, point[0])
     elif scale == 0:
         raise ValueError("scale must be nonzero")
-    else:
-        u, v = scale.numerator, scale.denominator
-    ys = [Fraction(u * c, v) for c in point.coords]
+    return lift(system.config, point, scale)
+
+
+def lift(
+    config: Config, point: ProjPoint, scale: int | Fraction
+) -> CurveWithPoints:
+    """The curve through y_i = scale * Y_i for ``point`` on the fiber of
+    ``config`` and a nonzero scale = u/v, neither checked: each y is the int
+    u Y_i when v = 1, else one Fraction(u Y_i, v).  Because fiber membership
+    is degree-s homogeneous, changing the scale moves (a, b) by an s-th
+    power.  Raises an obstruction when the lifted curve degenerates (a = 0
+    or b = 0).  Cramer's rule puts points 0 and 1 on the curve; fiber
+    equation i, a nonzero multiple of the determinant for (0, 1, i), puts
+    point i on it.
+    """
+    u, v = scale.numerator, scale.denominator
+    ys = [u * c if v == 1 else Fraction(u * c, v) for c in point.coords]
     points = tuple(map(AffinePoint, config.alphas, ys))
     a, b = solve_ab(config.r, config.s, points[0], points[1])
     if a == 0 or b == 0:

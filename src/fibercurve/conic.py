@@ -5,7 +5,9 @@ A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 of ``build_fiber``.  Given one rational
 point, the pencil of lines through it parametrizes all the others on that
 equation; each pencil vector is checked on the conic equation, in integers,
 before it is normalized.  Each conic point lifts to a family member through
-the three x-coordinates.  Not every configuration yields a solvable conic
+the three x-coordinates with ``birat.lift``: the base point's exact square
+root and that check prove every point on the fiber, so the lift runs no
+second membership check.  Not every configuration yields a solvable conic
 (the form can be definite); absence within the search bound is reported
 honestly.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from math import gcd, isqrt
 
-from .birat import CurveWithPoints, from_fiber_point
+from .birat import CurveWithPoints, lift
 from .config import Config, MathError
 from .fiber import FiberSystem, ProjPoint, build_fiber
 
@@ -139,7 +141,10 @@ def enumerate_curves(
             continue
         seen.add(key)
         try:
-            results.append(from_fiber_point(system, point, scale=1))
+            # on the fiber, whose one equation is the conic: find_base_point
+            # returns only exact roots of C Y_2^2 = -(A Y_0^2 + B Y_1^2),
+            # and parametrize raises unless its vector is on the conic
+            results.append(lift(config, point, 1))
         except MathError:  # a = 0 or b = 0, the one obstruction at scale 1
             pass
     if len(results) < count:

@@ -132,8 +132,6 @@ CONIC_HIGH_R = tuple(
                       (3, ["1", "2", "-3/4"]), (4, ["-1/2", "3", "5/7"]),
                       (4, ["1", "-3/2", "2/3"]), (4, ["-1", "-2", "1/2"]))
 )
-
-
 # lifts at integer scales, which give integer y values: "6/3" and " 5 "
 # read as 2 and 5, and Y_0 = 1 makes the default scale 1 too
 CFG125_TEXT = CONIC_CONFIGS[1]
@@ -143,7 +141,8 @@ INTEGER_LIFTS = (
     (CFG_FRAC, '{"coords":["3","-18","10"]}'),
     (CFG125_TEXT, '{"coords":["1","8","25"]}'),
     (CFG149, '{"coords":["1","16","39"]}'),
-    # on the fiber, but b = 0 and a = 0 at every scale
+    # on the fiber, but b = 0 and a = 0 at every scale: [1:2:3] lifts to
+    # (a, b) = (0, 1)
     (CFG125_TEXT, '{"coords":["1","-2","5"]}'),
     (CFG149, '{"coords":["1","2","3"]}'),
 )
@@ -321,9 +320,6 @@ def argvs() -> list[list[str]]:
          "--scale", "0"],
         ["lift", "--config", CFG123, "--point", '{"coords":["1","1","1"]}',
          "--scale", "x"],
-        # on the fiber, but the lift degenerates to (a, b) = (0, 1)
-        ["lift", "--config", '{"r":1,"s":2,"alphas":["1","4","9"]}',
-         "--point", '{"coords":["1","2","3"]}'],
         ["lift", "--config", CFG123, "--point", '{"coords":["0","1","2"]}',
          "--scale", "2"],
     ]

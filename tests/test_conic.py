@@ -223,14 +223,54 @@ def lift_every_point(cfg, count, height):
     return results, obstructed
 
 
+def seeded_configs(seed, count, height=20):
+    """Configs with r = 1..4 in turn and signed fractional alphas whose
+    conic has a base point of height <= ``height``."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        alphas = [F(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 4))
+                  for _ in range(3)]
+        try:
+            cfg = validate(len(found) % 4 + 1, 2, alphas)
+        except InvalidConfigError:
+            continue
+        if find_base_point(build_fiber(cfg), height) is not None:
+            found.append(cfg)
+    return found
+
+
 class TestEnumerateCurves:
     @pytest.mark.parametrize("cfg, obstructed", [
         (CFG123, 0), (CFG124, 0), (CFG125, 4),
-    ])
+    ] + [(cfg, None) for cfg in seeded_configs(34, 12)])
     def test_matches_lifting_every_point(self, cfg, obstructed):
+        # enumerate_curves lifts without checking its points on the fiber;
+        # lift_every_point lifts each through the checked from_fiber_point
         expected, seen_obstructed = lift_every_point(cfg, 150, 20)
-        assert seen_obstructed == obstructed
+        if obstructed is not None:
+            assert seen_obstructed == obstructed
         assert enumerate_curves(cfg, 150, 20) == expected
+
+    def test_a_point_off_the_conic_is_never_lifted(self, monkeypatch):
+        # the lift trusts find_base_point and parametrize to put every point
+        # on the conic; a base point off it makes the first non-tangent
+        # direction fail parametrize's check, not a lift, so a broken proof
+        # neither prints curves nor ends in a quiet exit 1
+        system = build_fiber(CFG123)
+        off = ProjPoint([1, 1, 1])
+        assert not on_fiber(system, off).ok
+        monkeypatch.setattr(conic, "find_base_point", lambda system, h: off)
+        for count in (2, 3, 40):
+            with pytest.raises(AssertionError,
+                               match="^parametrized point left the conic$"):
+                enumerate_curves(CFG123, count, 20)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                pytest.raises(AssertionError, match="left the conic"):
+            cli.main(["conic-enumerate", "--config",
+                      '{"r":2,"s":2,"alphas":["1","2","3"]}', "--count", "2"])
+        assert out.getvalue() == ""
 
 
     @pytest.mark.parametrize("cfg, count", [

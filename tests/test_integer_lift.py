@@ -1,10 +1,11 @@
 """The lift's integer formulas against their Fraction definitions.
 
-``fraction_solve_ab`` and ``fraction_contains`` are the Fraction forms of
-``birat.solve_ab`` and ``family.contains`` kept as oracles: Cramer's rule
-on the 2x2 system and the membership identity, each written as the
-definition reads.  The oracle reads each coordinate as a Fraction: on
-ints alone, ``/`` would give a float."""
+``fraction_solve_ab``, ``fraction_contains`` and ``fraction_lift`` are the
+Fraction forms of ``birat.solve_ab``, ``family.contains`` and ``birat.lift``
+kept as oracles: Cramer's rule on the 2x2 system, the membership identity
+and the lift at a scale, each written as the definition reads.  The oracle
+reads each coordinate as a Fraction: on ints alone, ``/`` would give a
+float."""
 
 import itertools
 import json
@@ -15,11 +16,14 @@ import pytest
 
 from planting import plant_curves
 
-from fibercurve.birat import from_fiber_point, solve_ab, to_fiber_point
+from fibercurve.birat import (CurveWithPoints, from_fiber_point, lift,
+                              solve_ab, to_fiber_point)
 from fibercurve.config import MathError, validate
-from fibercurve.conic import _directions, find_base_point, parametrize
+from fibercurve.conic import (_directions, enumerate_curves, find_base_point,
+                              parametrize)
 from fibercurve.family import AffinePoint, FamilyCurve, contains
 from fibercurve.fiber import ProjPoint, build_fiber
+from fibercurve.jsonio import cwp_to_obj
 
 
 def fraction_solve_ab(r, s, p0, p1):
@@ -39,6 +43,15 @@ def fraction_solve_ab(r, s, p0, p1):
 
 def fraction_contains(curve, p):
     return p.y**curve.s == p.x * (curve.a * p.x**curve.r + curve.b)
+
+
+def fraction_lift(config, point, scale):
+    ys = [F(scale) * c for c in point.coords]
+    points = tuple(AffinePoint(x, y) for x, y in zip(config.alphas, ys))
+    a, b = fraction_solve_ab(config.r, config.s, points[0], points[1])
+    if a == 0 or b == 0:
+        raise MathError("degenerate")
+    return CurveWithPoints(FamilyCurve(config.r, config.s, a, b), points)
 
 
 def rational(rng, zero=0.0):
@@ -155,3 +168,51 @@ def test_every_lifted_point_is_on_the_lifted_curve():
             assert all(fraction_contains(cwp.curve, p) for p in cwp.points)
             lifted += 1
     assert lifted > 500 and refused < lifted // 10
+
+
+def test_lift_matches_the_fraction_lift():
+    # at integer scales the lift builds int y values and at fractional ones
+    # Fractions; either way the curve, its points and its JSON are those of
+    # the Fraction lift, through lift and through the checked lift, whose
+    # default scale is 1/Y_0
+    rng = random.Random(109)
+    int_lifts = frac_lifts = refused = 0
+    for system, point in fiber_points(rng):
+        config = system.config
+        for scale in (None, 1, 2, -1, F(6, 3), F(-7), rational(rng), F(-3, 2),
+                      F(5, 7), rational(rng)):
+            if scale is None and point[0] == 0:
+                continue
+            given = F(1, point[0]) if scale is None else scale
+            try:
+                expected = fraction_lift(config, point, given)
+            except MathError:
+                for fn, args in ((lift, (config, point, given)),
+                                 (from_fiber_point, (system, point, scale))):
+                    with pytest.raises(MathError, match="degenerate"):
+                        fn(*args)
+                refused += 1
+                continue
+            integer = F(given).denominator == 1
+            for got in (lift(config, point, given),
+                        from_fiber_point(system, point, scale)):
+                assert got == expected
+                assert cwp_to_obj(got) == cwp_to_obj(expected)
+                assert all(type(p.y) is (int if integer else F)
+                           for p in got.points)
+            int_lifts += integer
+            frac_lifts += not integer
+    assert int_lifts > 500 and frac_lifts > 200 and refused < 100
+
+
+def test_every_enumerated_curve_verifies():
+    # enumerate_curves runs no on_fiber: verify() checks each point on the
+    # curve on its own
+    configs = [validate(r, 2, alphas) for r, alphas in (
+        (2, (1, 2, 3)), (1, (1, 2, 5)), (1, (F(1, 2), 3, F(-5, 3))),
+        (3, (1, 2, F(-3, 4))), (4, (1, F(-3, 2), F(2, 3))))]
+    for config in configs:
+        curves = enumerate_curves(config, 200, 64)
+        assert len(curves) == 200
+        for cwp in curves:
+            assert cwp.verify() == config
