@@ -147,6 +147,19 @@ INTEGER_LIFTS = (
     (CFG149, '{"coords":["1","2","3"]}'),
 )
 INTEGER_SCALES = ("2", "6/3", " 5 ", "-1")
+# conic-enumerate at r = 1..4 with signed fractional alphas, two configs
+# per r.  The first r = 1 and r = 2 configs have a base point with Y_0 = 0;
+# the pencil vectors of every one but -3/2, 7/2, -1/2 include some whose
+# first nonzero entry is negative, and of every one some with gcd > 1;
+# both r = 1 configs, both r = 3 ones and -1/2, -2, -9/2 have pencil
+# points that lift to a = 0 or b = 0
+CONIC_SIGNED = tuple(
+    json.dumps({"r": r, "s": 2, "alphas": alphas})
+    for r, alphas in ((1, ["3", "-7/3", "-4"]), (1, ["-1/2", "7/3", "-9/4"]),
+                      (2, ["-1/2", "1/3", "-5/2"]), (2, ["8/3", "3", "-1"]),
+                      (3, ["2", "-5/3", "-2/3"]), (3, ["-3/2", "7/2", "-1/2"]),
+                      (4, ["-1/2", "-2", "-9/2"]), (4, ["-2/3", "1", "3/2"]))
+)
 
 
 def fmt(q) -> str:
@@ -374,6 +387,20 @@ def argvs() -> list[list[str]]:
         ["conic-enumerate", "--config", CFG123, "--count", "-1"],
         ["conic-enumerate", "--config", CFG123, "--count", "3", "--height", "0"],
     ]
+    for config in CONIC_SIGNED:
+        for count in ("1", "7", "300"):
+            out.append(["conic-enumerate", "--config", config, "--count", count])
+    # --stats: on success, the run's counters on stderr; on a MathError or
+    # a usage error, the error alone
+    stats_runs = [(config, "7") for config in CONIC_SIGNED]
+    stats_runs += [(CFG123, "0"), (CFG123, "1"), (CFG123, "40"),
+                   (CFG125_TEXT, "2"), (CFG125_TEXT, "5"),
+                   (CONIC_CONFIGS[2], "1"), (CFG123, "-1")]
+    for config, count in stats_runs:
+        out.append(["conic-enumerate", "--config", config, "--count", count,
+                    "--stats"])
+    out.append(["conic-enumerate", "--config", CFG123, "--count", "300",
+                "--height", "20", "--stats"])
     for r, s, n in ((1, 2, 2), (2, 2, 2), (1, 3, 2), (2, 2, 3), (3, 2, 2)):
         args = ["trivial-points", "--r", str(r), "--s", str(s), "--n", str(n)]
         out += [args, args + ["--full"]]
