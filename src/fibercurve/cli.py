@@ -206,13 +206,15 @@ def _cmd_lift(args) -> int:
 
 def _cmd_conic_enumerate(args) -> int:
     cfg = _load_config(args.config)
-    curves = conic.enumerate_curves(cfg, args.count, args.height)
+    report = conic.enumerate_curves(cfg, args.count, args.height)
+    if args.stats:
+        print(json.dumps(jsonio.conic_stats_to_obj(report)), file=sys.stderr)
     # one write per line, never one of the whole output: under
     # PYTHONUNBUFFERED a write is one system call, a pipe whose reader has
     # gone takes a long one in part and the text layer reports it whole,
     # so the verb would exit 0 with its output cut; a short line is taken
     # whole or refused with a BrokenPipeError
-    for line in jsonio.cwp_lines(cfg, curves):
+    for line in jsonio.cwp_lines(cfg, report.curves):
         sys.stdout.write(line)
     return EXIT_OK
 
@@ -335,6 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--count", type=_integer, required=True)
     p.add_argument("--height", type=_integer, default=64)
+    p.add_argument("--stats", action="store_true",
+                   help="write the run's counters to stderr as JSON")
     p.set_defaults(func=_cmd_conic_enumerate)
 
     p = sub.add_parser("search-ab", help="height-bounded exhaustive search")

@@ -4,21 +4,24 @@ For three prescribed x-coordinates the fiber is one conic, the equation
 A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 of ``build_fiber``.  Given one rational
 point, the pencil of lines through it parametrizes all the others on that
 equation; each pencil vector is checked on the conic equation, in integers,
-before it is normalized.  Each conic point lifts to a family member through
-the three x-coordinates with ``birat.lift``: the base point's exact square
-root and that check prove every point on the fiber, so the lift runs no
-second membership check.  Not every configuration yields a solvable conic
-(the form can be definite); absence within the search bound is reported
-honestly.
+before it is normalized.  Each conic point gives a family member through
+the three x-coordinates at scale 1, y_j = Y_j: the base point's exact
+square root and that check prove every point on the fiber, so no second
+membership check runs, and (a, b) comes from ``birat.cramer``, whose
+x-only constants are computed once per configuration.  Not every
+configuration yields a solvable conic (the form can be definite); absence
+within the search bound is reported honestly.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt
+from typing import NamedTuple
 
-from .birat import CurveWithPoints, lift
+from .birat import CurveWithPoints, cramer
 from .config import Config, MathError
+from .family import AffinePoint, FamilyCurve
 from .fiber import FiberSystem, ProjPoint, build_fiber
 
 
@@ -63,14 +66,16 @@ def find_base_point(
 
 def parametrize(
     system: FiberSystem, base: ProjPoint, t: tuple[int, int]
-) -> ProjPoint:
+) -> tuple[int, int, int]:
     """Second intersection of the conic with the line through ``base`` in
     direction t, a coprime pair with a nonzero entry: t fills the two
     coordinates other than the first nonzero one of ``base``.
 
-    The tangent direction meets the conic only at ``base`` and returns it;
+    Returns an integer vector on the conic, not normalized: its gcd may
+    exceed 1 and its first nonzero entry may be negative.  The tangent
+    direction meets the conic only at ``base`` and returns its coordinates;
     distinct directions give distinct points apart from that one.  The
-    intersection is checked on the conic equation before it is normalized.
+    intersection is checked on the conic equation before it is returned.
     """
     eq = system.equations[0]
     A, B, C = eq.A, eq.B, eq.C
@@ -80,12 +85,12 @@ def parametrize(
     d0, d1, d2 = (0, t0, t1) if p0 else (t0, 0, t1)
     polar = A * p0 * d0 + B * p1 * d1 + C * p2 * d2
     if polar == 0:  # the tangent at base
-        return base
+        return base.coords
     q_d, polar = A * d0 * d0 + B * d1 * d1 + C * d2 * d2, 2 * polar
     x0, x1, x2 = q_d * p0 - polar * d0, q_d * p1 - polar * d1, q_d * p2 - polar * d2
     if A * x0 * x0 + B * x1 * x1 + C * x2 * x2:
         raise AssertionError("parametrized point left the conic")
-    return ProjPoint((x0, x1, x2))
+    return x0, x1, x2
 
 
 def _directions():
@@ -96,19 +101,36 @@ def _directions():
                 yield t0, t1
 
 
+class ConicReport(NamedTuple):
+    """The curves of one ``enumerate_curves`` run and its counters: the
+    base point and each examined pencil point is a duplicate, a degenerate
+    point or a curve.  ``directions`` counts the pencil points examined,
+    ``budget`` the directions the run may draw."""
+
+    curves: list[CurveWithPoints]
+    directions: int
+    duplicates: int
+    degenerate: int
+    budget: int
+
+
 def enumerate_curves(
     config: Config, count: int, search_height: int
-) -> list[CurveWithPoints]:
+) -> ConicReport:
     """Up to ``count`` distinct smooth members through the three prescribed
     x-coordinates.
 
-    Streams conic points from the line pencil in a fixed order and lifts
-    each with scale 1, skipping points that degenerate (a = 0 or b = 0).
-    With scale 1 the lift solves y_j^2 = a alpha_j^(r+1) + b alpha_j for
-    j = 0, 1, so (a, b) and (Y_0^2, Y_1^2) determine each other: a point
-    whose (Y_0^2, Y_1^2) was already seen, a sign flip of an earlier one or
-    the base point again from the tangent direction, is skipped before it
-    is lifted.  Deterministic: same inputs, same output sequence.
+    Streams conic points from the line pencil in a fixed order and takes
+    each at scale 1 (y_j = Y_j for the primitive vector Y), skipping points
+    that degenerate (a = 0 or b = 0).  At scale 1, y_j^2 = a alpha_j^(r+1)
+    + b alpha_j for j = 0, 1, so (a, b) and (Y_0^2, Y_1^2) determine each
+    other: a point whose (Y_0^2, Y_1^2) was already seen, a sign flip of an
+    earlier one or the base point again from the tangent direction, is
+    skipped before it is normalized.  A pencil vector is divided by its gcd,
+    deduplicated, solved for (a, b), and only a kept point gets the
+    canonical sign (first nonzero entry positive) that ``ProjPoint`` gives.
+    Deterministic: same inputs, same output sequence.  At count 0 no point
+    is examined and every counter is 0.
     """
     if config.s != 2 or config.n != 2:
         raise ValueError("enumeration needs s = 2 and n = 2")
@@ -131,25 +153,40 @@ def enumerate_curves(
         parametrize(system, base, t)
         for t in itertools.islice(_directions(), budget)
     )
+    # every point is on the fiber, whose one equation is the conic:
+    # find_base_point returns only exact roots of C Y_2^2 = -(A Y_0^2 +
+    # B Y_1^2), and parametrize raises unless its vector is on the conic
+    x0, x1, x2 = config.alphas
+    solve = cramer(config.r, x0, x1)
     results: list[CurveWithPoints] = []
     seen: set[tuple[int, int]] = set()
-    for point in itertools.chain([base], pencil):
+    examined = duplicates = degenerate = 0
+    for y0, y1, y2 in itertools.chain([base.coords], pencil):
         if len(results) >= count:
             break
-        key = (point[0] ** 2, point[1] ** 2)
+        examined += 1
+        g = gcd(y0, y1, y2)
+        y0, y1, y2 = y0 // g, y1 // g, y2 // g
+        key = (y0 * y0, y1 * y1)
         if key in seen:
+            duplicates += 1
             continue
         seen.add(key)
-        try:
-            # on the fiber, whose one equation is the conic: find_base_point
-            # returns only exact roots of C Y_2^2 = -(A Y_0^2 + B Y_1^2),
-            # and parametrize raises unless its vector is on the conic
-            results.append(lift(config, point, 1))
-        except MathError:  # a = 0 or b = 0, the one obstruction at scale 1
-            pass
+        a, b = solve(key[0], 1, key[1], 1)
+        if a == 0 or b == 0:
+            degenerate += 1
+            continue
+        if y0 < 0 or (y0 == 0 and y1 < 0):  # Y_0 = Y_1 = 0 is not on it
+            y0, y1, y2 = -y0, -y1, -y2
+        results.append(CurveWithPoints(
+            FamilyCurve(config.r, config.s, a, b),
+            (AffinePoint(x0, y0), AffinePoint(x1, y1), AffinePoint(x2, y2)),
+        ))
     if len(results) < count:
         raise MathError(
             f"exhausted {budget} directions with only {len(results)} "
             f"distinct curves"
         )
-    return results
+    # the base point is examined first, unless count is 0
+    directions = max(examined - 1, 0)
+    return ConicReport(results, directions, duplicates, degenerate, budget)

@@ -170,6 +170,20 @@ def search_stats_to_obj(report) -> dict:
     }
 
 
+def conic_stats_to_obj(report) -> dict:
+    """The counters of a ``conic.ConicReport``'s run: the base point and
+    each examined direction's point is a duplicate, a degenerate point or
+    a curve, so 1 + directions = duplicates + degenerate + curves when
+    curves > 0."""
+    return {
+        "directions": report.directions,
+        "duplicates": report.duplicates,
+        "degenerate": report.degenerate,
+        "curves": len(report.curves),
+        "budget": report.budget,
+    }
+
+
 def certificate_to_obj(
     cert: TrivialPointCertificate, include_tuples: bool = False
 ) -> dict:

@@ -757,6 +757,25 @@ class TestBatchVerbs:
         for line in lines:
             jsonio.cwp_from_obj(json.loads(line))
 
+    @pytest.mark.parametrize("config, count", [
+        (CFG123, "0"), (CFG123, "40"), (CFG_FRAC, "7"),
+        ('{"r":1,"s":2,"alphas":["1","2","5"]}', "5"),
+    ])
+    def test_conic_enumerate_stats_on_stderr(self, capsys, config, count):
+        argv = ["conic-enumerate", "--config", config, "--count", count]
+        code, plain, quiet = run(capsys, *argv)
+        assert code == EXIT_OK and quiet == ""
+        code, out, err = run(capsys, *argv, "--stats")
+        assert code == EXIT_OK and out == plain
+        assert err.count("\n") == 1
+        stats = json.loads(err)
+        assert list(stats) == ["directions", "duplicates", "degenerate",
+                               "curves", "budget"]
+        assert stats["curves"] == int(count) == out.count("\n")
+        examined = stats["duplicates"] + stats["degenerate"] + stats["curves"]
+        assert examined == (1 + stats["directions"] if int(count) else 0)
+        assert stats["budget"] == 16 * (int(count) + 2) + 64
+
     def test_search_ab_report(self, capsys, tmp_path):
         cfg = '{"r":2,"s":2,"alphas":["1","3","12"]}'
         out_path = tmp_path / "report.json"

@@ -117,7 +117,7 @@ def argvs(draw):
     argv = [verb]
     for name, values in VERBS[verb].items():
         argv += draw(flag(name, values))
-    if verb == "search-ab":
+    if verb in ("search-ab", "conic-enumerate"):
         argv += draw(switch("--stats"))
     if verb == "trivial-points":
         argv += draw(switch("--full"))

@@ -104,7 +104,7 @@ def test_cwp_lines_write_the_bytes_of_json_dumps(r):
                   for _ in range(3)]
         try:
             config = validate(r, 2, alphas)
-            curves = enumerate_curves(config, 60, 64)
+            curves = enumerate_curves(config, 60, 64).curves
         except MathError:
             continue
         assert list(jsonio.cwp_lines(config, curves)) == _dumped_lines(curves)

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import hashlib
 import io
@@ -10,7 +11,7 @@ from math import gcd
 import pytest
 from planting import rational_root
 
-from fibercurve import cli, conic
+from fibercurve import cli, conic, jsonio
 from fibercurve.arith import format_rational
 from fibercurve.birat import from_fiber_point
 from fibercurve.config import InvalidConfigError, MathError, validate
@@ -158,14 +159,15 @@ class TestFindBasePoint:
 class TestParametrize:
     def test_second_intersection(self):
         system, base = model_for(CFG123)
-        point = parametrize(system, base, (0, 1))
+        point = ProjPoint(parametrize(system, base, (0, 1)))
         assert point != base
         assert point == ProjPoint([0, 1, -2])
         assert on_fiber(system, point).ok
 
     def test_tangent_direction_returns_the_base_point(self):
         system, base = model_for(CFG123)
-        assert parametrize(system, base, (1, 0)) == base
+        assert parametrize(system, base, (1, 0)) == base.coords
+        assert ProjPoint(parametrize(system, base, (1, 0))) == base
 
     def test_many_directions_stay_on_conic(self):
         system, base = model_for(CFG123)
@@ -177,7 +179,7 @@ class TestParametrize:
                     continue
                 if t1 == 0 and t0 < 0:
                     continue
-                point = parametrize(system, base, (t0, t1))
+                point = ProjPoint(parametrize(system, base, (t0, t1)))
                 assert on_fiber(system, point).ok
                 count += 1
                 if point != base:
@@ -194,7 +196,7 @@ class TestParametrize:
         perturbed = system._replace(equations=(eq._replace(C=eq.C + 1),))
         for t in itertools.islice(_directions(), 40):
             if t[1] == 0:  # the tangent direction gives the base point back
-                assert parametrize(perturbed, base, t) == base
+                assert ProjPoint(parametrize(perturbed, base, t)) == base
                 continue
             with pytest.raises(AssertionError,
                                match="^parametrized point left the conic$"):
@@ -202,10 +204,20 @@ class TestParametrize:
 
 
 def lift_every_point(cfg, count, height):
-    """Lift the base point and every non-tangent pencil point, and drop
-    repeated (a, b) after the lift; also count the obstructed lifts."""
-    system, base = model_for(cfg, height)
-    pencil = (parametrize(system, base, t) for t in _directions())
+    """The reference pipeline: the base point and every non-tangent pencil
+    point made a ``ProjPoint`` and lifted through the checked
+    ``from_fiber_point`` at scale 1, repeated (a, b) dropped after the lift,
+    within the direction budget of ``enumerate_curves`` and with its
+    ``MathError`` texts; also count the obstructed lifts."""
+    system = build_fiber(cfg)
+    base = find_base_point(system, height)
+    if base is None:
+        eq = system.equations[0]
+        raise MathError(f"no rational point of height <= {height} on "
+                        f"{eq.A} Y0^2 + {eq.B} Y1^2 + {eq.C} Y2^2 = 0")
+    budget = 16 * (count + 2) + 64
+    pencil = (ProjPoint(parametrize(system, base, t))
+              for t in itertools.islice(_directions(), budget))
     results, seen, obstructed = [], set(), 0
     for k, point in enumerate(itertools.chain([base], pencil)):
         if k and point == base:
@@ -220,6 +232,9 @@ def lift_every_point(cfg, count, height):
         if (cwp.curve.a, cwp.curve.b) not in seen:
             seen.add((cwp.curve.a, cwp.curve.b))
             results.append(cwp)
+    if len(results) < count:
+        raise MathError(f"exhausted {budget} directions with only "
+                        f"{len(results)} distinct curves")
     return results, obstructed
 
 
@@ -240,17 +255,75 @@ def seeded_configs(seed, count, height=20):
     return found
 
 
+def written(fn, cfg, count):
+    """The ``conic-enumerate`` stdout of the curves ``fn`` makes, or the
+    text of its MathError."""
+    try:
+        curves = fn(cfg, count)
+    except MathError as exc:
+        return f"MathError: {exc}"
+    return "".join(jsonio.cwp_lines(cfg, curves))
+
+
+# 300 seeded configs, and three that no base point of height <= 20 solves,
+# one each at r = 2, 3 and 4
+REFERENCE_CONFIGS = (
+    [CFG123, CFG124, CFG125] + seeded_configs(35, 300)
+    + [CFG_DEFINITE, validate(3, 2, [F(-1, 2), F(3), F(5, 7)]),
+       validate(4, 2, [F(-1, 2), F(3), F(5, 7)])]
+)
+
+
 class TestEnumerateCurves:
-    @pytest.mark.parametrize("cfg, obstructed", [
-        (CFG123, 0), (CFG124, 0), (CFG125, 4),
-    ] + [(cfg, None) for cfg in seeded_configs(34, 12)])
-    def test_matches_lifting_every_point(self, cfg, obstructed):
-        # enumerate_curves lifts without checking its points on the fiber;
-        # lift_every_point lifts each through the checked from_fiber_point
-        expected, seen_obstructed = lift_every_point(cfg, 150, 20)
-        if obstructed is not None:
-            assert seen_obstructed == obstructed
-        assert enumerate_curves(cfg, 150, 20) == expected
+    @pytest.mark.parametrize("count", [1, 5, 60, 300])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_matches_lifting_every_point(self, r, count):
+        # enumerate_curves divides each pencil vector by its gcd, dedupes
+        # it, solves it for (a, b) and signs the points it keeps;
+        # lift_every_point makes every point a ProjPoint and lifts it
+        # through the checked from_fiber_point
+        kinds = collections.Counter()
+        for cfg in REFERENCE_CONFIGS:
+            if cfg.r != r:
+                continue
+            want = written(lambda c, n: lift_every_point(c, n, 20)[0], cfg, count)
+            got = written(lambda c, n: enumerate_curves(c, n, 20).curves, cfg,
+                          count)
+            assert got == want, cfg
+            kinds["math error" if want.startswith("MathError") else "curves"] += 1
+        assert kinds["curves"] >= 75 and kinds["math error"] == (r > 1)
+
+    def test_the_reference_configs_reach_every_branch(self):
+        # a base point with Y_0 = 0, pencil vectors with gcd > 1 and with a
+        # negative first entry, sign flips and degenerate points
+        seen = collections.Counter()
+        for cfg in REFERENCE_CONFIGS[:303]:
+            system, base = model_for(cfg)
+            seen["Y_0 = 0"] += base[0] == 0
+            for t in itertools.islice(_directions(), 100):
+                vector = parametrize(system, base, t)
+                seen["gcd > 1"] += gcd(*vector) > 1
+                seen["negative"] += next(v for v in vector if v) < 0
+            report = enumerate_curves(cfg, 60, 20)
+            seen["duplicates"] += report.duplicates > 1
+            seen["degenerate"] += report.degenerate > 0
+        assert min(seen.values()) >= 30, seen
+        assert lift_every_point(CFG125, 150, 20)[1] == 4
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 60])
+    def test_stats_counters_add_up(self, count):
+        # the base point and each examined direction's point is a
+        # duplicate, a degenerate point or a curve; at count 0 nothing is
+        # examined
+        for cfg in REFERENCE_CONFIGS[:303:10]:
+            report = enumerate_curves(cfg, count, 20)
+            stats = jsonio.conic_stats_to_obj(report)
+            assert list(stats) == ["directions", "duplicates", "degenerate",
+                                   "curves", "budget"]
+            assert stats["curves"] == count
+            assert stats["budget"] == 16 * (count + 2) + 64
+            examined = stats["duplicates"] + stats["degenerate"] + count
+            assert examined == (1 + stats["directions"] if count else 0)
 
     def test_a_point_off_the_conic_is_never_lifted(self, monkeypatch):
         # the lift trusts find_base_point and parametrize to put every point
@@ -285,7 +358,7 @@ class TestEnumerateCurves:
         for consumed, t in enumerate(itertools.chain([None], _directions())):
             if emitted == count:
                 break
-            point = base if t is None else parametrize(system, base, t)
+            point = base if t is None else ProjPoint(parametrize(system, base, t))
             if (point[0] ** 2, point[1] ** 2) in seen:
                 continue
             seen.add((point[0] ** 2, point[1] ** 2))
@@ -301,11 +374,14 @@ class TestEnumerateCurves:
             return parametrize(*args)
 
         monkeypatch.setattr(conic, "parametrize", counted)
-        assert len(enumerate_curves(cfg, count, 20)) == count
+        report = enumerate_curves(cfg, count, 20)
+        assert len(report.curves) == count
         assert calls == list(itertools.islice(_directions(), consumed))
+        # the dropped point is not counted among the examined directions
+        assert report.directions == max(consumed - 1, 0)
 
     def test_five_distinct_verified_curves(self):
-        curves = enumerate_curves(CFG123, 5, 20)
+        curves = enumerate_curves(CFG123, 5, 20).curves
         assert len(curves) == 5
         seen = set()
         for cwp in curves:
@@ -325,13 +401,13 @@ class TestEnumerateCurves:
     def test_benchmark_sequence_at_count_2000(self, cfg, digest):
         # the SHA-256 of the "a b" lines recorded for the benchmark's conic
         # workload (conic-enumerate --count 2000 --height 64)
-        curves = enumerate_curves(cfg, 2000, 64)
+        curves = enumerate_curves(cfg, 2000, 64).curves
         seq = "\n".join(f"{format_rational(c.curve.a)} {format_rational(c.curve.b)}"
                         for c in curves)
         assert hashlib.sha256(seq.encode()).hexdigest() == digest
 
     def test_count_zero(self):
-        assert enumerate_curves(CFG123, 0, 20) == []
+        assert enumerate_curves(CFG123, 0, 20) == ([], 0, 0, 0, 96)
 
     def test_unsolvable_config_fails_loudly(self):
         with pytest.raises(MathError, match="no rational point of height <= 30"):
@@ -339,7 +415,8 @@ class TestEnumerateCurves:
 
     def test_exhausted_directions_fail_loudly(self, monkeypatch):
         # every direction gives the base point back, so only its lift counts
-        monkeypatch.setattr(conic, "parametrize", lambda system, base, t: base)
+        monkeypatch.setattr(conic, "parametrize",
+                            lambda system, base, t: base.coords)
         message = "exhausted 144 directions with only 1 distinct curves"
         with pytest.raises(MathError) as caught:
             enumerate_curves(CFG123, 3, 20)
@@ -354,14 +431,14 @@ class TestEnumerateCurves:
         assert json.loads(err.getvalue()) == {"error": "math", "message": message}
 
     def test_deterministic(self):
-        first = enumerate_curves(CFG123, 12, 20)
-        second = enumerate_curves(CFG123, 12, 20)
+        first = enumerate_curves(CFG123, 12, 20).curves
+        second = enumerate_curves(CFG123, 12, 20).curves
         assert [(c.curve.a, c.curve.b) for c in first] == [
             (c.curve.a, c.curve.b) for c in second
         ]
 
     def test_square_condition_invariant(self):
-        for cwp in enumerate_curves(CFG123, 8, 20):
+        for cwp in enumerate_curves(CFG123, 8, 20).curves:
             for alpha in CFG123.alphas:
                 value = alpha * (cwp.curve.a * alpha**2 + cwp.curve.b)
                 assert rational_root(value, 2) is not None

@@ -16,8 +16,8 @@ import pytest
 
 from planting import plant_curves
 
-from fibercurve.birat import (CurveWithPoints, from_fiber_point, lift,
-                              solve_ab, to_fiber_point)
+from fibercurve.birat import (CurveWithPoints, cramer, from_fiber_point,
+                              lift, solve_ab, to_fiber_point)
 from fibercurve.config import MathError, validate
 from fibercurve.conic import (_directions, enumerate_curves, find_base_point,
                               parametrize)
@@ -95,6 +95,38 @@ def test_solve_ab_matches_the_fraction_formula():
     assert 300 < singular < 800
 
 
+def test_cramer_steps_match_the_fraction_formula():
+    # one set of x-only constants per (r, x_0, x_1), then many points: the
+    # step gives the Fraction formula's (a, b), and the constants refuse a
+    # zero x or x_0^r = x_1^r with the formula's MathError text
+    rng = random.Random(113)
+    solved = refused = 0
+    for _ in range(400):
+        r = rng.randint(1, 5)
+        x0 = rational(rng, zero=0.05)
+        x1 = (rng.choice((1, -1)) * x0 if rng.random() < 0.1
+              else rational(rng, zero=0.05))
+        try:
+            step = cramer(r, x0, x1)
+        except MathError as exc:
+            with pytest.raises(MathError) as want:
+                fraction_solve_ab(r, 2, AffinePoint(x0, 1), AffinePoint(x1, 1))
+            assert str(exc) == str(want.value)
+            refused += 1
+            continue
+        for _ in range(8):
+            s = rng.randint(2, 5)
+            y0, y1 = rational(rng, zero=0.15), rational(rng, zero=0.15)
+            got = step(y0.numerator**s, y0.denominator**s,
+                       y1.numerator**s, y1.denominator**s)
+            want = fraction_solve_ab(r, s, AffinePoint(x0, y0),
+                                     AffinePoint(x1, y1))
+            assert got == want
+            assert all(type(v) is F for v in got)
+            solved += 1
+    assert solved > 2000 and 40 < refused < 150
+
+
 def test_contains_matches_the_fraction_identity():
     rng = random.Random(103)
     hits = 0
@@ -145,7 +177,7 @@ def fiber_points(rng):
         base = find_base_point(system, 64)
         yield system, base
         for t in itertools.islice(_directions(), 30):
-            yield system, parametrize(system, base, t)
+            yield system, ProjPoint(parametrize(system, base, t))
 
 
 def test_every_lifted_point_is_on_the_lifted_curve():
@@ -212,7 +244,7 @@ def test_every_enumerated_curve_verifies():
         (2, (1, 2, 3)), (1, (1, 2, 5)), (1, (F(1, 2), 3, F(-5, 3))),
         (3, (1, 2, F(-3, 4))), (4, (1, F(-3, 2), F(2, 3))))]
     for config in configs:
-        curves = enumerate_curves(config, 200, 64)
+        curves = enumerate_curves(config, 200, 64).curves
         assert len(curves) == 200
         for cwp in curves:
             assert cwp.verify() == config
