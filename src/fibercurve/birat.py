@@ -24,7 +24,7 @@ rule over the one common denominator e_0 e_1 den gives
     b = (u_1 B_1 - u_0 B_0) / (e_0 e_1 den),
 
 so a and b are the only Fractions built.  ``solve_ab`` is the two steps for
-one pair of points; ``conic.enumerate_curves`` runs the first step once per
+one pair of points; the conic enumeration runs the first step once per
 configuration.  The normative contract is the round trip: both defining
 points land back on the returned curve, exactly.  Each direction checks
 only its input; its docstring says why the output needs no check.

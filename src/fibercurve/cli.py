@@ -207,15 +207,15 @@ def _cmd_lift(args) -> int:
 def _cmd_conic_enumerate(args) -> int:
     cfg = _load_config(args.config)
     report = conic.enumerate_curves(cfg, args.count, args.height)
-    if args.stats:
-        print(json.dumps(jsonio.conic_stats_to_obj(report)), file=sys.stderr)
-    # one write per line, never one of the whole output: under
-    # PYTHONUNBUFFERED a write is one system call, a pipe whose reader has
-    # gone takes a long one in part and the text layer reports it whole,
-    # so the verb would exit 0 with its output cut; a short line is taken
-    # whole or refused with a BrokenPipeError
+    # one write per line as each curve is found, never one of the whole
+    # output: under PYTHONUNBUFFERED a write is one system call, a pipe
+    # whose reader has gone takes a long one in part and the text layer
+    # reports it whole, so the verb would exit 0 with its output cut; a
+    # short line is taken whole or refused with a BrokenPipeError
     for line in jsonio.cwp_lines(cfg, report.curves):
         sys.stdout.write(line)
+    if args.stats:
+        print(json.dumps(jsonio.conic_stats_to_obj(report)), file=sys.stderr)
     return EXIT_OK
 
 

@@ -5,19 +5,20 @@ A Y_0^2 + B Y_1^2 + C Y_2^2 = 0 of ``build_fiber``.  Given one rational
 point, the pencil of lines through it parametrizes all the others on that
 equation; each pencil vector is checked on the conic equation, in integers,
 before it is normalized.  Each conic point gives a family member through
-the three x-coordinates at scale 1, y_j = Y_j: the base point's exact
-square root and that check prove every point on the fiber, so no second
-membership check runs, and (a, b) comes from ``birat.cramer``, whose
-x-only constants are computed once per configuration.  Not every
+the three x-coordinates at scale 1, y_j = Y_j: one check of the base point
+on the conic and that check of each vector prove every point on the
+fiber, so no second membership check runs, and (a, b) comes from
+``birat.cramer``, whose x-only constants are computed once per
+configuration.  The pencil reaches every point, so a solvable conic never
+runs out of curves, and they are yielded as they are found.  Not every
 configuration yields a solvable conic (the form can be definite); absence
-within the search bound is reported honestly.
+within the search bound is reported honestly, before any curve.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import gcd, isqrt
-from typing import NamedTuple
 
 from .birat import CurveWithPoints, cramer
 from .config import Config, MathError
@@ -101,29 +102,66 @@ def _directions():
                 yield t0, t1
 
 
-class ConicReport(NamedTuple):
-    """The curves of one ``enumerate_curves`` run and its counters: the
-    base point and each examined pencil point is a duplicate, a degenerate
-    point or a curve.  ``directions`` counts the pencil points examined,
-    ``budget`` the directions the run may draw."""
+class ConicReport:
+    """One ``enumerate_curves`` run: ``curves`` yields its curves as they
+    are found, and the counters are final once ``curves`` is exhausted.
+    The base point and each examined pencil point is a duplicate, a
+    degenerate point or one of the ``found`` curves; ``directions`` counts
+    the pencil points examined."""
 
-    curves: list[CurveWithPoints]
-    directions: int
-    duplicates: int
-    degenerate: int
-    budget: int
+    def __init__(self, config, system, base, count) -> None:
+        self.directions = self.duplicates = self.degenerate = self.found = 0
+        self.curves = self._walk(config, system, base, count)
+
+    def _walk(self, config, system, base, count):
+        # Distinct directions give distinct pencil points, apart from the
+        # tangent's return to the base point.  One key (Y_0^2, Y_1^2) covers
+        # at most 4 points, its sign patterns, and a = 0 or b = 0 fixes
+        # Y_0^2 : Y_1^2, two lines each, so at most 8 points are degenerate.
+        # So the count-th curve comes by direction 4 count + 8: the pencil,
+        # which reaches every point of the conic, cannot run out first.
+        if count == 0:
+            return
+        x0, x1, x2 = config.alphas
+        solve = cramer(config.r, x0, x1)
+        seen: set[tuple[int, int]] = set()
+        pencil = (parametrize(system, base, t) for t in _directions())
+        for k, (y0, y1, y2) in enumerate(itertools.chain([base.coords], pencil)):
+            self.directions = k
+            g = gcd(y0, y1, y2)
+            y0, y1, y2 = y0 // g, y1 // g, y2 // g
+            key = (y0 * y0, y1 * y1)
+            if key in seen:
+                self.duplicates += 1
+                continue
+            seen.add(key)
+            a, b = solve(key[0], 1, key[1], 1)
+            if a == 0 or b == 0:
+                self.degenerate += 1
+                continue
+            if y0 < 0 or (y0 == 0 and y1 < 0):  # Y_0 = Y_1 = 0 is not on it
+                y0, y1, y2 = -y0, -y1, -y2
+            self.found += 1
+            yield CurveWithPoints(
+                FamilyCurve(config.r, config.s, a, b),
+                (AffinePoint(x0, y0), AffinePoint(x1, y1), AffinePoint(x2, y2)),
+            )
+            if self.found == count:  # before the next direction is drawn
+                return
 
 
 def enumerate_curves(
     config: Config, count: int, search_height: int
 ) -> ConicReport:
-    """Up to ``count`` distinct smooth members through the three prescribed
-    x-coordinates.
+    """``count`` distinct smooth members through the three prescribed
+    x-coordinates, as a report whose ``curves`` yields them one at a time.
 
-    Streams conic points from the line pencil in a fixed order and takes
-    each at scale 1 (y_j = Y_j for the primitive vector Y), skipping points
-    that degenerate (a = 0 or b = 0).  At scale 1, y_j^2 = a alpha_j^(r+1)
-    + b alpha_j for j = 0, 1, so (a, b) and (Y_0^2, Y_1^2) determine each
+    The inputs are checked and the base point found before the report is
+    returned, so every failure comes before the first curve.  Streams
+    conic points from the line pencil in a fixed order and takes each at
+    scale 1 (y_j = Y_j for the primitive vector Y), skipping points that
+    degenerate (a = 0 or b = 0).  At scale 1, y_j^2 = a alpha_j^(r+1) +
+    b alpha_j for j = 0, 1, so (a, b) and (Y_0^2, Y_1^2) determine each
     other: a point whose (Y_0^2, Y_1^2) was already seen, a sign flip of an
     earlier one or the base point again from the tangent direction, is
     skipped before it is normalized.  A pencil vector is divided by its gcd,
@@ -138,55 +176,16 @@ def enumerate_curves(
         raise ValueError("count must be nonnegative")
     system = build_fiber(config)
     base = find_base_point(system, search_height)
+    eq = system.equations[0]
     if base is None:
-        eq = system.equations[0]
         raise MathError(
             f"no rational point of height <= {search_height} on "
             f"{eq.A} Y0^2 + {eq.B} Y1^2 + {eq.C} Y2^2 = 0"
         )
-
-    # Each (a, b) absorbs at most four sign-flipped conic points and lift
-    # failures are finite, so this budget is never the binding constraint
-    # for a solvable conic; it only guards against looping forever.
-    budget = 16 * (count + 2) + 64
-    pencil = (
-        parametrize(system, base, t)
-        for t in itertools.islice(_directions(), budget)
-    )
-    # every point is on the fiber, whose one equation is the conic:
-    # find_base_point returns only exact roots of C Y_2^2 = -(A Y_0^2 +
-    # B Y_1^2), and parametrize raises unless its vector is on the conic
-    x0, x1, x2 = config.alphas
-    solve = cramer(config.r, x0, x1)
-    results: list[CurveWithPoints] = []
-    seen: set[tuple[int, int]] = set()
-    examined = duplicates = degenerate = 0
-    for y0, y1, y2 in itertools.chain([base.coords], pencil):
-        if len(results) >= count:
-            break
-        examined += 1
-        g = gcd(y0, y1, y2)
-        y0, y1, y2 = y0 // g, y1 // g, y2 // g
-        key = (y0 * y0, y1 * y1)
-        if key in seen:
-            duplicates += 1
-            continue
-        seen.add(key)
-        a, b = solve(key[0], 1, key[1], 1)
-        if a == 0 or b == 0:
-            degenerate += 1
-            continue
-        if y0 < 0 or (y0 == 0 and y1 < 0):  # Y_0 = Y_1 = 0 is not on it
-            y0, y1, y2 = -y0, -y1, -y2
-        results.append(CurveWithPoints(
-            FamilyCurve(config.r, config.s, a, b),
-            (AffinePoint(x0, y0), AffinePoint(x1, y1), AffinePoint(x2, y2)),
-        ))
-    if len(results) < count:
-        raise MathError(
-            f"exhausted {budget} directions with only {len(results)} "
-            f"distinct curves"
-        )
-    # the base point is examined first, unless count is 0
-    directions = max(examined - 1, 0)
-    return ConicReport(results, directions, duplicates, degenerate, budget)
+    # every point is on the fiber, whose one equation is the conic: the
+    # base point is checked here, once, and parametrize raises unless its
+    # vector is on the conic
+    p0, p1, p2 = base.coords
+    if eq.A * p0 * p0 + eq.B * p1 * p1 + eq.C * p2 * p2:
+        raise AssertionError("base point left the conic")
+    return ConicReport(config, system, base, count)

@@ -173,7 +173,7 @@ def test_criterion_5_birational_round_trip():
 def test_criterion_6_conic_enumeration():
     with criterion("6 conic enumeration x100", 10):
         cfg = validate(2, 2, [F(1), F(2), F(3)])
-        runs = [enumerate_curves(cfg, 100, 20).curves for _ in range(2)]
+        runs = [list(enumerate_curves(cfg, 100, 20).curves) for _ in range(2)]
         for curves in runs:
             assert len(curves) == 100
             seen = {(c.curve.a, c.curve.b) for c in curves}

@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -770,11 +771,10 @@ class TestBatchVerbs:
         assert err.count("\n") == 1
         stats = json.loads(err)
         assert list(stats) == ["directions", "duplicates", "degenerate",
-                               "curves", "budget"]
+                               "curves"]
         assert stats["curves"] == int(count) == out.count("\n")
         examined = stats["duplicates"] + stats["degenerate"] + stats["curves"]
         assert examined == (1 + stats["directions"] if int(count) else 0)
-        assert stats["budget"] == 16 * (int(count) + 2) + 64
 
     def test_search_ab_report(self, capsys, tmp_path):
         cfg = '{"r":2,"s":2,"alphas":["1","3","12"]}'
@@ -1143,6 +1143,32 @@ def _run_in_256_mib(*argv):
         preexec_fn=lambda: resource.setrlimit(
             resource.RLIMIT_AS, (256 << 20, 256 << 20)),
     )
+
+
+def test_conic_enumerate_writes_each_curve_as_it_is_found():
+    # a billion curves do not fit in 256 MiB: the first line comes out while
+    # the enumeration runs, and a reader that closes stdout ends it quietly
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fibercurve.cli", "conic-enumerate",
+         "--config", CFG123, "--count", "1000000000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC},
+        preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (256 << 20, 256 << 20)),
+    )
+    killer = threading.Timer(60, proc.kill)
+    killer.start()
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    finally:
+        killer.cancel()
+        proc.kill()
+        proc.stderr.close()
+    assert json.loads(line)["curve"] == {"r": 2, "s": 2, "a": "1/6", "b": "-1/6"}
+    assert (code, err) == (EXIT_MATH, b"")
 
 
 def test_an_input_too_large_for_memory_is_a_math_failure():

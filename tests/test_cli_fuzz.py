@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,15 @@ R = mostly(st.integers(1, 3), SMALL)
 S = mostly(st.integers(2, 3), SMALL)
 CONFIGS = fields(r=R, s=S,
                  alphas=st.lists(RATIONALS, min_size=2, max_size=5, unique=True))
+# genus-zero configs whose conic has a base point, of height 1 to 18
+SOLUBLE_CONFIGS = st.sampled_from([
+    {"r": 2, "s": 2, "alphas": ["1", "2", "3"]},
+    {"r": 1, "s": 2, "alphas": ["1", "2", "5"]},
+    {"r": 1, "s": 2, "alphas": ["1/2", "3", "-5/3"]},
+    {"r": 1, "s": 2, "alphas": ["3", "-7/3", "-4"]},
+    {"r": 3, "s": 2, "alphas": ["1", "2", "3"]},
+    {"r": 1, "s": 2, "alphas": ["1", "2", "3"]},
+])
 POINTS = fields(coords=st.lists(RATIONALS, min_size=2, max_size=5))
 AFFINE = fields(x=RATIONALS, y=RATIONALS)
 CURVES = fields(curve=fields(r=R, s=S, a=RATIONALS, b=RATIONALS),
@@ -85,9 +95,9 @@ VERBS = {
     "push": {"--input": payloads(CURVES)},
     "lift": {"--config": payloads(CONFIGS), "--point": payloads(POINTS),
              "--scale": RATIONALS},
-    "conic-enumerate": {"--config": payloads(CONFIGS),
+    "conic-enumerate": {"--config": payloads(mostly(SOLUBLE_CONFIGS, CONFIGS)),
                         "--count": mostly(st.integers(0, 20).map(str), BAD_TEXT),
-                        "--height": mostly(st.integers(1, 6).map(str), BAD_TEXT)},
+                        "--height": mostly(st.integers(1, 24).map(str), BAD_TEXT)},
     "search-ab": {"--config": payloads(CONFIGS),
                   "--height": mostly(st.integers(1, 6).map(str), BAD_TEXT),
                   "--workers": mostly(st.just("1"),
@@ -131,6 +141,24 @@ def argvs(draw):
 VERIFICATION_KEYS = {"validate": "valid", "fiber-verify": "on_fiber"}
 
 
+def check_conic_output(argv, out, err):
+    """``--count`` curves, one JSON line each, through the config's x
+    values; with ``--stats``, one line of counters that add up."""
+    count = as_int(argv[argv.index("--count") + 1])
+    alphas = [Fraction(x) for x in json.loads(argv[argv.index("--config") + 1])["alphas"]]
+    lines = out.splitlines()
+    assert len(lines) == count
+    for line in lines:
+        assert [Fraction(p["x"]) for p in json.loads(line)["points"]] == alphas
+    if "--stats" not in argv:
+        assert err == ""
+        return
+    stats = json.loads(err)
+    assert stats["curves"] == count
+    examined = stats["duplicates"] + stats["degenerate"] + stats["curves"]
+    assert examined == (1 + stats["directions"] if count else 0)
+
+
 @hypothesis.settings(max_examples=300, derandomize=True, database=None,
                      deadline=None)
 @hypothesis.given(argv=argvs())
@@ -145,6 +173,8 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
            for flag, value in zip(argv, argv[1:]) if flag in INT_FLAGS):
         assert code == EXIT_USAGE
     if code == EXIT_OK:
+        if argv[0] == "conic-enumerate":
+            check_conic_output(argv, out, err)
         return
     if code == EXIT_MATH and argv[0] in VERIFICATION_KEYS and err == "":
         # a verification verb reports its failed check on stdout

@@ -3,7 +3,6 @@ import contextlib
 import hashlib
 import io
 import itertools
-import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -207,17 +206,18 @@ def lift_every_point(cfg, count, height):
     """The reference pipeline: the base point and every non-tangent pencil
     point made a ``ProjPoint`` and lifted through the checked
     ``from_fiber_point`` at scale 1, repeated (a, b) dropped after the lift,
-    within the direction budget of ``enumerate_curves`` and with its
-    ``MathError`` texts; also count the obstructed lifts."""
+    with the ``MathError`` text of ``enumerate_curves``; also count the
+    obstructed lifts.  It draws at most 4 count + 8 directions, the bound
+    that ``enumerate_curves`` meets, so a fault there fails a comparison
+    here instead of a hang."""
     system = build_fiber(cfg)
     base = find_base_point(system, height)
     if base is None:
         eq = system.equations[0]
         raise MathError(f"no rational point of height <= {height} on "
                         f"{eq.A} Y0^2 + {eq.B} Y1^2 + {eq.C} Y2^2 = 0")
-    budget = 16 * (count + 2) + 64
     pencil = (ProjPoint(parametrize(system, base, t))
-              for t in itertools.islice(_directions(), budget))
+              for t in itertools.islice(_directions(), 4 * count + 8))
     results, seen, obstructed = [], set(), 0
     for k, point in enumerate(itertools.chain([base], pencil)):
         if k and point == base:
@@ -232,9 +232,6 @@ def lift_every_point(cfg, count, height):
         if (cwp.curve.a, cwp.curve.b) not in seen:
             seen.add((cwp.curve.a, cwp.curve.b))
             results.append(cwp)
-    if len(results) < count:
-        raise MathError(f"exhausted {budget} directions with only "
-                        f"{len(results)} distinct curves")
     return results, obstructed
 
 
@@ -305,6 +302,7 @@ class TestEnumerateCurves:
                 seen["gcd > 1"] += gcd(*vector) > 1
                 seen["negative"] += next(v for v in vector if v) < 0
             report = enumerate_curves(cfg, 60, 20)
+            list(report.curves)
             seen["duplicates"] += report.duplicates > 1
             seen["degenerate"] += report.degenerate > 0
         assert min(seen.values()) >= 30, seen
@@ -317,26 +315,26 @@ class TestEnumerateCurves:
         # examined
         for cfg in REFERENCE_CONFIGS[:303:10]:
             report = enumerate_curves(cfg, count, 20)
+            assert len(list(report.curves)) == count
             stats = jsonio.conic_stats_to_obj(report)
             assert list(stats) == ["directions", "duplicates", "degenerate",
-                                   "curves", "budget"]
+                                   "curves"]
             assert stats["curves"] == count
-            assert stats["budget"] == 16 * (count + 2) + 64
             examined = stats["duplicates"] + stats["degenerate"] + count
             assert examined == (1 + stats["directions"] if count else 0)
 
     def test_a_point_off_the_conic_is_never_lifted(self, monkeypatch):
         # the lift trusts find_base_point and parametrize to put every point
-        # on the conic; a base point off it makes the first non-tangent
-        # direction fail parametrize's check, not a lift, so a broken proof
-        # neither prints curves nor ends in a quiet exit 1
+        # on the conic; a base point off it fails its check before the
+        # first curve is yielded, not a lift, so a broken proof neither
+        # prints curves nor ends in a quiet exit 1
         system = build_fiber(CFG123)
         off = ProjPoint([1, 1, 1])
         assert not on_fiber(system, off).ok
         monkeypatch.setattr(conic, "find_base_point", lambda system, h: off)
         for count in (2, 3, 40):
             with pytest.raises(AssertionError,
-                               match="^parametrized point left the conic$"):
+                               match="^base point left the conic$"):
                 enumerate_curves(CFG123, count, 20)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
@@ -351,8 +349,8 @@ class TestEnumerateCurves:
     ], ids=["cfg123-0", "cfg123-1", "cfg123-300", "cfg125-300"])
     def test_one_parametrize_call_per_direction(self, monkeypatch, cfg, count):
         # replay: the base point, then the directions in order, skipping a
-        # repeated (Y_0^2, Y_1^2) and an obstructed lift; the point after
-        # the last curve is made and then dropped
+        # repeated (Y_0^2, Y_1^2) and an obstructed lift; no point is made
+        # after the last curve
         system, base = model_for(cfg)
         seen, emitted = set(), 0
         for consumed, t in enumerate(itertools.chain([None], _directions())):
@@ -375,13 +373,23 @@ class TestEnumerateCurves:
 
         monkeypatch.setattr(conic, "parametrize", counted)
         report = enumerate_curves(cfg, count, 20)
-        assert len(report.curves) == count
-        assert calls == list(itertools.islice(_directions(), consumed))
-        # the dropped point is not counted among the examined directions
+        assert len(list(report.curves)) == count
         assert report.directions == max(consumed - 1, 0)
+        assert calls == list(itertools.islice(_directions(), report.directions))
+
+    def test_the_base_point_is_the_first_curve_and_draws_no_direction(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(conic, "parametrize",
+                            lambda *args: calls.append(args) or parametrize(*args))
+        report = enumerate_curves(CFG123, 3, 20)
+        first = next(report.curves)
+        assert [p.y for p in first.points] == [0, 1, 2]
+        assert calls == [] and (report.directions, report.found) == (0, 1)
+        assert len(list(report.curves)) == 2 and len(calls) == report.directions
 
     def test_five_distinct_verified_curves(self):
-        curves = enumerate_curves(CFG123, 5, 20).curves
+        curves = list(enumerate_curves(CFG123, 5, 20).curves)
         assert len(curves) == 5
         seen = set()
         for cwp in curves:
@@ -407,28 +415,30 @@ class TestEnumerateCurves:
         assert hashlib.sha256(seq.encode()).hexdigest() == digest
 
     def test_count_zero(self):
-        assert enumerate_curves(CFG123, 0, 20) == ([], 0, 0, 0, 96)
+        report = enumerate_curves(CFG123, 0, 20)
+        assert list(report.curves) == []
+        assert (report.directions, report.duplicates, report.degenerate,
+                report.found) == (0, 0, 0, 0)
 
     def test_unsolvable_config_fails_loudly(self):
         with pytest.raises(MathError, match="no rational point of height <= 30"):
             enumerate_curves(CFG_DEFINITE, 3, 30)
 
-    def test_exhausted_directions_fail_loudly(self, monkeypatch):
-        # every direction gives the base point back, so only its lift counts
-        monkeypatch.setattr(conic, "parametrize",
-                            lambda system, base, t: base.coords)
-        message = "exhausted 144 directions with only 1 distinct curves"
-        with pytest.raises(MathError) as caught:
-            enumerate_curves(CFG123, 3, 20)
-        assert str(caught.value) == message
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = cli.main(["conic-enumerate", "--config",
-                             '{"r":2,"s":2,"alphas":["1","2","3"]}',
-                             "--count", "3", "--height", "20"])
-        assert code == cli.EXIT_MATH
-        assert json.loads(err.getvalue()) == {"error": "math", "message": message}
+    @pytest.mark.parametrize("count", [1, 5, 60, 300])
+    def test_the_count_th_curve_comes_by_direction_4_count_plus_8(self, count):
+        # distinct directions give distinct points, the tangent's return to
+        # the base point aside; one (Y_0^2, Y_1^2) covers at most 4 points
+        # and at most 8 points have a = 0 or b = 0 (the proof in ConicReport)
+        solved = 0
+        for cfg in REFERENCE_CONFIGS:
+            try:
+                report = enumerate_curves(cfg, count, 20)
+            except MathError:
+                continue
+            assert len(list(report.curves)) == count
+            assert report.directions <= 4 * count + 8, cfg
+            solved += 1
+        assert solved == len(REFERENCE_CONFIGS) - 3
 
     def test_deterministic(self):
         first = enumerate_curves(CFG123, 12, 20).curves

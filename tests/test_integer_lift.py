@@ -244,7 +244,7 @@ def test_every_enumerated_curve_verifies():
         (2, (1, 2, 3)), (1, (1, 2, 5)), (1, (F(1, 2), 3, F(-5, 3))),
         (3, (1, 2, F(-3, 4))), (4, (1, F(-3, 2), F(2, 3))))]
     for config in configs:
-        curves = enumerate_curves(config, 200, 64).curves
+        curves = list(enumerate_curves(config, 200, 64).curves)
         assert len(curves) == 200
         for cwp in curves:
             assert cwp.verify() == config

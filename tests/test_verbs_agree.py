@@ -76,7 +76,8 @@ def test_search_hits_and_enumerated_curves_agree():
         # whose direction lies in a shell k <= T.
         shell = max((pencil_shell(base, ProjPoint(p)) for p in points),
                     default=0)
-        curves = enumerate_curves(cfg, 1 + 2 * shell * (shell + 1), HEIGHT).curves
+        curves = list(enumerate_curves(cfg, 1 + 2 * shell * (shell + 1),
+                                        HEIGHT).curves)
         assert points <= {up_to_sign(to_fiber_point(c)) for c in curves}, cfg
         found = {(h.curve.a, h.curve.b) for h in hits}
         low = [c.curve for c in curves if curve_height(c.curve) <= HEIGHT]
