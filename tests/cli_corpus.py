@@ -390,6 +390,8 @@ def argvs() -> list[list[str]]:
     for config in CONIC_SIGNED:
         for count in ("1", "7", "300"):
             out.append(["conic-enumerate", "--config", config, "--count", count])
+    for config in CONIC_SIGNED[::2]:  # the first config of each r
+        out.append(["conic-enumerate", "--config", config, "--count", "500"])
     # --stats: on success, the run's counters on stderr; on a MathError or
     # a usage error, the error alone
     stats_runs = [(config, "7") for config in CONIC_SIGNED]
