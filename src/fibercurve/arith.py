@@ -67,7 +67,11 @@ def int_text(value: int) -> str:
 
 def format_rational(q: Fraction) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
-    num, den = q.numerator, q.denominator
+    return ratio_text(q.numerator, q.denominator)
+
+
+def ratio_text(num: int, den: int) -> str:
+    """``format_rational`` of num/den, given in lowest terms with den > 0."""
     return int_text(num) if den == 1 else f"{int_text(num)}/{int_text(den)}"
 
 

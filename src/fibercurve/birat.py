@@ -10,27 +10,27 @@ The (a, b) formulas solve the linear system
     y_0^s = a x_0^{r+1} + b x_0,    y_1^s = a x_1^{r+1} + b x_1,
 
 whose determinant x_0 x_1 (x_0^r - x_1^r) is nonzero for admissible
-x-coordinates.  They run on integers and come in two steps, so that points
-sharing their x-coordinates share the first.  ``cramer`` takes the
-x-coordinates x_j = n_j/d_j and computes, once, P_0 = n_0^r d_1^r and
-P_1 = n_1^r d_0^r (x_0^r and x_1^r over d_0^r d_1^r), the a-coefficients
-A_0 = n_1 d_0 d_0^r d_1^r and A_1 = n_0 d_1 d_0^r d_1^r, the b-coefficients
-B_0 = n_1 d_0 P_1 and B_1 = n_0 d_1 P_0, and the denominator
-den = n_0 n_1 (P_0 - P_1).  The step it returns takes the integers of
-y_j^s = m_j/e_j, puts u_0 = m_0 e_1 and u_1 = m_1 e_0, and by Cramer's
-rule over the one common denominator e_0 e_1 den gives
+x-coordinates.  They run on integers, and what depends only on the
+x-coordinates is computed once.  ``cramer`` takes the x-coordinates
+x_j = n_j/d_j and returns five integer constants: with P_0 = n_0^r d_1^r
+and P_1 = n_1^r d_0^r (x_0^r and x_1^r over d_0^r d_1^r), the
+a-coefficients A_0 = n_1 d_0 d_0^r d_1^r and A_1 = n_0 d_1 d_0^r d_1^r, the
+b-coefficients B_0 = n_1 d_0 P_1 and B_1 = n_0 d_1 P_0, and the denominator
+den = n_0 n_1 (P_0 - P_1), all five negated when den < 0, so den > 0.  For
+y_j^s = m_j/e_j, with u_0 = m_0 e_1 and u_1 = m_1 e_0, Cramer's rule over
+the one common denominator e_0 e_1 den gives
 
     a = (u_0 A_0 - u_1 A_1) / (e_0 e_1 den),
-    b = (u_1 B_1 - u_0 B_0) / (e_0 e_1 den),
+    b = (u_1 B_1 - u_0 B_0) / (e_0 e_1 den).
 
-so a and b are the only Fractions built.  ``solve_ab`` is the two steps for
-one pair of points; the conic enumeration runs the first step once per
-configuration.  The normative contract is the round trip: both defining
-points land back on the returned curve, exactly.  Each direction checks
-only its input; its docstring says why the output needs no check.
-``lift`` takes a point already proved on the fiber; ``from_fiber_point``
-proves it with ``on_fiber``.  A fiber point that does not lift is an
-obstruction: a ``MathError`` whose message is the JSON object
+``solve_ab`` applies them to one pair of points and builds a and b as the
+only Fractions; the conic enumeration computes them once per configuration
+and applies them at e_0 = e_1 = 1, in integers.  The normative contract is
+the round trip: both defining points land back on the returned curve,
+exactly.  Each direction checks only its input; its docstring says why the
+output needs no check.  ``lift`` takes a point already proved on the fiber;
+``from_fiber_point`` proves it with ``on_fiber``.  A fiber point that does
+not lift is an obstruction: a ``MathError`` whose message is the JSON object
 {"obstruction": reason, "index": i}, with i the failing coordinate or null.
 """
 
@@ -66,10 +66,9 @@ class CurveWithPoints(NamedTuple):
 
 def cramer(r: int, x0: int | Fraction, x1: int | Fraction):
     """Cramer's rule for points at the x-coordinates x0 and x1 (ints or
-    Fractions): the x-only constants of the module docstring, computed
-    once, and the step (m_0, e_0, m_1, e_1) -> (a, b) for y_j^s = m_j/e_j,
-    given as ints with e_j > 0, which returns two Fractions.  Raises
-    MathError for a zero x or for x_0^r = x_1^r."""
+    Fractions): the x-only constants (A_0, A_1, B_0, B_1, den) of the
+    module docstring, den > 0.  Raises MathError for a zero x or for
+    x_0^r = x_1^r."""
     n0, d0 = x0.numerator, x0.denominator
     n1, d1 = x1.numerator, x1.denominator
     if n0 == 0 or n1 == 0:
@@ -79,17 +78,10 @@ def cramer(r: int, x0: int | Fraction, x1: int | Fraction):
     if P0 == P1:
         raise MathError(f"x_0^{r} == x_1^{r}: singular system")
     n1_d0, n0_d1, d_r = n1 * d0, n0 * d1, d0_r * d1_r
-    A0, A1 = n1_d0 * d_r, n0_d1 * d_r
-    B0, B1 = n1_d0 * P1, n0_d1 * P0
     den = n0 * n1 * (P0 - P1)
-
-    def step(m0, e0, m1, e1):
-        u0, u1 = m0 * e1, m1 * e0
-        den_w = e0 * e1 * den
-        return (Fraction(u0 * A0 - u1 * A1, den_w),
-                Fraction(u1 * B1 - u0 * B0, den_w))
-
-    return step
+    if den < 0:  # each of A_0, A_1, B_0 and B_1 is n1_d0 or n0_d1 times
+        n1_d0, n0_d1, den = -n1_d0, -n0_d1, -den
+    return n1_d0 * d_r, n0_d1 * d_r, n1_d0 * P1, n0_d1 * P0, den
 
 
 def solve_ab(
@@ -100,9 +92,12 @@ def solve_ab(
     Coordinates are ints or Fractions; ``cramer`` holds the formulas."""
     if r < 1 or s < 2:
         raise ValueError("need r >= 1 and s >= 2")
+    A0, A1, B0, B1, den = cramer(r, p0.x, p1.x)
     y0, y1 = p0.y, p1.y
-    return cramer(r, p0.x, p1.x)(y0.numerator**s, y0.denominator**s,
-                                 y1.numerator**s, y1.denominator**s)
+    e0, e1 = y0.denominator**s, y1.denominator**s
+    u0, u1 = y0.numerator**s * e1, y1.numerator**s * e0
+    den *= e0 * e1
+    return Fraction(u0 * A0 - u1 * A1, den), Fraction(u1 * B1 - u0 * B0, den)
 
 
 def _obstruction(reason: str, index: int | None) -> MathError:

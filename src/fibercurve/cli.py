@@ -212,7 +212,7 @@ def _cmd_conic_enumerate(args) -> int:
     # whose reader has gone takes a long one in part and the text layer
     # reports it whole, so the verb would exit 0 with its output cut; a
     # short line is taken whole or refused with a BrokenPipeError
-    for line in jsonio.cwp_lines(cfg, report.curves):
+    for line in jsonio.conic_lines(cfg, report.rows):
         sys.stdout.write(line)
     if args.stats:
         print(json.dumps(jsonio.conic_stats_to_obj(report)), file=sys.stderr)

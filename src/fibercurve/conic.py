@@ -7,17 +7,19 @@ equation; each pencil vector is checked on the conic equation, in integers,
 before it is normalized.  Each conic point gives a family member through
 the three x-coordinates at scale 1, y_j = Y_j: one check of the base point
 on the conic and that check of each vector prove every point on the
-fiber, so no second membership check runs, and (a, b) comes from
-``birat.cramer``, whose x-only constants are computed once per
-configuration.  The pencil reaches every point, so a solvable conic never
-runs out of curves, and they are yielded as they are found.  Not every
-configuration yields a solvable conic (the form can be definite); absence
-within the search bound is reported honestly, before any curve.
+fiber, so no second membership check runs.  (a, b) comes from the
+constants of ``birat.cramer``, computed once per configuration, over their
+one denominator: a curve is a row of ints from the pencil vector on.  The
+pencil reaches every point, so a solvable conic never runs out of curves,
+and they are yielded as they are found.  Not every configuration yields a
+solvable conic (the form can be definite); absence within the search bound
+is reported honestly, before any curve.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd, isqrt
 
 from .birat import CurveWithPoints, cramer
@@ -95,25 +97,33 @@ def parametrize(
 
 
 def _directions():
-    """Canonical coprime directions, one per +-pair, in shell order."""
-    for shell in itertools.count(1):
-        for t0, t1 in sorted((b, a) for a, b in _half_shell(shell)):
-            if gcd(t0, t1) == 1:
-                yield t0, t1
+    """Canonical coprime directions, one per +-pair, in shell order: the
+    swapped pairs (b, a) of ``_half_shell(k)`` in lexicographic order,
+    which is (-k, 1..k), (-k+1..k-1, k), then (k, 0..k)."""
+    for k in itertools.count(1):
+        yield from [(-k, t) for t in range(1, k + 1) if gcd(k, t) == 1]
+        yield from [(t, k) for t in range(1 - k, k) if gcd(t, k) == 1]
+        yield from [(k, t) for t in range(k + 1) if gcd(k, t) == 1]
 
 
 class ConicReport:
-    """One ``enumerate_curves`` run: ``curves`` yields its curves as they
-    are found, and the counters are final once ``curves`` is exhausted.
-    The base point and each examined pencil point is a duplicate, a
-    degenerate point or one of the ``found`` curves; ``directions`` counts
-    the pencil points examined."""
+    """One ``enumerate_curves`` run: ``rows`` yields its curves as they are
+    found, as ints (a_num, a_den, b_num, b_den, y_0, y_1, y_2), a and b in
+    lowest terms and the points (alpha_j, y_j); ``curves`` makes the same
+    rows ``CurveWithPoints``.  The counters are final once the walk is
+    exhausted: the base point and each examined pencil point (``directions``
+    counts them) is a duplicate, a degenerate point or a ``found`` curve."""
 
-    def __init__(self, config, system, base, count) -> None:
+    def __init__(self, config, system, base, count, constants) -> None:
         self.directions = self.duplicates = self.degenerate = self.found = 0
-        self.curves = self._walk(config, system, base, count)
+        self.rows = self._walk(system, base, count, constants)
+        r, s, alphas = config.r, config.s, config.alphas
+        self.curves = (CurveWithPoints(
+            FamilyCurve(r, s, Fraction(a_num, a_den), Fraction(b_num, b_den)),
+            tuple(map(AffinePoint, alphas, ys)))
+            for a_num, a_den, b_num, b_den, *ys in self.rows)
 
-    def _walk(self, config, system, base, count):
+    def _walk(self, system, base, count, constants):
         # Distinct directions give distinct pencil points, apart from the
         # tangent's return to the base point.  One key (Y_0^2, Y_1^2) covers
         # at most 4 points, its sign patterns, and a = 0 or b = 0 fixes
@@ -122,8 +132,7 @@ class ConicReport:
         # which reaches every point of the conic, cannot run out first.
         if count == 0:
             return
-        x0, x1, x2 = config.alphas
-        solve = cramer(config.r, x0, x1)
+        A0, A1, B0, B1, den = constants
         seen: set[tuple[int, int]] = set()
         pencil = (parametrize(system, base, t) for t in _directions())
         for k, (y0, y1, y2) in enumerate(itertools.chain([base.coords], pencil)):
@@ -135,17 +144,16 @@ class ConicReport:
                 self.duplicates += 1
                 continue
             seen.add(key)
-            a, b = solve(key[0], 1, key[1], 1)
+            # birat.cramer's numerators over den at y_j^2 = Y_j^2 / 1
+            a, b = key[0] * A0 - key[1] * A1, key[1] * B1 - key[0] * B0
             if a == 0 or b == 0:
                 self.degenerate += 1
                 continue
             if y0 < 0 or (y0 == 0 and y1 < 0):  # Y_0 = Y_1 = 0 is not on it
                 y0, y1, y2 = -y0, -y1, -y2
             self.found += 1
-            yield CurveWithPoints(
-                FamilyCurve(config.r, config.s, a, b),
-                (AffinePoint(x0, y0), AffinePoint(x1, y1), AffinePoint(x2, y2)),
-            )
+            g, h = gcd(a, den), gcd(b, den)  # den > 0
+            yield a // g, den // g, b // h, den // h, y0, y1, y2
             if self.found == count:  # before the next direction is drawn
                 return
 
@@ -154,19 +162,20 @@ def enumerate_curves(
     config: Config, count: int, search_height: int
 ) -> ConicReport:
     """``count`` distinct smooth members through the three prescribed
-    x-coordinates, as a report whose ``curves`` yields them one at a time.
+    x-coordinates, as a report whose ``rows`` yields them one at a time.
 
-    The inputs are checked and the base point found before the report is
-    returned, so every failure comes before the first curve.  Streams
-    conic points from the line pencil in a fixed order and takes each at
-    scale 1 (y_j = Y_j for the primitive vector Y), skipping points that
-    degenerate (a = 0 or b = 0).  At scale 1, y_j^2 = a alpha_j^(r+1) +
-    b alpha_j for j = 0, 1, so (a, b) and (Y_0^2, Y_1^2) determine each
-    other: a point whose (Y_0^2, Y_1^2) was already seen, a sign flip of an
-    earlier one or the base point again from the tangent direction, is
-    skipped before it is normalized.  A pencil vector is divided by its gcd,
-    deduplicated, solved for (a, b), and only a kept point gets the
-    canonical sign (first nonzero entry positive) that ``ProjPoint`` gives.
+    The inputs are checked, the base point found and the constants of
+    ``birat.cramer`` computed before the report is returned, so every
+    failure comes before the first curve.  Streams conic points from the
+    line pencil in a fixed order and takes each at scale 1 (y_j = Y_j for
+    the primitive vector Y), skipping points that degenerate (a = 0 or
+    b = 0).  At scale 1, y_j^2 = a alpha_j^(r+1) + b alpha_j for j = 0, 1,
+    so (a, b) and (Y_0^2, Y_1^2) determine each other: a point whose
+    (Y_0^2, Y_1^2) was already seen, a sign flip of an earlier one or the
+    base point again from the tangent direction, is skipped before it is
+    normalized.  A pencil vector is divided by its gcd, deduplicated,
+    solved for (a, b) in integers, and only a kept point gets the canonical
+    sign (first nonzero entry positive) that ``ProjPoint`` gives.
     Deterministic: same inputs, same output sequence.  At count 0 no point
     is examined and every counter is 0.
     """
@@ -188,4 +197,5 @@ def enumerate_curves(
     p0, p1, p2 = base.coords
     if eq.A * p0 * p0 + eq.B * p1 * p1 + eq.C * p2 * p2:
         raise AssertionError("base point left the conic")
-    return ConicReport(config, system, base, count)
+    constants = cramer(config.r, *config.alphas[:2])
+    return ConicReport(config, system, base, count, constants)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .arith import format_rational, int_text, parse_rational, shown
+from .arith import format_rational, int_text, parse_rational, ratio_text, shown
 from .birat import CurveWithPoints
 from .config import Config, validate
 from .family import AffinePoint, FamilyCurve
@@ -128,19 +128,19 @@ def cwp_from_obj(obj: dict) -> CurveWithPoints:
     )
 
 
-def cwp_lines(config: Config, curves):
-    """Each of ``curves``, members through the x-coordinates of ``config``,
-    as a line: ``json.dumps(cwp_to_obj(cwp))`` byte for byte, then a
-    newline.  The parts that every such curve shares (r, s and each x) are
-    formatted once; a curve formats only its a, b and y values."""
+def conic_lines(config: Config, rows):
+    """Each row (a_num, a_den, b_num, b_den, y_0, y_1, y_2) of a conic
+    enumeration through ``config`` as a line: ``json.dumps(cwp_to_obj(cwp))``
+    of its curve, byte for byte, then a newline.  What every curve shares
+    (r, s and each x) is formatted once, and a row formats only its ints."""
     r, s = int_text(config.r), int_text(config.s)
     head = f'{{"curve": {{"r": {r}, "s": {s}, "a": "'
-    xs = [f'{{"x": "{format_rational(x)}", "y": "' for x in config.alphas]
-    for cwp in curves:
-        a, b = format_rational(cwp.curve.a), format_rational(cwp.curve.b)
-        points = '"}, '.join(
-            [x + format_rational(p.y) for x, p in zip(xs, cwp.points)])
-        yield f'{head}{a}", "b": "{b}"}}, "points": [{points}"}}]}}\n'
+    x0, x1, x2 = (f'{{"x": "{format_rational(x)}", "y": "'
+                  for x in config.alphas)
+    for a_num, a_den, b_num, b_den, y0, y1, y2 in rows:
+        a, b = ratio_text(a_num, a_den), ratio_text(b_num, b_den)
+        yield (f'{head}{a}", "b": "{b}"}}, "points": [{x0}{int_text(y0)}"}}, '
+               f'{x1}{int_text(y1)}"}}, {x2}{int_text(y2)}"}}]}}\n')
 
 
 def search_report_to_obj(report) -> dict:

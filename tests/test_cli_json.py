@@ -94,7 +94,7 @@ def _dumped_lines(curves):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_cwp_lines_write_the_bytes_of_json_dumps(r):
+def test_conic_lines_write_the_bytes_of_json_dumps(r):
     # seeded configs with alphas of both signs, most of them fractions;
     # one without a base point of height <= 64 is drawn again
     rng = random.Random(r)
@@ -104,26 +104,30 @@ def test_cwp_lines_write_the_bytes_of_json_dumps(r):
                   for _ in range(3)]
         try:
             config = validate(r, 2, alphas)
-            curves = list(enumerate_curves(config, 60, 64).curves)
+            rows = list(enumerate_curves(config, 60, 64).rows)
         except MathError:
             continue
-        assert list(jsonio.cwp_lines(config, curves)) == _dumped_lines(curves)
+        curves = list(enumerate_curves(config, 60, 64).curves)
+        assert list(jsonio.conic_lines(config, rows)) == _dumped_lines(curves)
         written += 1
 
 
-def test_cwp_lines_of_hand_built_curves():
-    # negative and fractional a, b, x and y, and numerators and
-    # denominators past 8192 bits, where int_text takes the decimal path
+def test_conic_lines_of_hand_built_rows():
+    # negative and fractional a and b, negative and fractional x, negative
+    # y, and ints past 8192 bits, where int_text takes the decimal path
     huge = (1 << 9000) + 12345
-    config = validate(3, 5, [F(-7, 3), F(huge, 11), F(2), F(-1, huge)])
-    values = [F(0), F(1), F(-1), F(-22, 7), F(huge), F(-huge, 3),
-              F(5, huge), F(-(huge * huge + 1), huge - 2)]
+    config = validate(3, 2, [F(-7, 3), F(huge, 11), F(-1, huge)])
+    values = [F(1), F(-1), F(-22, 7), F(huge), F(-huge, 3), F(5, huge),
+              F(-(huge * huge + 1), huge - 2)]
+    ints = [0, 1, -1, 22, huge, -huge, huge * huge + 1]
     rng = random.Random(0)
-    curves = [
-        CurveWithPoints(
-            FamilyCurve(config.r, config.s, *rng.sample(values, 2)),
-            tuple(AffinePoint(x, rng.choice(values)) for x in config.alphas))
-        for _ in range(40)
-    ]
-    assert list(jsonio.cwp_lines(config, curves)) == _dumped_lines(curves)
-    assert list(jsonio.cwp_lines(config, [])) == []
+    rows, curves = [], []
+    for _ in range(40):
+        a, b = rng.sample(values, 2)
+        ys = [rng.choice(ints) for _ in config.alphas]
+        rows.append((a.numerator, a.denominator, b.numerator, b.denominator,
+                     *ys))
+        curves.append(CurveWithPoints(FamilyCurve(config.r, config.s, a, b),
+                                      tuple(map(AffinePoint, config.alphas, ys))))
+    assert list(jsonio.conic_lines(config, rows)) == _dumped_lines(curves)
+    assert list(jsonio.conic_lines(config, [])) == []

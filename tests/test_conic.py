@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -12,7 +13,7 @@ from planting import rational_root
 
 from fibercurve import cli, conic, jsonio
 from fibercurve.arith import format_rational
-from fibercurve.birat import from_fiber_point
+from fibercurve.birat import cramer, from_fiber_point
 from fibercurve.config import InvalidConfigError, MathError, validate
 from fibercurve.conic import (
     _directions,
@@ -69,6 +70,14 @@ class TestShellWalk:
             pairs = list(_half_shell(k))
             assert len(pairs) == 4 * k
             assert pairs == filtered_shell(k)
+
+    def test_directions_are_the_sorted_swapped_half_shells(self):
+        # the order _directions once made by sorting each shell
+        sorted_walk = [(t0, t1) for k in range(1, 120)
+                       for t0, t1 in sorted((b, a) for a, b in _half_shell(k))
+                       if gcd(t0, t1) == 1]
+        assert len(sorted_walk) == 17416
+        assert list(itertools.islice(_directions(), 17416)) == sorted_walk
 
     def test_directions_match_the_filtered_walk(self):
         n = 20_000
@@ -252,14 +261,18 @@ def seeded_configs(seed, count, height=20):
     return found
 
 
+def dumped(curves):
+    """Each curve as ``json.dumps`` writes it, and a newline."""
+    return [json.dumps(jsonio.cwp_to_obj(cwp)) + "\n" for cwp in curves]
+
+
 def written(fn, cfg, count):
-    """The ``conic-enumerate`` stdout of the curves ``fn`` makes, or the
+    """The ``conic-enumerate`` stdout of the lines ``fn`` makes, or the
     text of its MathError."""
     try:
-        curves = fn(cfg, count)
+        return "".join(fn(cfg, count))
     except MathError as exc:
         return f"MathError: {exc}"
-    return "".join(jsonio.cwp_lines(cfg, curves))
 
 
 # 300 seeded configs, and three that no base point of height <= 20 solves,
@@ -276,19 +289,39 @@ class TestEnumerateCurves:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_matches_lifting_every_point(self, r, count):
         # enumerate_curves divides each pencil vector by its gcd, dedupes
-        # it, solves it for (a, b) and signs the points it keeps;
-        # lift_every_point makes every point a ProjPoint and lifts it
-        # through the checked from_fiber_point
+        # it, solves it for (a, b) in integers and signs the points it
+        # keeps, and conic_lines writes its rows; lift_every_point makes
+        # every point a ProjPoint and lifts it through the checked
+        # from_fiber_point, and json.dumps writes the curves
         kinds = collections.Counter()
         for cfg in REFERENCE_CONFIGS:
             if cfg.r != r:
                 continue
-            want = written(lambda c, n: lift_every_point(c, n, 20)[0], cfg, count)
-            got = written(lambda c, n: enumerate_curves(c, n, 20).curves, cfg,
-                          count)
+            want = written(lambda c, n: dumped(lift_every_point(c, n, 20)[0]),
+                           cfg, count)
+            got = written(lambda c, n: jsonio.conic_lines(
+                c, enumerate_curves(c, n, 20).rows), cfg, count)
             assert got == want, cfg
             kinds["math error" if want.startswith("MathError") else "curves"] += 1
         assert kinds["curves"] >= 75 and kinds["math error"] == (r > 1)
+
+    def test_rows_write_the_bytes_of_json_dumps_of_curves(self):
+        # conic_lines writes a row as json.dumps writes report.curves'
+        # value for it, over configs whose Cramer denominator was negative
+        # before cramer folded its sign, whose base point has Y_0 = 0 and
+        # whose a and b are fractions
+        seen = collections.Counter()
+        for cfg in REFERENCE_CONFIGS[:303]:
+            x0, x1 = cfg.alphas[:2]
+            seen["den < 0"] += x0 * x1 * (x0**cfg.r - x1**cfg.r) < 0
+            lines = jsonio.conic_lines(cfg, enumerate_curves(cfg, 40, 20).rows)
+            curves = list(enumerate_curves(cfg, 40, 20).curves)
+            assert list(lines) == dumped(curves), cfg
+            seen["Y_0 = 0"] += curves[0].points[0].y == 0
+            seen["fractional"] += any(
+                F(v).denominator > 1 for c in curves for v in (c.curve.a, c.curve.b))
+            assert cramer(cfg.r, x0, x1)[4] > 0
+        assert min(seen.values()) >= 30, seen
 
     def test_the_reference_configs_reach_every_branch(self):
         # a base point with Y_0 = 0, pencil vectors with gcd > 1 and with a

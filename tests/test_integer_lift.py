@@ -95,36 +95,41 @@ def test_solve_ab_matches_the_fraction_formula():
     assert 300 < singular < 800
 
 
-def test_cramer_steps_match_the_fraction_formula():
-    # one set of x-only constants per (r, x_0, x_1), then many points: the
-    # step gives the Fraction formula's (a, b), and the constants refuse a
-    # zero x or x_0^r = x_1^r with the formula's MathError text
+def test_cramer_constants_match_the_fraction_formula():
+    # one set of x-only constants per (r, x_0, x_1), with den > 0, then
+    # many points: a = (u_0 A_0 - u_1 A_1) / (e_0 e_1 den) and b = (u_1 B_1
+    # - u_0 B_0) / (e_0 e_1 den) are the Fraction formula's (a, b), and the
+    # constants refuse a zero x or x_0^r = x_1^r with the formula's
+    # MathError text
     rng = random.Random(113)
-    solved = refused = 0
+    solved = refused = folded = 0
     for _ in range(400):
         r = rng.randint(1, 5)
         x0 = rational(rng, zero=0.05)
         x1 = (rng.choice((1, -1)) * x0 if rng.random() < 0.1
               else rational(rng, zero=0.05))
         try:
-            step = cramer(r, x0, x1)
+            A0, A1, B0, B1, den = cramer(r, x0, x1)
         except MathError as exc:
             with pytest.raises(MathError) as want:
                 fraction_solve_ab(r, 2, AffinePoint(x0, 1), AffinePoint(x1, 1))
             assert str(exc) == str(want.value)
             refused += 1
             continue
+        assert all(type(v) is int for v in (A0, A1, B0, B1, den)) and den > 0
+        folded += F(x0) * F(x1) * (F(x0)**r - F(x1)**r) < 0
         for _ in range(8):
             s = rng.randint(2, 5)
             y0, y1 = rational(rng, zero=0.15), rational(rng, zero=0.15)
-            got = step(y0.numerator**s, y0.denominator**s,
-                       y1.numerator**s, y1.denominator**s)
+            e0, e1 = y0.denominator**s, y1.denominator**s
+            u0, u1 = y0.numerator**s * e1, y1.numerator**s * e0
+            got = (F(u0 * A0 - u1 * A1, e0 * e1 * den),
+                   F(u1 * B1 - u0 * B0, e0 * e1 * den))
             want = fraction_solve_ab(r, s, AffinePoint(x0, y0),
                                      AffinePoint(x1, y1))
             assert got == want
-            assert all(type(v) is F for v in got)
             solved += 1
-    assert solved > 2000 and 40 < refused < 150
+    assert solved > 2000 and 40 < refused < 150 and folded > 100
 
 
 def test_contains_matches_the_fraction_identity():
