@@ -376,6 +376,22 @@ class TestEnumerateCurves:
                       '{"r":2,"s":2,"alphas":["1","2","3"]}', "--count", "2"])
         assert out.getvalue() == ""
 
+    def test_a_cramer_failure_comes_before_the_report(self, monkeypatch):
+        # enumerate_curves computes the Cramer constants before it returns,
+        # so their MathError comes before the first byte of stdout
+        def refuse(r, x0, x1):
+            raise MathError(f"x_0^{r} == x_1^{r}: singular system")
+
+        monkeypatch.setattr(conic, "cramer", refuse)
+        with pytest.raises(MathError, match="singular system"):
+            enumerate_curves(CFG123, 2, 20)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.main(["conic-enumerate", "--config",
+                             '{"r":2,"s":2,"alphas":["1","2","3"]}',
+                             "--count", "2"]) == 1
+        assert out.getvalue() == "" and "singular system" in err.getvalue()
+
 
     @pytest.mark.parametrize("cfg, count", [
         (CFG123, 0), (CFG123, 1), (CFG123, 300), (CFG125, 300),
